@@ -13,7 +13,12 @@
 // to ~10 (relative runtimes are iteration-independent in steady state)
 // and FT uses class A buffers to stay within simulation-host memory; both
 // trims are documented in EXPERIMENTS.md.
+//
+// `fig6_npb --quick` runs every kernel at 16 ranks for one iteration and
+// prints each mode's simulated runtime in exact picoseconds; ctest
+// compares that output byte for byte against bench/golden/fig6_quick.txt.
 #include <cstdio>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "npb/npb.hpp"
@@ -48,9 +53,30 @@ Result run_one(const Row& row, NetMode net) {
   return run(world, RunConfig{row.kernel, row.cls, /*verify=*/false, row.iters});
 }
 
+int quick() {
+  std::printf("=== Figure 6 (quick): NPB at 16 ranks, 1 iteration ===\n\n");
+  Table t({"bench", "ranks", "RDMA ps", "CoRD ps", "IPoIB ps", "CoRD", "IPoIB"});
+  for (const Row& full : kRows) {
+    // Same kernel and class; CG and IS match the perfbench smoke points.
+    const Row row{full.kernel, 16, full.cls, 1};
+    const sim::Time rdma = run_one(row, NetMode::kBypass).elapsed;
+    const sim::Time cord = run_one(row, NetMode::kCord).elapsed;
+    const sim::Time ipoib = run_one(row, NetMode::kIpoib).elapsed;
+    const auto ratio = [rdma](sim::Time x) {
+      return fmt("%.6f", static_cast<double>(x) / static_cast<double>(rdma));
+    };
+    t.add_row({std::string(to_string(row.kernel)), std::to_string(row.ranks),
+               std::to_string(rdma), std::to_string(cord), std::to_string(ipoib),
+               ratio(cord), ratio(ipoib)});
+  }
+  t.print();
+  return 0;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string_view(argv[1]) == "--quick") return quick();
   std::printf(
       "=== Figure 6: NPB relative runtime on system A (RDMA = 1.00) ===\n"
       "(no shared-memory communication; 2 nodes)\n\n");

@@ -189,6 +189,15 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
   metrics_.callback_gauge("engine.queue_resizes", [this] {
     return static_cast<std::int64_t>(sharded_.queue_resizes());
   });
+  // Idle-poll elision (DESIGN.md §20): empty poll-loop steps replayed
+  // without an event, and parked loops resumed as events. Pollers only
+  // park on a single-shard engine, so shard 0 holds every count.
+  metrics_.callback_gauge("sim.polls_elided", [this] {
+    return static_cast<std::int64_t>(engine().polls_elided());
+  });
+  metrics_.callback_gauge("sim.poll_wakes", [this] {
+    return static_cast<std::int64_t>(engine().poll_wakes());
+  });
   // System-wide NIC doorbell/burst totals, summed over hosts at read
   // time. Mirrors the per-host gauges each Kernel exposes through
   // proc_read("metrics"), so fleet-level dashboards don't have to crawl

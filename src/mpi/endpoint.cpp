@@ -43,6 +43,7 @@ sim::Task<std::size_t> Endpoint::recv(int src, int tag, std::span<std::byte> out
 }
 
 void Endpoint::deliver_eager(int src, int tag, std::span<const std::byte> payload) {
+  ++activity_;
   for (PostedRecv* pr : posted_) {
     if (!pr->matched && pr->src == src && pr->tag == tag) {
       if (payload.size() > pr->out.size()) {
@@ -59,6 +60,26 @@ void Endpoint::deliver_eager(int src, int tag, std::span<const std::byte> payloa
   UnexpectedMsg msg{src, tag, {payload.begin(), payload.end()}};
   pending_copy_cost_ += core().memcpy_time(payload.size());
   unexpected_.push_back(std::move(msg));
+}
+
+sim::Time Endpoint::IdleLoop::step() {
+  if (ep_.activity_ != seen_) return kWake;
+  switch (at_) {
+    case At::kRecvPoll:
+      at_ = At::kSettle;
+      return ep_.charge_poll_miss();
+    case At::kSettle:
+      at_ = At::kHead;
+      if (++idle > kSpins) {
+        return ep_.core().charge(backoff(idle), os::Work::kSpin);
+      }
+      [[fallthrough]];
+    case At::kHead:
+      if (ep_.core().engine().now() > deadline_) return kWake;
+      at_ = At::kRecvPoll;
+      return ep_.charge_poll_miss();
+  }
+  return kWake;
 }
 
 Endpoint::PostedRecv* Endpoint::deliver_rts(PendingRts rts) {

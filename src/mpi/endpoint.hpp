@@ -43,32 +43,99 @@ class Endpoint {
   /// must always consume virtual time.
   virtual sim::Task<bool> progress_once() = 0;
 
-  /// Poll progress until `done()` holds, with exponential poll-coarsening
-  /// on idle stretches (amortizes simulation events; costs at most ~20 us
-  /// of detection latency on long waits) and a virtual-time deadline that
-  /// turns workload deadlocks into exceptions.
+  /// Poll progress until `done()` holds, backing off linearly on idle
+  /// stretches (the simulated library spins less hard on long waits, at
+  /// most ~20 us of detection latency) and with a virtual-time deadline
+  /// that turns workload deadlocks into exceptions. `done()` may change
+  /// only through this endpoint's progress or matching state.
+  ///
+  /// Where can_park() allows, the empty iterations are not simulated as
+  /// events: the loop parks beside the event queue (IdleLoop) and resumes
+  /// at the step that sees a pushed CQE or a self-send, with every charge,
+  /// counter and instant as if it had kept polling (DESIGN.md §20).
   template <typename Pred>
   sim::Task<> progress_until(Pred&& done, const char* what) {
-    int idle = 0;
-    const sim::Time deadline = core().engine().now() + kProgressTimeout;
+    IdleLoop loop(*this, core().engine().now() + kProgressTimeout);
     while (!done()) {
-      const bool any = co_await progress_once();
+      bool any;
+      if (can_park()) {
+        co_await loop.park();
+        if (loop.at() == IdleLoop::At::kHead) {
+          loop.check_deadline(what);
+          continue;
+        }
+        any = co_await finish_progress(loop.at() == IdleLoop::At::kRecvPoll);
+      } else {
+        any = co_await progress_once();
+      }
       if (any) {
-        idle = 0;
+        loop.idle = 0;
         continue;
       }
-      if (++idle > 64) {
-        const sim::Time backoff =
-            std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
-        co_await core().work(backoff, os::Work::kSpin);
+      if (++loop.idle > IdleLoop::kSpins) {
+        co_await core().work(IdleLoop::backoff(loop.idle), os::Work::kSpin);
       }
-      if (core().engine().now() > deadline) {
-        throw std::runtime_error(std::string("MPI progress timed out: ") + what);
-      }
+      loop.check_deadline(what);
     }
   }
 
  protected:
+  /// One progress_until loop's idle state, and its stand-in while parked:
+  /// each step() replays one step of an empty iteration — the send-CQ
+  /// read, the receive-CQ read, the idle count and backoff, the deadline
+  /// check — and wakes the loop at the first step after this endpoint's
+  /// activity counter moves (or when the deadline check would throw).
+  class IdleLoop final : public sim::Poller {
+   public:
+    /// Where a parked loop stands: the step the engine replays next.
+    enum class At {
+      kRecvPoll,  // the receive-CQ read (the send-CQ read just charged)
+      kSettle,    // the end of an empty progress_once: idle count, backoff
+      kHead,      // the deadline check, done() and the send-CQ read
+    };
+    static constexpr int kSpins = 64;  // empty iterations before backoff
+    static sim::Time backoff(int idle) {
+      return std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
+    }
+
+    IdleLoop(Endpoint& ep, sim::Time deadline) : ep_(ep), deadline_(deadline) {}
+    At at() const { return at_; }
+    /// Park at the loop head: charge the send-CQ read due now and suspend
+    /// until a step wakes the loop.
+    auto park() {
+      at_ = At::kRecvPoll;
+      seen_ = ep_.activity_;
+      return ep_.core().engine().park(*this, ep_.charge_poll_miss());
+    }
+    void check_deadline(const char* what) const {
+      if (ep_.core().engine().now() > deadline_) {
+        throw std::runtime_error(std::string("MPI progress timed out: ") + what);
+      }
+    }
+    sim::Time step() override;
+
+    int idle = 0;
+
+   private:
+    Endpoint& ep_;
+    sim::Time deadline_;
+    At at_ = At::kHead;
+    std::uint64_t seen_ = 0;  // ep_.activity_ when the loop parked
+  };
+
+  /// Whether an empty progress_once starting now would do nothing but two
+  /// user-space CQ reads (send CQ, then receive CQ), each costing
+  /// charge_poll_miss(), and nothing can change that without moving
+  /// activity_. Transports that cannot promise this never park.
+  virtual bool can_park() const { return false; }
+  /// Replay one empty CQ read: count the verb, charge its spin, and return
+  /// the charged time.
+  virtual sim::Time charge_poll_miss() { return 0; }
+  /// Finish a progress_once that a parked loop woke in the middle of: from
+  /// its receive-CQ read (`poll_recv`) or from just after it. Returns what
+  /// the whole progress_once would have returned.
+  virtual sim::Task<bool> finish_progress(bool /*poll_recv*/) { co_return false; }
+
   struct PostedRecv {
     int src = 0;
     int tag = 0;
@@ -88,8 +155,9 @@ class Endpoint {
   /// the transfer to the concrete endpoint.
   virtual sim::Task<> start_pull(PostedRecv& pr, std::uint64_t rts_cookie) = 0;
 
-  /// Called by implementations when an eager payload arrives.
-  /// Returns the core-time cost (copy) which the caller must charge.
+  /// Called by implementations when an eager payload arrives (and by
+  /// self-sends). Accrues the receive-side copy into pending_copy_cost_,
+  /// which the progress loop charges, and moves activity_.
   void deliver_eager(int src, int tag, std::span<const std::byte> payload);
 
   /// Called by implementations when a rendezvous announcement arrives.
@@ -113,6 +181,10 @@ class Endpoint {
   /// Copy cost accrued by deliveries inside progress; drained and charged
   /// by the progress loop.
   sim::Time pending_copy_cost_ = 0;
+  /// Moves on every CQE pushed into this endpoint's CQs, again when a loop
+  /// processes it, and on every eager delivery: a parked progress loop
+  /// wakes when it differs from the value it parked with.
+  std::uint64_t activity_ = 0;
 };
 
 }  // namespace cord::mpi

@@ -19,6 +19,8 @@ sim::Task<> VerbsEndpoint::setup() {
   const std::uint32_t cq_cap = 4 * (cfg_.srq_slots + cfg_.send_slots) + 1024;
   scq_ = co_await ctx_.create_cq(cq_cap);
   rcq_ = co_await ctx_.create_cq(cq_cap);
+  scq_->watch_pushes(&activity_);
+  rcq_->watch_pushes(&activity_);
   srq_ = co_await ctx_.create_srq(pd_, cfg_.srq_slots);
 
   send_arena_.resize(cfg_.send_slots * slot_size());
@@ -157,6 +159,10 @@ sim::Task<bool> VerbsEndpoint::progress_once() {
   // Send-side completions: free bounce slots, finish rendezvous reads.
   std::size_t n = co_await ctx_.poll_cq(*scq_, wc);
   for (std::size_t i = 0; i < n; ++i) {
+    // A harvested CQE changes this endpoint's state only now, a poll
+    // charge after its push moved activity_: move it again so a loop that
+    // parked in between re-checks.
+    ++activity_;
     const nic::Cqe& c = wc[i];
     if (c.status != nic::WcStatus::kSuccess) {
       throw std::runtime_error(std::string("MPI send completion error: ") +
@@ -175,9 +181,25 @@ sim::Task<bool> VerbsEndpoint::progress_once() {
     }
   }
 
+  const bool recv_any = co_await finish_progress(true);
+  co_return n > 0 || recv_any;
+}
+
+bool VerbsEndpoint::can_park() const {
+  // An empty progress_once must have no effect but its two reads: both CQs
+  // empty, no copy cost to charge and no deferred FIN that could go out.
+  return ctx_.poll_miss_is_pure() && scq_->depth() == 0 &&
+         rcq_->depth() == 0 && pending_copy_cost_ == 0 &&
+         (deferred_fins_.empty() || free_slots_.empty());
+}
+
+sim::Task<bool> VerbsEndpoint::finish_progress(bool poll_recv) {
+  std::array<nic::Cqe, 16> wc;
+
   // Receive-side completions: parse eager/RTS/FIN, repost SRQ slots.
-  std::size_t m = co_await ctx_.poll_cq(*rcq_, wc);
+  const std::size_t m = poll_recv ? co_await ctx_.poll_cq(*rcq_, wc) : 0;
   for (std::size_t i = 0; i < m; ++i) {
+    ++activity_;  // as for send completions
     const nic::Cqe& c = wc[i];
     if (c.status != nic::WcStatus::kSuccess) {
       throw std::runtime_error(std::string("MPI recv completion error: ") +
@@ -220,7 +242,7 @@ sim::Task<bool> VerbsEndpoint::progress_once() {
     co_await core().work(cost, os::Work::kCompute);
   }
   co_await flush_deferred_fins();
-  co_return n > 0 || m > 0;
+  co_return m > 0;
 }
 
 }  // namespace cord::mpi

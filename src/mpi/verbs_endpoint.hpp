@@ -25,7 +25,7 @@
 
 namespace cord::mpi {
 
-class VerbsEndpoint final : public Endpoint {
+class VerbsEndpoint : public Endpoint {
  public:
   struct Config {
     std::size_t eager_threshold = 4096;
@@ -82,6 +82,9 @@ class VerbsEndpoint final : public Endpoint {
   };
 
   sim::Task<> start_pull(PostedRecv& pr, std::uint64_t rts_cookie) override;
+  bool can_park() const override;
+  sim::Time charge_poll_miss() override { return ctx_.charge_poll_miss(); }
+  sim::Task<bool> finish_progress(bool poll_recv) override;
 
   std::size_t slot_size() const { return cfg_.eager_threshold + sizeof(WireHeader); }
   std::byte* send_slot(std::uint32_t s) { return send_arena_.data() + s * slot_size(); }

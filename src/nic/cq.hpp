@@ -39,6 +39,7 @@ class CompletionQueue {
     if (count_ == ring_.size()) grow();
     ring_[(head_ + count_) & (ring_.size() - 1)] = cqe;
     ++count_;
+    if (push_counter_ != nullptr) ++*push_counter_;
     if (armed_) {
       armed_ = false;
       if (on_event_) on_event_(*this);
@@ -67,6 +68,12 @@ class CompletionQueue {
     on_event_ = std::move(handler);
   }
 
+  /// Installed by a consumer that parks its empty poll loop beside the
+  /// event queue (mpi::Endpoint::progress_until): every pushed CQE bumps
+  /// `*counter`, which wakes the parked loop. Independent of arm() and the
+  /// interrupt path.
+  void watch_pushes(std::uint64_t* counter) { push_counter_ = counter; }
+
  private:
   void grow() {
     const std::size_t old_size = ring_.size();
@@ -92,6 +99,7 @@ class CompletionQueue {
   std::size_t count_ = 0;
   bool armed_ = false;
   bool overflowed_ = false;
+  std::uint64_t* push_counter_ = nullptr;
   std::function<void(CompletionQueue&)> on_event_;
 };
 

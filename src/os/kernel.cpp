@@ -63,6 +63,13 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
   metrics_.callback_gauge("engine.queue_resizes", [this] {
     return static_cast<std::int64_t>(engine_->queue_resizes());
   });
+  // Idle-poll elision on this host's engine (DESIGN.md §20).
+  metrics_.callback_gauge("sim.polls_elided", [this] {
+    return static_cast<std::int64_t>(engine_->polls_elided());
+  });
+  metrics_.callback_gauge("sim.poll_wakes", [this] {
+    return static_cast<std::int64_t>(engine_->poll_wakes());
+  });
   // This host's NIC doorbell/burst pipeline, mirrored the same way: how
   // many doorbells rang, how many posts they absorbed, and how the fused
   // SoA drain is batching WQE work (see nic::NicCounters).

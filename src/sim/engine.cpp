@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include "sim/sharded.hpp"
+
 namespace cord::sim {
 
 namespace detail {
@@ -7,6 +9,69 @@ void notify_root_done(Engine& engine, std::uint64_t root_id) noexcept {
   engine.roots_.erase(root_id);
 }
 }  // namespace detail
+
+void Engine::park_at(Poller& p, std::coroutine_handle<> h, Time t) {
+  if (coordinator_ != nullptr && coordinator_->shard_count() > 1) {
+    throw std::logic_error(
+        "Engine::park on a multi-shard engine: parked pollers run only on "
+        "a single engine");
+  }
+  p.h_ = h;
+  // Sift up from a new leaf.
+  const Parked x{t, next_seq_, next_order_++, &p};
+  std::size_t i = parked_.size();
+  parked_.push_back(x);
+  while (i > 0 && x.before(parked_[(i - 1) / 2])) {
+    parked_[i] = parked_[(i - 1) / 2];
+    i = (i - 1) / 2;
+  }
+  parked_[i] = x;
+}
+
+void Engine::sift_down_root() {
+  const std::size_t n = parked_.size();
+  const Parked x = parked_[0];
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && parked_[c + 1].before(parked_[c])) ++c;
+    if (!parked_[c].before(x)) break;
+    parked_[i] = parked_[c];
+    i = c;
+  }
+  parked_[i] = x;
+}
+
+void Engine::run_parked(const Item* next, Time limit) {
+  Parked& top = parked_[0];
+  for (;;) {
+    now_ = top.t;
+    const Time d = top.p->step();
+    if (d == Poller::kWake) {
+      const std::coroutine_handle<> h = top.p->h_;
+      parked_[0] = parked_.back();
+      parked_.pop_back();
+      if (!parked_.empty()) sift_down_root();
+      ++poll_wakes_;
+      dispatch(reinterpret_cast<std::uintptr_t>(h.address()));
+      return;
+    }
+    ++polls_elided_;
+    // No event was scheduled since the last step, so every step of this
+    // run shares one seq and only order advances.
+    top.t = now_ + d;
+    top.seq = next_seq_;
+    top.order = next_order_++;
+    const std::size_t n = parked_.size();
+    if (top.t > limit || (next != nullptr && !top.before(*next)) ||
+        (n > 1 && parked_[1].before(top)) ||
+        (n > 2 && parked_[2].before(top))) {
+      sift_down_root();
+      return;
+    }
+  }
+}
 
 std::vector<Engine::Slab>& Engine::slab_cache() {
   thread_local std::vector<Slab> cache;

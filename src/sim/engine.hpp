@@ -29,6 +29,10 @@
 //    The run loops are templated over the backend and select it once per
 //    call, so the hot loop stays specialized and inlinable; per-push
 //    sites pay one perfectly predicted branch.
+//  * Busy-poll loops that keep finding nothing park beside the queue
+//    (Poller, DESIGN.md §20): the run loops replay their empty steps
+//    arithmetically in the exact (t, seq) slots their events would have
+//    taken, and dispatch only the step that finds work.
 #pragma once
 
 #include <coroutine>
@@ -55,6 +59,31 @@ class Tracer;
 namespace cord::sim {
 
 class ShardedEngine;
+
+/// A busy-poll loop parked beside the event queue (DESIGN.md §20). While
+/// parked, the loop's coroutine stays suspended and the engine replays its
+/// steps without events: at each step's instant it calls step(), which
+/// applies the step's effects (CPU charges, counters) and returns the delay
+/// to the next step — or kWake, and the coroutine resumes right there as an
+/// ordinary event. Every step keeps the (t, seq) slot that the event it
+/// replaces would have had, so the dispatch order of everything else is
+/// unchanged.
+class Poller {
+ public:
+  /// step() result: resume the loop's coroutine at this step.
+  static constexpr Time kWake = -1;
+
+  /// Replay the loop's step due at Engine::now(). Must not schedule
+  /// events, resume coroutines or park.
+  virtual Time step() = 0;
+
+ protected:
+  ~Poller() = default;
+
+ private:
+  friend class Engine;
+  std::coroutine_handle<> h_;  // the parked loop
+};
 
 class Engine {
  public:
@@ -165,13 +194,14 @@ class Engine {
     schedule_at(now_, h);
   }
 
-  /// Run until the event queue drains. Returns the final virtual time.
+  /// Run until the event queue drains and no poller is parked. Returns the
+  /// final virtual time.
   /// Defined inline: this is THE simulation hot loop, and keeping it
   /// visible to callers lets the compiler collapse a schedule→dispatch
   /// ping-pong into register traffic. The backend branch is taken once
   /// per call; the loop itself is specialized per backend.
   Time run() {
-    if (pending_ != 0) {
+    if (pending_ != 0 || !parked_.empty()) {
       if (queue_kind_ == QueueKind::kHeap) {
         run_drain(heap_);
       } else {
@@ -182,9 +212,10 @@ class Engine {
     return now_;
   }
   /// Run until the queue drains or virtual time would pass `deadline`.
-  /// Events after `deadline` stay queued; now() is clamped to `deadline`.
+  /// Events and poller steps after `deadline` stay queued; now() is
+  /// clamped to `deadline`.
   Time run_until(Time deadline) {
-    if (pending_ != 0) {
+    if (pending_ != 0 || !parked_.empty()) {
       const bool ran = queue_kind_ == QueueKind::kHeap
                            ? run_until_drain(heap_, deadline)
                            : run_until_drain(cal_, deadline);
@@ -198,7 +229,8 @@ class Engine {
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
   /// Timestamp of the earliest queued event, or kNoEvent when idle. Used
   /// by the shard coordinator to compute conservative time windows; never
-  /// read on the hot loop.
+  /// read on the hot loop. Parked pollers are not counted: they only exist
+  /// on single-shard engines (park()).
   Time next_event_time() const {
     if (pending_ == 0) return kNoEvent;
     return queue_kind_ == QueueKind::kHeap ? heap_.top().t : cal_.min_time();
@@ -237,6 +269,11 @@ class Engine {
   std::uint64_t queue_overflow_events() const {
     return cal_.overflow_pushes();
   }
+  /// Parked-poller steps replayed without an event (Poller::step calls
+  /// that did not wake).
+  std::uint64_t polls_elided() const { return polls_elided_; }
+  /// Parked pollers resumed as events (counted in events_processed too).
+  std::uint64_t poll_wakes() const { return poll_wakes_; }
 
   /// The active tracer, or nullptr when tracing is off. Every trace point
   /// in the stack guards on this single pointer, so disabled tracing costs
@@ -267,6 +304,25 @@ class Engine {
       void await_resume() const {}
     };
     return Awaiter{*this, t};
+  }
+
+  /// Awaitable: suspend the calling coroutine as the parked poller `p`.
+  /// Its first step falls after `delay`, in the slot schedule_in(delay)
+  /// would have taken; the coroutine resumes when a step returns
+  /// Poller::kWake. Throws std::logic_error on an engine of a multi-shard
+  /// coordinator, whose windows know nothing of parked pollers.
+  auto park(Poller& p, Time delay) {
+    struct Awaiter {
+      Engine& engine;
+      Poller& p;
+      Time delay;
+      bool await_ready() const { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        engine.park_at(p, h, engine.now_ + delay);
+      }
+      void await_resume() const {}
+    };
+    return Awaiter{*this, p, delay};
   }
 
  private:
@@ -432,25 +488,108 @@ class Engine {
 
   template <typename Q>
   [[gnu::always_inline]] void run_drain(Q& q) {
-    do {
-      --pending_;
-      const Item item = q.pop();
-      now_ = item.t;
-      dispatch(item.payload);
-    } while (pending_ != 0);
+    for (;;) {
+      if (!parked_.empty()) {
+        drain_parked(q);
+        if (pending_ == 0) return;
+      }
+      // Events only, in the loop's original shape: runs that never park
+      // pay one check per event.
+      do {
+        --pending_;
+        const Item item = q.pop();
+        now_ = item.t;
+        dispatch(item.payload);
+      } while (pending_ != 0 && parked_.empty());
+      if (pending_ == 0 && parked_.empty()) return;
+    }
+  }
+
+  /// run_drain while some poller is parked; returns once none is.
+  template <typename Q>
+  [[gnu::noinline]] void drain_parked(Q& q) {
+    while (!parked_.empty()) {
+      if (pending_ == 0) {
+        run_parked(nullptr, kNoEvent);
+      } else if (parked_.front().before(q.top())) {
+        run_parked(&q.top(), kNoEvent);
+      } else {
+        --pending_;
+        const Item item = q.pop();
+        now_ = item.t;
+        dispatch(item.payload);
+      }
+    }
   }
 
   template <typename Q>
   [[gnu::always_inline]] bool run_until_drain(Q& q, Time deadline) {
+    if (!parked_.empty()) return drain_parked_until(q, deadline);
+    // Events only, in the loop's original shape (see run_drain).
     if (q.top().t > deadline) return false;
     do {
       --pending_;
       const Item item = q.pop();
       now_ = item.t;
       dispatch(item.payload);
-    } while (pending_ != 0 && q.top().t <= deadline);
+    } while (pending_ != 0 && q.top().t <= deadline && parked_.empty());
+    if (!parked_.empty()) drain_parked_until(q, deadline);
     return true;
   }
+
+  /// run_until_drain with parked pollers (it also drains plain events if
+  /// the last poller wakes). Returns whether anything ran.
+  template <typename Q>
+  [[gnu::noinline]] bool drain_parked_until(Q& q, Time deadline) {
+    bool ran = false;
+    for (;;) {
+      const Item* next =
+          pending_ != 0 && q.top().t <= deadline ? &q.top() : nullptr;
+      if (!parked_.empty() && parked_.front().t <= deadline &&
+          (next == nullptr || parked_.front().before(*next))) {
+        run_parked(next, deadline);
+      } else if (next == nullptr) {
+        return ran;
+      } else {
+        --pending_;
+        const Item item = q.pop();
+        now_ = item.t;
+        dispatch(item.payload);
+      }
+      ran = true;
+    }
+  }
+
+  // --- Parked pollers (DESIGN.md §20) -----------------------------------
+  // A binary min-heap beside the event queue, keys inline. Among
+  // themselves pollers order by (t, order); against a queued event a
+  // poller goes first at equal t iff its seq <= the event's seq, because
+  // its step would have been scheduled when next_seq_ was seq — after
+  // every event with a smaller seq and before every later one.
+
+  struct Parked {
+    Time t;               // instant of the poller's next step
+    std::uint64_t seq;    // next_seq_ when that step was scheduled
+    std::uint64_t order;  // engine-wide park order: ties among pollers
+    Poller* p;
+    bool before(const Item& e) const {
+      return t < e.t || (t == e.t && seq <= e.seq);
+    }
+    bool before(const Parked& o) const {
+      return t < o.t || (t == o.t && order < o.order);
+    }
+  };
+
+  void park_at(Poller& p, std::coroutine_handle<> h, Time t);
+
+  /// Restore the heap below a root whose key grew (or that was replaced).
+  void sift_down_root();
+  /// Replay the earliest poller's steps while each stays before `next`
+  /// (the earliest queued event, or nullptr), before every other poller
+  /// and at or before `limit`; then re-sift it, or resume it when a step
+  /// wakes it. Out of line: the drain loops stay small for runs that never
+  /// park.
+  void run_parked(const Item* next, Time limit);
 
   Time clamp_to_now(Time t) {
     if (t < now_) [[unlikely]] {
@@ -610,6 +749,10 @@ class Engine {
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_events_ = 0;
+  std::vector<Parked> parked_;  // min-heap by Parked::before
+  std::uint64_t next_order_ = 0;
+  std::uint64_t polls_elided_ = 0;
+  std::uint64_t poll_wakes_ = 0;
   SpecJournal spec_;
   bool spec_active_ = false;
   std::uint64_t spec_journaled_total_ = 0;

@@ -223,22 +223,23 @@ sim::Task<std::size_t> Context::poll_cq(nic::CompletionQueue& cq,
   // Harvesting closes every gather window: whatever was posted must be
   // submitted before we look for its completions.
   if (batching()) (void)co_await flush_all();
-  ++dataplane_ops_;
   if (opts_.mode == DataplaneMode::kCord && opts_.poll_via_kernel) {
+    ++dataplane_ops_;
     co_return co_await host_->kernel().poll_cq(*core_, opts_.tenant, cq, out);
   }
   // User-space poll: the CQ ring lives in user-mapped memory.
-  const os::CpuModel& m = core_->model();
   const std::size_t n = cq.poll(out);
-  if (n > 0) {
-    if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
-      tr->record(trace::Point::kVerbsPollCq, 0, cq.cqn(), opts_.tenant,
-                 node8(*host_), n);
-    }
+  if (n == 0) {
+    co_await core_->engine().delay(charge_poll_miss());
+    co_return 0;
   }
-  const sim::Time cost =
-      n == 0 ? m.poll_miss : static_cast<sim::Time>(n) * m.poll_hit;
-  co_await core_->work(cost, n == 0 ? os::Work::kSpin : os::Work::kCompute);
+  ++dataplane_ops_;
+  if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
+    tr->record(trace::Point::kVerbsPollCq, 0, cq.cqn(), opts_.tenant,
+               node8(*host_), n);
+  }
+  co_await core_->work(static_cast<sim::Time>(n) * core_->model().poll_hit,
+                       os::Work::kCompute);
   co_return n;
 }
 

@@ -85,6 +85,20 @@ class Context {
   sim::Task<int> post_recv(nic::QueuePair& qp, nic::RecvWr wr);
   sim::Task<int> post_srq_recv(nic::SharedReceiveQueue& srq, nic::RecvWr wr);
   sim::Task<std::size_t> poll_cq(nic::CompletionQueue& cq, std::span<nic::Cqe> out);
+  /// True when poll_cq reads the CQ from user space with nothing to flush
+  /// first, so a poll that finds the CQ empty does exactly what
+  /// charge_poll_miss() does, plus a delay of what it returns.
+  bool poll_miss_is_pure() const {
+    return !batching() &&
+           !(opts_.mode == DataplaneMode::kCord && opts_.poll_via_kernel);
+  }
+  /// The effects of one empty user-space poll_cq without its delay: counts
+  /// the verb and charges the spin, returning the charged time. A parked
+  /// poll loop (mpi::Endpoint::progress_until) replays misses with it.
+  sim::Time charge_poll_miss() {
+    ++dataplane_ops_;
+    return core_->charge(core_->model().poll_miss, os::Work::kSpin);
+  }
 
   // --- Batched submission (ContextOptions::tx_batch > 1, CoRD only) -----
   /// Flush one QP's pending submission ring in a single kernel crossing.

@@ -1,0 +1,435 @@
+// Idle-poll elision at the MPI layer (DESIGN.md §20). One VerbsEndpoint
+// pair on two System A hosts (Turbo on, so the DVFS spin load makes every
+// charge order-dependent) runs each scenario twice: with progress loops
+// that park, and as a reference that never parks, whose top-level waits
+// run a test-local copy of the progress loop as it was before parking
+// existed. Both must agree on every observation instant, each core's spin
+// and compute time, the bits of its spin load, and its verb count.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "mpi/verbs_endpoint.hpp"
+#include "mpi/world.hpp"
+#include "npb/npb.hpp"
+#include "sim/join.hpp"
+#include "test_util.hpp"
+
+namespace cord::mpi {
+namespace {
+
+using Bytes = std::vector<std::byte>;
+
+/// The endpoint under test: library waits park wherever they can.
+class ParkingEndpoint : public VerbsEndpoint {
+ public:
+  using VerbsEndpoint::VerbsEndpoint;
+
+  /// An eager message from (src, tag) waits in the unexpected queue.
+  bool arrived(int src, int tag) const {
+    return std::any_of(unexpected_.begin(), unexpected_.end(),
+                       [&](const UnexpectedMsg& m) {
+                         return m.src == src && m.tag == tag;
+                       });
+  }
+  /// The in-memory delivery a self-send performs before charging its copy.
+  void deliver_self(int tag, const Bytes& data) {
+    deliver_eager(rank(), tag, data);
+  }
+  template <typename Pred>
+  sim::Task<> wait(Pred done, const char* what) {
+    co_await progress_until(done, what);
+  }
+};
+
+/// The reference: never parks, and waits with the pre-parking loop.
+class RefEndpoint final : public ParkingEndpoint {
+ public:
+  using ParkingEndpoint::ParkingEndpoint;
+
+  template <typename Pred>
+  sim::Task<> wait(Pred done, const char* what) {
+    int idle = 0;
+    const sim::Time deadline = core().engine().now() + kProgressTimeout;
+    while (!done()) {
+      const bool any = co_await progress_once();
+      if (any) {
+        idle = 0;
+        continue;
+      }
+      if (++idle > 64) {
+        const sim::Time backoff =
+            std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
+        co_await core().work(backoff, os::Work::kSpin);
+      }
+      if (core().engine().now() > deadline) {
+        throw std::runtime_error(std::string("MPI progress timed out: ") + what);
+      }
+    }
+  }
+
+ private:
+  bool can_park() const override { return false; }
+};
+
+struct CoreState {
+  sim::Time spin = 0;
+  sim::Time compute = 0;
+  std::uint64_t load_bits = 0;
+  std::uint64_t ops = 0;
+  bool operator==(const CoreState&) const = default;
+};
+
+struct Observation {
+  std::vector<sim::Time> instants;
+  std::string error;
+  CoreState cores[2];
+  sim::Time end = 0;
+  std::uint64_t elided = 0;  // not compared: zero for the reference
+  bool operator==(const Observation& o) const {
+    return instants == o.instants && error == o.error &&
+           cores[0] == o.cores[0] && cores[1] == o.cores[1] && end == o.end;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Observation& o) {
+  os << "{instants:";
+  for (sim::Time t : o.instants) os << ' ' << t;
+  os << "; error: '" << o.error << "'; end " << o.end << "}";
+  return os;
+}
+
+/// Two connected endpoints of type Ep, rank r on host r.
+template <typename Ep>
+class Pair {
+ public:
+  Pair() : sys_(core::system_a(), 2) {
+    for (int r = 0; r < 2; ++r) {
+      ep_[r] = std::make_unique<Ep>(
+          r, 2,
+          verbs::Context(sys_.host(static_cast<std::size_t>(r)), 0,
+                         sys_.options(verbs::DataplaneMode::kBypass)),
+          VerbsEndpoint::Config{4096, 16, 128});
+    }
+    testing::run_task(sys_.engine(), [](Ep& a, Ep& b) -> sim::Task<> {
+      co_await a.setup();
+      co_await b.setup();
+      co_await VerbsEndpoint::wire(a, b);
+    }(*ep_[0], *ep_[1]));
+  }
+
+  core::System& system() { return sys_; }
+  Ep& ep(int r) { return *ep_[r]; }
+
+  /// Run the two ranks' tasks to completion and observe.
+  Observation run(sim::Task<> rank0, sim::Task<> rank1) {
+    sim::Engine& e = sys_.engine();
+    e.spawn(std::move(rank0));
+    e.spawn(std::move(rank1));
+    e.run();
+    EXPECT_EQ(e.live_roots(), 0u);
+    obs.end = e.now();
+    obs.elided = e.polls_elided();
+    for (int r = 0; r < 2; ++r) {
+      os::Core& c = ep_[r]->core();
+      const double load = c.spin_load();
+      obs.cores[r].spin = c.time_spin();
+      obs.cores[r].compute = c.time_compute();
+      std::memcpy(&obs.cores[r].load_bits, &load, sizeof load);
+      obs.cores[r].ops = ep_[r]->context().dataplane_ops();
+    }
+    return obs;
+  }
+
+  Observation obs;
+
+ private:
+  core::System sys_;
+  std::unique_ptr<Ep> ep_[2];
+};
+
+sim::Task<> idle_rank() { co_return; }
+
+sim::Time now_of(VerbsEndpoint& ep) { return ep.core().engine().now(); }
+
+// --- Scenario: eager arrivals -------------------------------------------
+// Rank 1 sleeps `d` (no CPU charge, so the push instant moves 1:1 with d)
+// and sends two eager messages; rank 0 waits for the first with wait() and
+// receives the second through the library's posted-receive path.
+
+template <typename Ep>
+Observation arrivals(sim::Time d, bool second = true) {
+  Pair<Ep> p;
+  auto rank0 = [](Ep& ep, Observation& obs, bool second) -> sim::Task<> {
+    co_await ep.wait([&] { return ep.arrived(1, 1); }, "arrival");
+    obs.instants.push_back(now_of(ep));
+    Bytes buf(64);
+    (void)co_await ep.recv(1, 1, buf);
+    obs.instants.push_back(now_of(ep));
+    if (!second) co_return;
+    (void)co_await ep.recv(1, 2, buf);
+    obs.instants.push_back(now_of(ep));
+  }(p.ep(0), p.obs, second);
+  auto rank1 = [](Ep& ep, sim::Time d, bool second) -> sim::Task<> {
+    const Bytes msg(64, std::byte{7});
+    co_await ep.core().engine().delay(d);
+    co_await ep.send(0, 1, msg);
+    if (!second) co_return;
+    co_await ep.core().engine().delay(d / 3 + sim::ns(700));
+    co_await ep.send(0, 2, msg);
+  }(p.ep(1), d, second);
+  return p.run(std::move(rank0), std::move(rank1));
+}
+
+TEST(Elision, ArrivalsAtEveryPollPhaseMatchReference) {
+  // Steps not commensurate with the ~23 ns poll charge, so pushes land in
+  // both halves of an iteration (before the send-CQ read and between it
+  // and the receive-CQ read), early and deep into the backoff ramp.
+  for (sim::Time d = 0; d < sim::us(3); d += 13'337) {
+    const Observation ref = arrivals<RefEndpoint>(d);
+    const Observation got = arrivals<ParkingEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+  for (const sim::Time d : {sim::us(40), sim::us(250)}) {
+    EXPECT_EQ(arrivals<ParkingEndpoint>(d), arrivals<RefEndpoint>(d))
+        << "d = " << d;
+  }
+}
+
+TEST(Elision, PushAtExactlyAPollInstantMatchesReference) {
+  // The first arrival's observation instant is a step function of d. At
+  // its edge the CQE push lands exactly on a receive-CQ read: the largest d
+  // still observed at read R, or the next one, pushes at R itself. Such a
+  // push is scheduled by the NIC before the read's event was, so it comes
+  // first in (t, seq) order; the next test covers the other order.
+  for (const sim::Time d0 : {sim::ns(400), sim::us(30)}) {
+    const auto seen = [](sim::Time d) {
+      return arrivals<RefEndpoint>(d, false).instants.front();
+    };
+    const sim::Time r = seen(d0);
+    sim::Time lo = d0, hi = d0 + sim::us(25);
+    ASSERT_GT(seen(hi), r);
+    while (hi - lo > 1) {
+      const sim::Time mid = lo + (hi - lo) / 2;
+      (seen(mid) == r ? lo : hi) = mid;
+    }
+    for (const sim::Time d : {lo - 1, lo, hi, hi + 1}) {
+      EXPECT_EQ(arrivals<ParkingEndpoint>(d, false), arrivals<RefEndpoint>(d, false))
+          << "d = " << d;
+    }
+  }
+}
+
+// --- Scenario: a delivery exactly at a poll instant -----------------------
+// An in-memory delivery into rank 0's unexpected queue (the first half of
+// a self-send) `at` after setup, scheduled before (`late` false) or after
+// the step due at that instant: the waiting loop sees it at that poll or
+// at the next one.
+
+template <typename Ep>
+Observation delivery_at(sim::Time at, bool late) {
+  Pair<Ep> p;
+  Ep& ep = p.ep(0);
+  sim::Engine& e = p.system().engine();
+  const sim::Time t = e.now() + at;
+  const auto deliver = [&ep] { ep.deliver_self(6, Bytes(32)); };
+  if (late) {
+    e.call_at(t - 1, [&e, t, deliver] { e.call_at(t, deliver); });
+  } else {
+    e.call_at(t, deliver);
+  }
+  auto rank0 = [](Ep& ep, Observation& obs) -> sim::Task<> {
+    co_await ep.wait([&] { return ep.arrived(0, 6); }, "delivery");
+    obs.instants.push_back(now_of(ep));
+  }(ep, p.obs);
+  return p.run(std::move(rank0), idle_rank());
+}
+
+TEST(Elision, DeliveryAtExactlyAPollInstantMatchesReferenceInBothOrders) {
+  for (const sim::Time at0 : {sim::ns(400), sim::us(30)}) {
+    // Delivered first, a delivery at `at` is seen at the first read at or
+    // after it, so the largest `at` seen at read R is R itself.
+    const auto seen = [](sim::Time at) {
+      return delivery_at<RefEndpoint>(at, false).instants.front();
+    };
+    const sim::Time r = seen(at0);
+    sim::Time lo = at0, hi = at0 + sim::us(25);
+    ASSERT_GT(seen(hi), r);
+    while (hi - lo > 1) {
+      const sim::Time mid = lo + (hi - lo) / 2;
+      (seen(mid) == r ? lo : hi) = mid;
+    }
+    const Observation first = delivery_at<RefEndpoint>(lo, false);
+    const Observation second = delivery_at<RefEndpoint>(lo, true);
+    EXPECT_LT(first.instants.front(), second.instants.front());
+    EXPECT_EQ(delivery_at<ParkingEndpoint>(lo, false), first) << "at = " << lo;
+    EXPECT_EQ(delivery_at<ParkingEndpoint>(lo, true), second) << "at = " << lo;
+  }
+}
+
+// --- Scenario: sendrecv ---------------------------------------------------
+// Both ranks exchange a rendezvous-sized and an eager message with
+// Rank::sendrecv's shape: the send (waiting for its FIN) and the receive
+// run as two progress loops on one core.
+
+template <typename Ep>
+sim::Task<> sendrecv(Ep& ep, int peer, int tag, const Bytes& out, Bytes& in) {
+  sim::Joinable tx(ep.core().engine(), ep.send(peer, tag, out));
+  (void)co_await ep.recv(peer, tag, in);
+  co_await tx.join();
+}
+
+template <typename Ep>
+Observation exchanges(sim::Time d) {
+  Pair<Ep> p;
+  auto rank = [](Ep& ep, Observation& obs, int peer, sim::Time d) -> sim::Task<> {
+    co_await ep.core().engine().delay(d);
+    Bytes big(64 << 10, std::byte{1}), big_in(64 << 10);
+    Bytes small(512, std::byte{2}), small_in(512);
+    co_await sendrecv(ep, peer, 3, big, big_in);
+    obs.instants.push_back(now_of(ep));
+    co_await ep.core().work(sim::us(3), os::Work::kCompute);
+    co_await sendrecv(ep, peer, 4, small, small_in);
+    obs.instants.push_back(now_of(ep));
+  };
+  return p.run(rank(p.ep(0), p.obs, 1, 0), rank(p.ep(1), p.obs, 0, d));
+}
+
+TEST(Elision, SendrecvLoopsSharingOneCoreMatchReference) {
+  // Staggered starts move which loop harvests each completion, including
+  // a sibling harvesting a read completion whose deferred FIN the parked
+  // loop's next iteration sends.
+  std::vector<sim::Time> ds{sim::us(45)};
+  for (sim::Time d = 0; d < sim::us(6); d += 97'003) ds.push_back(d);
+  for (const sim::Time d : ds) {
+    const Observation ref = exchanges<RefEndpoint>(d);
+    const Observation got = exchanges<ParkingEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+}
+
+// --- Scenario: self-send --------------------------------------------------
+// Rank 0 posts a receive from itself and, `d` later, sends it the message:
+// the send's in-memory delivery must wake the parked receive.
+
+template <typename Ep>
+Observation self_send(sim::Time d) {
+  Pair<Ep> p;
+  auto rank0 = [](Ep& ep, Observation& obs, sim::Time d) -> sim::Task<> {
+    Bytes in(256);
+    sim::Joinable rx(ep.core().engine(), [](Ep& ep, Bytes& in) -> sim::Task<> {
+      (void)co_await ep.recv(0, 5, in);
+    }(ep, in));
+    co_await ep.core().engine().delay(d);
+    co_await ep.send(0, 5, Bytes(256, std::byte{3}));
+    obs.instants.push_back(now_of(ep));
+    co_await rx.join();
+    obs.instants.push_back(now_of(ep));
+  };
+  return p.run(rank0(p.ep(0), p.obs, d), idle_rank());
+}
+
+TEST(Elision, SelfSendCompletesParkedReceive) {
+  for (const sim::Time d : {sim::ns(90), sim::us(7), sim::us(300)}) {
+    const Observation ref = self_send<RefEndpoint>(d);
+    const Observation got = self_send<ParkingEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+}
+
+// --- Scenario: deadlock ---------------------------------------------------
+// A receive nothing will match must still throw at the same virtual time,
+// through the library's receive and through wait().
+
+template <typename Ep>
+Observation never_completes(bool library) {
+  Pair<Ep> p;
+  auto rank0 = [](Ep& ep, Observation& obs, bool library) -> sim::Task<> {
+    try {
+      if (library) {
+        Bytes in(64);
+        (void)co_await ep.recv(1, 99, in);
+      } else {
+        co_await ep.wait([&] { return ep.arrived(1, 99); }, "recv (posted)");
+      }
+    } catch (const std::runtime_error& e) {
+      obs.error = e.what();
+    }
+    obs.instants.push_back(now_of(ep));
+  };
+  return p.run(rank0(p.ep(0), p.obs, library), idle_rank());
+}
+
+TEST(Elision, NeverCompletingReceiveTimesOutAtSameInstant) {
+  for (const bool library : {true, false}) {
+    const Observation ref = never_completes<RefEndpoint>(library);
+    const Observation got = never_completes<ParkingEndpoint>(library);
+    EXPECT_EQ(got, ref);
+    EXPECT_EQ(got.error, "MPI progress timed out: recv (posted)");
+    ASSERT_EQ(got.instants.size(), 1u);
+    EXPECT_GT(got.instants[0], sim::sec(5));
+  }
+}
+
+// --- Gauges -----------------------------------------------------------------
+
+TEST(Elision, GaugesCountElidedPollsAndWakes) {
+  core::System sys(core::system_a(), 2);
+  WorldConfig cfg;
+  cfg.srq_slots = 512;
+  World world(sys, 16, cfg);
+  (void)npb::run(world, npb::RunConfig{npb::Kernel::kCG, npb::Class::kB,
+                                       /*verify=*/false, 1});
+  const std::int64_t elided = sys.metrics().gauge_value("sim.polls_elided");
+  const std::int64_t wakes = sys.metrics().gauge_value("sim.poll_wakes");
+  EXPECT_GT(elided, 0);
+  EXPECT_GT(wakes, 0);
+  EXPECT_EQ(elided, static_cast<std::int64_t>(sys.engine().polls_elided()));
+  const trace::MetricsRegistry& host = sys.host(0).kernel().metrics();
+  EXPECT_EQ(host.gauge_value("sim.polls_elided"), elided);
+  EXPECT_EQ(host.gauge_value("sim.poll_wakes"), wakes);
+  const std::string dump = sys.host(0).kernel().proc_read("metrics");
+  EXPECT_NE(dump.find("sim.polls_elided"), std::string::npos);
+  EXPECT_NE(dump.find("sim.poll_wakes"), std::string::npos);
+}
+
+TEST(Elision, PerftestPollingIsNeverElided) {
+  // perftest's wait loops poll through verbs::Context::wait_one, which
+  // never parks.
+  core::System sys(core::system_l(), 2);
+  verbs::Context c0(sys.host(0), 0, sys.options(verbs::DataplaneMode::kBypass));
+  verbs::Context c1(sys.host(1), 0, sys.options(verbs::DataplaneMode::kBypass));
+  Bytes src(4096, std::byte{9}), dst(4096);
+  testing::run_task(sys.engine(), [](verbs::Context& c0, verbs::Context& c1,
+                                     Bytes& src, Bytes& dst) -> sim::Task<> {
+    const testing::RcEndpoints e = co_await testing::connect_rc(c0, c1);
+    const nic::MemoryRegion* smr = co_await c0.reg_mr(
+        e.pd0, src.data(), src.size(), nic::kAccessLocalWrite);
+    const nic::MemoryRegion* dmr = co_await c1.reg_mr(
+        e.pd1, dst.data(), dst.size(), nic::kAccessLocalWrite);
+    for (std::uint64_t i = 0; i < 32; ++i) {
+      (void)co_await c1.post_recv(
+          *e.qp1, {i, {testing::uptr(dst.data()), 4096, dmr->lkey}});
+      nic::SendWr wr;
+      wr.wr_id = i;
+      wr.opcode = nic::Opcode::kSend;
+      wr.sge = {testing::uptr(src.data()), 4096, smr->lkey};
+      (void)co_await c0.post_send(*e.qp0, wr);
+      (void)co_await c0.wait_one(*e.scq0);
+      (void)co_await c1.wait_one(*e.rcq1);
+    }
+  }(c0, c1, src, dst));
+  EXPECT_EQ(sys.metrics().gauge_value("sim.polls_elided"), 0);
+  EXPECT_EQ(sys.metrics().gauge_value("sim.poll_wakes"), 0);
+  EXPECT_GT(sys.engine().events_processed(), 0u);
+}
+
+}  // namespace
+}  // namespace cord::mpi

@@ -1,8 +1,10 @@
 // Unit tests for the discrete-event simulation core: engine ordering,
-// coroutine task composition, latches/signals/channels, FIFO resources,
-// RNG determinism, and statistics.
+// parked pollers, coroutine task composition, latches/signals/channels,
+// FIFO resources, RNG determinism, and statistics.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -10,6 +12,7 @@
 #include "sim/event.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
+#include "sim/sharded.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sim/units.hpp"
@@ -120,6 +123,191 @@ TEST(Engine, DestructorReclaimsStuckRoots) {
   e.run();
   EXPECT_EQ(e.live_roots(), 1u);
   latch_owner.reset();  // must destroy the suspended root without UB
+}
+
+// --- Parked pollers ---------------------------------------------------------
+// One busy-poll loop in two forms: `spin_loop` schedules a delay event per
+// empty step (the reference), `park_loop` replays its empty steps through a
+// Poller. Every empty step folds the loop id into an order-dependent
+// accumulator (as Core's DVFS EWMA is), and every taken item records its
+// instant, so equal results mean equal step order.
+
+struct PollWorld {
+  Engine engine;
+  int work = 0;               // items posted and not yet taken
+  int remaining = 0;          // items still to be taken in total
+  std::uint64_t activity = 0;  // moves on every post and take
+  double acc = 0.0;
+  std::vector<Time> steps;    // instants of empty steps
+  std::vector<std::pair<Time, int>> taken;
+
+  void post() {
+    ++work;
+    ++activity;
+  }
+  /// One empty step of loop `id`: charge it, return the delay to the next.
+  Time empty_step(int id, int& idle) {
+    steps.push_back(engine.now());
+    acc = acc * 0.75 + id + 1;
+    ++idle;
+    return idle < 4 ? ns(10) + id * ns(5) : ns(4) * idle;
+  }
+  /// Take an item if one waits; true when the loop should look again.
+  bool take(int id, int& idle) {
+    if (work == 0) return false;
+    --work;
+    --remaining;
+    ++activity;
+    idle = 0;
+    taken.emplace_back(engine.now(), id);
+    return true;
+  }
+};
+
+Task<> spin_loop(PollWorld& w, int id) {
+  int idle = 0;
+  while (w.remaining > 0) {
+    if (w.take(id, idle)) continue;
+    co_await w.engine.delay(w.empty_step(id, idle));
+  }
+}
+
+class ParkedLoop final : public Poller {
+ public:
+  ParkedLoop(PollWorld& w, int id, int& idle) : w_(w), id_(id), idle_(idle) {}
+  Time step() override {
+    if (w_.activity != seen_) return kWake;
+    return w_.empty_step(id_, idle_);
+  }
+  auto park() {
+    seen_ = w_.activity;
+    return w_.engine.park(*this, w_.empty_step(id_, idle_));
+  }
+
+ private:
+  PollWorld& w_;
+  int id_;
+  int& idle_;
+  std::uint64_t seen_ = 0;
+};
+
+Task<> park_loop(PollWorld& w, int id) {
+  int idle = 0;
+  ParkedLoop p(w, id, idle);
+  while (w.remaining > 0) {
+    if (w.take(id, idle)) continue;
+    co_await p.park();
+  }
+}
+
+struct PollOutcome {
+  std::vector<std::pair<Time, int>> taken;
+  std::uint64_t acc_bits = 0;
+  Time end = 0;
+  std::uint64_t events = 0;
+  std::uint64_t elided = 0;
+  std::uint64_t wakes = 0;
+  bool operator==(const PollOutcome& o) const {
+    return taken == o.taken && acc_bits == o.acc_bits && end == o.end;
+  }
+};
+
+/// A post due at `t`: `late` schedules it after the step due at `t` was
+/// scheduled (so that step reads first), otherwise before.
+struct Post {
+  Time t;
+  bool late;
+};
+
+/// Run two loops on one world with the given posts. `window` > 0 drives the
+/// engine through run_until() slices instead of run().
+PollOutcome run_polls(bool parked, const std::vector<Post>& posts,
+                      Time window = 0) {
+  PollWorld w;
+  w.remaining = static_cast<int>(posts.size());
+  for (const Post& p : posts) {
+    if (p.late) {
+      w.engine.call_at(p.t - 1, [&w, t = p.t] {
+        w.engine.call_at(t, [&w] { w.post(); });
+      });
+    } else {
+      w.engine.call_at(p.t, [&w] { w.post(); });
+    }
+  }
+  for (int id = 0; id < 2; ++id) {
+    w.engine.spawn(parked ? park_loop(w, id) : spin_loop(w, id));
+  }
+  if (window > 0) {
+    while (w.engine.live_roots() > 0) w.engine.run_until(w.engine.now() + window);
+  } else {
+    w.engine.run();
+  }
+  EXPECT_EQ(w.engine.live_roots(), 0u);
+  PollOutcome out;
+  out.taken = w.taken;
+  std::memcpy(&out.acc_bits, &w.acc, sizeof(double));
+  out.end = w.engine.now();
+  out.events = w.engine.events_processed();
+  out.elided = w.engine.polls_elided();
+  out.wakes = w.engine.poll_wakes();
+  return out;
+}
+
+TEST(Poller, ParkedStepsKeepExactOrderAtTiedInstants) {
+  // Step instants of the two loops before any work arrives.
+  PollWorld probe;
+  probe.remaining = 1;
+  probe.engine.call_at(ns(2000), [&] { probe.post(); });
+  for (int id = 0; id < 2; ++id) probe.engine.spawn(spin_loop(probe, id));
+  probe.engine.run();
+  std::vector<Time> ties(probe.steps.begin(), probe.steps.begin() + 60);
+  // Each tie instant, with the post ordered before and after the step due
+  // then, plus two later posts that land between steps.
+  for (const Time t : ties) {
+    for (const bool late : {false, true}) {
+      const std::vector<Post> posts{{t, late}, {t + ns(333), false},
+                                    {t + ns(1001), true}};
+      const PollOutcome ref = run_polls(false, posts);
+      const PollOutcome got = run_polls(true, posts);
+      EXPECT_EQ(got, ref) << "tie at " << t << (late ? " (late)" : " (early)");
+      EXPECT_LT(got.events, ref.events);
+      EXPECT_GT(got.elided, 0u);
+      EXPECT_GT(got.wakes, 0u);
+      EXPECT_EQ(ref.elided + ref.wakes, 0u);
+    }
+  }
+}
+
+TEST(Poller, RunUntilSlicesMatchRun) {
+  const std::vector<Post> posts{{ns(95), false}, {ns(95), true},
+                                {ns(700), false}, {ns(3210), true}};
+  const PollOutcome ref = run_polls(false, posts);
+  EXPECT_EQ(run_polls(true, posts), ref);
+  // run_until() leaves now() at the last slice edge, so compare the rest.
+  for (const Time window : {ns(1), ns(7), ns(64)}) {
+    const PollOutcome got = run_polls(true, posts, window);
+    EXPECT_EQ(got.taken, ref.taken) << "window " << window;
+    EXPECT_EQ(got.acc_bits, ref.acc_bits) << "window " << window;
+  }
+}
+
+TEST(Poller, ParkOnMultiShardEngineThrows) {
+  ShardedEngine sharded(2);
+  Engine& e = sharded.shard(0);
+  PollWorld w;
+  bool threw = false;
+  e.spawn([](Engine& e, PollWorld& w, bool& threw) -> Task<> {
+    int idle = 0;
+    ParkedLoop p(w, 0, idle);
+    try {
+      co_await e.park(p, ns(1));
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  }(e, w, threw));
+  e.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(e.live_roots(), 0u);
 }
 
 Task<int> add_later(Engine& e, int a, int b) {
