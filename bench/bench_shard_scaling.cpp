@@ -1,5 +1,5 @@
-// Shard-scaling benchmark matrix: three fabrics x 1/2/4/8 engine shards x
-// {conservative, speculative} synchronization.
+// Shard-scaling benchmark matrix: two fabrics x 1/2/4/8 engine shards
+// under conservative-window synchronization.
 //
 //   BM_ShardScaling      — link-partitioned independent node pairs, RC
 //                          sends within each pair. Pair-aligned partition,
@@ -10,26 +10,11 @@
 //                          every stream crossing the spine: multi-hop
 //                          reservations, boundary-split arrivals, bounded
 //                          conservative windows.
-//   BM_ShardScalingTight — a pure sim-level replayable workload with
-//                          deliberately tight lookahead (events every
-//                          250 ps, 1000 ps windows): the conservative
-//                          protocol pays a barrier round per 4 events and
-//                          the barriers dominate wall-clock. This is the
-//                          fabric the speculative mode exists for — the
-//                          bench_gate speedup floor (speculative >= 1.3x
-//                          conservative at 4 shards) runs here.
-//
-// The NIC fabrics never mark callbacks replayable, so their speculative
-// configs execute the exact conservative schedule and measure the
-// optimistic protocol's overhead on fence workloads; the tight fabric is
-// fully replayable and measures its payoff.
 //
 // Honesty note: core-count speedup requires hardware parallelism. The
 // benchmark reports std::thread::hardware_concurrency() as a counter; on
 // a 1-core host the multi-shard configs measure protocol + thread
-// overhead — which is exactly why the speculative win on the tight fabric
-// is meaningful there: it comes from ~depth-times fewer barrier rounds,
-// not from extra cores.
+// overhead.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -53,11 +38,6 @@ constexpr std::uint32_t kMsgBytes = 64;
 
 std::uintptr_t uptr(const void* p) { return reinterpret_cast<std::uintptr_t>(p); }
 
-sim::SyncMode sync_of(const benchmark::State& state) {
-  return state.range(1) != 0 ? sim::SyncMode::kSpeculative
-                             : sim::SyncMode::kConservative;
-}
-
 /// kPairs back-to-back node pairs, pair k on shard k * shards / kPairs.
 struct PairsFabric {
   sim::ShardedEngine se;
@@ -68,7 +48,7 @@ struct PairsFabric {
   std::vector<nic::CompletionQueue*> scqs, rcqs;
   std::vector<std::vector<std::byte>> bufs;
 
-  PairsFabric(std::size_t shards, sim::SyncMode sync)
+  explicit PairsFabric(std::size_t shards)
       : se(shards), net([this](fabric::NodeId n) -> sim::Engine& {
           return se.shard(shard_of(n));
         }) {
@@ -84,7 +64,6 @@ struct PairsFabric {
     // Pair-aligned partition: no cross-shard links, unbounded lookahead.
     se.set_lookahead(net.min_cross_lookahead(
         [this](fabric::NodeId n) { return shard_of(n); }));
-    se.set_sync(sync);
     for (std::size_t n = 0; n < 2 * kPairs; ++n) {
       nics.push_back(std::make_unique<nic::Nic>(
           se.shard(shard_of(static_cast<fabric::NodeId>(n))), net, reg,
@@ -154,7 +133,7 @@ void BM_ShardScaling(benchmark::State& state) {
   // fake a speedup whenever the coordinator sleeps at the barrier.
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    PairsFabric f(shards, sync_of(state));
+    PairsFabric f(shards);
     f.se.run();
     events += f.se.events_processed();
   }
@@ -166,8 +145,8 @@ void BM_ShardScaling(benchmark::State& state) {
       std::max(1u, std::thread::hardware_concurrency()));
 }
 BENCHMARK(BM_ShardScaling)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->ArgNames({"shards", "spec"})
+    ->ArgsProduct({{1, 2, 4, 8}})
+    ->ArgNames({"shards"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -189,7 +168,7 @@ struct RackFabric {
   std::vector<std::unique_ptr<nic::Nic>> nics;
   std::vector<std::vector<std::byte>> bufs;
 
-  RackFabric(std::size_t shards, sim::SyncMode sync)
+  explicit RackFabric(std::size_t shards)
       : se(shards), net([this](fabric::NodeId n) -> sim::Engine& {
           return se.shard(shard_of(n));
         }) {
@@ -202,7 +181,6 @@ struct RackFabric {
     fabric::build_rack(net, rack);
     se.set_lookahead(net.cross_lookahead_matrix(
         [this](fabric::NodeId n) { return shard_of(n); }, shards));
-    se.set_sync(sync);
     for (std::size_t n = 0; n < kHosts; ++n) {
       nics.push_back(std::make_unique<nic::Nic>(
           se.shard(shard_of(static_cast<fabric::NodeId>(n))), net, reg,
@@ -265,7 +243,7 @@ void BM_ShardScalingRack(benchmark::State& state) {
   std::uint64_t windows = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    RackFabric f(shards, sync_of(state));
+    RackFabric f(shards);
     f.se.run();
     events += f.se.events_processed();
     windows += f.se.stats().windows;
@@ -279,96 +257,8 @@ void BM_ShardScalingRack(benchmark::State& state) {
       std::max(1u, std::thread::hardware_concurrency()));
 }
 BENCHMARK(BM_ShardScalingRack)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->ArgNames({"shards", "spec"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// --- Tight-lookahead fabric --------------------------------------------------
-
-constexpr sim::Time kTightLookahead = 1000;  // ps: 4 events per window
-constexpr sim::Time kTightGap = 250;         // ps between chain events
-constexpr int kTightChain = 4096;            // events per shard
-constexpr int kTightPostEvery = 64;          // cross-shard post cadence
-
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// One fully replayable self-rescheduling chain per shard, events every
-/// kTightGap ps under a kTightLookahead ps all-pairs lookahead, with a
-/// sparse ring of cross-shard posts. Conservative sync executes 4 events
-/// per barrier round; speculative sync at the default depth journals ~8
-/// windows ahead and needs ~depth-times fewer rounds for the same event
-/// stream — pure barrier elision, no extra cores required.
-struct TightModel {
-  sim::ShardedEngine se;
-  std::vector<std::uint64_t> acc;
-
-  TightModel(std::size_t shards, sim::SyncMode sync)
-      : se(shards), acc(shards, 0) {
-    se.set_lookahead(kTightLookahead);
-    se.set_sync(sync);
-    for (std::size_t s = 0; s < shards; ++s) schedule(s, 0, kTightGap);
-  }
-
-  void schedule(std::size_t s, int k, sim::Time t) {
-    se.shard(s).call_at_replayable(t, [this, s, k, t] { step(s, k, t); });
-  }
-
-  void step(std::size_t s, int k, sim::Time t) {
-    sim::Engine& e = se.shard(s);
-    e.spec_store(acc[s], acc[s] + mix((std::uint64_t(s) << 32) |
-                                      static_cast<std::uint64_t>(k)));
-    if (k % kTightPostEvery == kTightPostEvery - 1 && se.shard_count() > 1) {
-      // Posted with slack above the declared lookahead: realistic (a
-      // model may send later than the link's minimum) and it keeps the
-      // ring from landing inside the destination's speculation horizon
-      // on every single post.
-      const std::size_t dst = (s + 1) % se.shard_count();
-      const std::uint64_t v = mix(static_cast<std::uint64_t>(t));
-      e.cross_post_replayable(se.shard(dst), t + 8 * kTightLookahead,
-                              [this, dst, v] {
-                                sim::Engine& d = se.shard(dst);
-                                d.spec_store(acc[dst], acc[dst] + v);
-                              });
-    }
-    if (k + 1 < kTightChain) schedule(s, k + 1, t + kTightGap);
-  }
-};
-
-void BM_ShardScalingTight(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  std::uint64_t events = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t journaled = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    TightModel m(shards, sync_of(state));
-    m.se.run();
-    benchmark::DoNotOptimize(m.acc.data());
-    events += m.se.events_processed();
-    windows += m.se.stats().windows;
-    rollbacks += m.se.stats().rollbacks;
-    journaled += m.se.stats().journaled_effects;
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
-  state.counters["events_per_sec"] =
-      wall.count() > 0 ? static_cast<double>(events) / wall.count() : 0.0;
-  state.counters["windows"] = static_cast<double>(windows);
-  state.counters["rollbacks"] = static_cast<double>(rollbacks);
-  state.counters["journaled"] = static_cast<double>(journaled);
-  state.counters["hw_threads"] = static_cast<double>(
-      std::max(1u, std::thread::hardware_concurrency()));
-}
-BENCHMARK(BM_ShardScalingTight)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->ArgNames({"shards", "spec"})
+    ->ArgsProduct({{1, 2, 4, 8}})
+    ->ArgNames({"shards"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -33,20 +33,15 @@ void BM_EngineScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleDispatch);
 
-// Queue-backend A/B: fill the queue to `depth`, then drain, under the two
+// Queue depth sweep: fill the queue to `depth`, then drain, under the two
 // timestamp distributions that matter:
 //  * fifo — near-monotone arrival with 4-deep equal-timestamp bursts, the
-//    NIC model's doorbell/per-chunk completion pattern (the calendar
-//    queue's design target: O(1) amortized push/pop);
+//    NIC model's doorbell/per-chunk completion pattern;
 //  * wide — uniform random over a span of `depth` microseconds, the
-//    adversarial spread that forces mid-bucket inserts and the calendar's
-//    far-future overflow band.
-// The bench_gate regression gate compares calendar vs heap on the fifo
-// shape at every depth (cmake/bench_gate.cmake).
+//    adversarial spread that forces deep sifts.
 enum class Dist { kFifo, kWide };
 
-void BM_EngineQueueDepth(benchmark::State& state, sim::QueueKind kind,
-                         Dist dist) {
+void BM_EngineQueueDepth(benchmark::State& state, Dist dist) {
   const std::size_t depth = static_cast<std::size_t>(state.range(0));
   std::vector<sim::Time> ts(depth);
   sim::Rng rng(0xD5EED5EEDull);
@@ -57,7 +52,7 @@ void BM_EngineQueueDepth(benchmark::State& state, sim::QueueKind kind,
                                          (depth * 1'000'000ull));
   }
   for (auto _ : state) {
-    sim::Engine engine(kind);
+    sim::Engine engine;
     std::uint64_t fired = 0;
     for (const sim::Time t : ts) {
       engine.call_at(t, [&fired] { ++fired; });
@@ -68,47 +63,20 @@ void BM_EngineQueueDepth(benchmark::State& state, sim::QueueKind kind,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(depth));
 }
-// MinTime pinned above the harness default: the A/B ratio between the
-// two backends is a committed baseline (BENCH_micro_sim.json) and a gate
-// criterion, so these must average over enough iterations to flatten
-// this host's frequency/cache noise.
-BENCHMARK_CAPTURE(BM_EngineQueueDepth, heap_fifo, sim::QueueKind::kHeap,
-                  Dist::kFifo)
+// MinTime pinned above the harness default: these are committed
+// baselines (BENCH_micro_sim.json) and gate criteria, so they must
+// average over enough iterations to flatten this host's frequency/cache
+// noise. The heap_ capture names match the committed baseline entries.
+BENCHMARK_CAPTURE(BM_EngineQueueDepth, heap_fifo, Dist::kFifo)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
     ->MinTime(1.0);
-BENCHMARK_CAPTURE(BM_EngineQueueDepth, calendar_fifo,
-                  sim::QueueKind::kCalendar, Dist::kFifo)
+BENCHMARK_CAPTURE(BM_EngineQueueDepth, heap_wide, Dist::kWide)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
     ->MinTime(1.0);
-BENCHMARK_CAPTURE(BM_EngineQueueDepth, heap_wide, sim::QueueKind::kHeap,
-                  Dist::kWide)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->MinTime(1.0);
-BENCHMARK_CAPTURE(BM_EngineQueueDepth, calendar_wide,
-                  sim::QueueKind::kCalendar, Dist::kWide)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->MinTime(1.0);
-
-// Ping-pong (push one, pop one) on the calendar backend — the pattern the
-// heap's one-item cache absorbs; the calendar must stay competitive.
-void BM_EngineScheduleDispatchCalendar(benchmark::State& state) {
-  sim::Engine engine(sim::QueueKind::kCalendar);
-  std::uint64_t fired = 0;
-  for (auto _ : state) {
-    engine.call_in(sim::ns(10), [&] { ++fired; });
-    engine.run();
-  }
-  benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_EngineScheduleDispatchCalendar);
 
 // --- Fast-path component benchmarks ------------------------------------
 

@@ -19,8 +19,6 @@
 #   TOLERANCE    allowed regression in percent (e.g. 20)
 #
 # Optional:
-#   SPEC_FLOOR   minimum speculative-over-conservative wall-time speedup
-#                on the tight-lookahead shard benchmark (default 1.3)
 #   CLIFF_FLOOR  minimum exclusive-mode connection-scale latency cliff
 #                (default 1.25)
 #   TAIL_FLOOR   minimum noisy-neighbor victim-p99 restoration by the
@@ -114,37 +112,6 @@ foreach(_name ${BASE_NAMES})
   if(_pct)
     list(APPEND _failures
          "${_name}: cpu_time ${FRESH_${_id}} ns vs baseline ${BASE_${_id}} ns (+${_pct}%, limit +${TOLERANCE}%)")
-  endif()
-endforeach()
-
-# --- 1b. calendar-vs-heap event-queue A/B ----------------------------------
-# The depth-swept BM_EngineQueueDepth family runs both event-queue
-# backends in the same fresh micro_sim pass. On the FIFO-like timestamp
-# distribution (the NIC model's common case and the calendar queue's
-# design target) the calendar backend must not be more than TOLERANCE
-# percent slower than the heap at any swept depth — at the deeper depths
-# it should be winning outright, and a wash here means the O(1) scheduler
-# has silently degraded into its overflow heap.
-foreach(_depth 1000 10000 100000)
-  # The family pins MinTime(1.0), which google-benchmark bakes into the
-  # benchmark name.
-  string(MAKE_C_IDENTIFIER
-         "BM_EngineQueueDepth/heap_fifo/${_depth}/min_time:1.000" _heap_id)
-  string(MAKE_C_IDENTIFIER
-         "BM_EngineQueueDepth/calendar_fifo/${_depth}/min_time:1.000" _cal_id)
-  if(NOT DEFINED FRESH_${_heap_id} OR NOT DEFINED FRESH_${_cal_id})
-    list(APPEND _failures
-         "queue A/B: BM_EngineQueueDepth .../${_depth} missing from fresh run")
-    continue()
-  endif()
-  check_regression("${FRESH_${_heap_id}}" "${FRESH_${_cal_id}}"
-                   "${TOLERANCE}" _pct)
-  if(_pct)
-    list(APPEND _failures
-         "calendar queue slower than heap on FIFO-like depth ${_depth}: ${FRESH_${_cal_id}} ns vs ${FRESH_${_heap_id}} ns (+${_pct}%, limit +${TOLERANCE}%)")
-  else()
-    message(STATUS "queue A/B (FIFO-like, depth ${_depth}): calendar "
-            "${FRESH_${_cal_id}} vs heap ${FRESH_${_heap_id}} ns — OK")
   endif()
 endforeach()
 
@@ -265,11 +232,11 @@ else()
 endif()
 
 # --- 3. shard-scaling matrix -------------------------------------------------
-# The full bench_shard_scaling matrix — {pairs, rack, tight-lookahead}
-# fabrics x 1/2/4/8 shards x {conservative, speculative} — gated on
-# real_time against the committed baseline (BENCH_shard_scaling.json).
-# Every entry is gated, including multi-shard ones: they bound the sync
-# protocols' barrier/thread overhead even on a 1-core host. Multi-shard
+# The full bench_shard_scaling matrix — {pairs, rack} fabrics x 1/2/4/8
+# shards — gated on real_time against the committed baseline
+# (BENCH_shard_scaling.json). Every entry is gated, including multi-shard
+# ones: they bound the sync protocol's barrier/thread overhead even on a
+# 1-core host. Multi-shard
 # wall times are barrier-bound and noisier than single-engine loops, so
 # they get double tolerance; shards:1 entries (the sharding layer's tax on
 # classic single-engine runs) keep the strict one.
@@ -304,48 +271,19 @@ foreach(_name ${SHBASE_NAMES})
   endif()
 endforeach()
 
-# Anti-disarm check (same idea as the NIC gate): the matrix entries that
-# carry the speedup floor must exist in the committed baseline itself, so
-# regenerating it without them cannot silently drop the gate.
+# Anti-disarm check (same idea as the NIC gate): the single-engine
+# entries that carry the strict tolerance must exist in the committed
+# baseline itself, so regenerating it without them cannot silently drop
+# the gate.
 foreach(_name
-    "BM_ShardScaling/shards:1/spec:0/real_time"
-    "BM_ShardScalingRack/shards:1/spec:0/real_time"
-    "BM_ShardScalingTight/shards:4/spec:0/real_time"
-    "BM_ShardScalingTight/shards:4/spec:1/real_time")
+    "BM_ShardScaling/shards:1/real_time"
+    "BM_ShardScalingRack/shards:1/real_time")
   string(MAKE_C_IDENTIFIER "${_name}" _id)
   if(NOT DEFINED SHBASE_${_id})
     list(APPEND _failures
          "shard gate: ${_name} missing from committed baseline ${SHARD_BASELINE}")
   endif()
 endforeach()
-
-# --- 3b. speculation speedup floor ------------------------------------------
-# The whole point of sync=speculative: on the tight-lookahead fabric at 4
-# shards the optimistic run must beat the conservative run by at least
-# SPEC_FLOOR in wall time, both measured in the SAME fresh pass (so host
-# noise cancels to first order). The win comes from ~depth-times fewer
-# barrier rounds, so it must hold even on a single core.
-if(NOT DEFINED SPEC_FLOOR)
-  set(SPEC_FLOOR 1.3)
-endif()
-string(MAKE_C_IDENTIFIER "BM_ShardScalingTight/shards:4/spec:0/real_time" _tc)
-string(MAKE_C_IDENTIFIER "BM_ShardScalingTight/shards:4/spec:1/real_time" _ts)
-if(NOT DEFINED SHFRESH_RT_${_tc} OR NOT DEFINED SHFRESH_RT_${_ts})
-  list(APPEND _failures
-       "speedup floor: BM_ShardScalingTight/shards:4 configs missing from fresh run")
-else()
-  execute_process(
-    COMMAND awk -v c=${SHFRESH_RT_${_tc}} -v s=${SHFRESH_RT_${_ts}} -v f=${SPEC_FLOOR}
-            "BEGIN { printf \"%.2f\", c / s; if (c >= s * f) exit 0; exit 1 }"
-    OUTPUT_VARIABLE _ratio RESULT_VARIABLE _rc)
-  if(NOT _rc EQUAL 0)
-    list(APPEND _failures
-         "speculation speedup floor: tight-lookahead 4-shard speculative is only ${_ratio}x faster than conservative (${SHFRESH_RT_${_ts}} vs ${SHFRESH_RT_${_tc}} ns real_time, floor ${SPEC_FLOOR}x)")
-  else()
-    message(STATUS "speculation speedup (tight-lookahead, 4 shards): "
-            "${_ratio}x over conservative (floor ${SPEC_FLOOR}x) — OK")
-  endif()
-endif()
 
 # --- 4. massive-tenancy scenarios --------------------------------------------
 # bench_tenancy emits *simulated* (virtual-time, deterministic) numbers,

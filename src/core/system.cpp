@@ -91,7 +91,7 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
                std::vector<std::uint32_t> placement)
     : cfg_(std::move(cfg)),
       placement_(make_placement(host_count, shards, std::move(placement))),
-      sharded_(shards, cfg_.event_queue),
+      sharded_(shards),
       network_([this](fabric::NodeId n) -> sim::Engine& {
         return sharded_.shard(placement_.at(n));
       }) {
@@ -158,7 +158,6 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
     sharded_.set_lookahead(network_.cross_lookahead_matrix(
         [this](fabric::NodeId n) { return placement_.at(n); }, shards));
   }
-  sharded_.set_sync(cfg_.sync, cfg_.speculation_depth);
   for (std::size_t i = 0; i < host_count; ++i) {
     hosts_.push_back(std::make_unique<os::Host>(
         engine_for(static_cast<nic::NodeId>(i)), network_, registry_,
@@ -181,13 +180,10 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
   metrics_.callback_gauge("engine.clamped_events", [this] {
     return static_cast<std::int64_t>(sharded_.clamped_events());
   });
-  // Event-queue health: depth high-water mark and (for the calendar
-  // backend) resize count — live views, zero per-event bookkeeping.
+  // Event-queue health: depth high-water mark — a live view, zero
+  // per-event bookkeeping.
   metrics_.callback_gauge("engine.queue_peak_depth", [this] {
     return static_cast<std::int64_t>(sharded_.queue_peak_depth());
-  });
-  metrics_.callback_gauge("engine.queue_resizes", [this] {
-    return static_cast<std::int64_t>(sharded_.queue_resizes());
   });
   // Idle-poll elision (DESIGN.md §20): empty poll-loop steps replayed
   // without an event, and parked loops resumed as events. Pollers only
@@ -231,29 +227,12 @@ System::System(SystemConfig cfg, std::size_t host_count, std::size_t shards,
     return nic_sum(&nic::NicCounters::seg_chunks);
   });
   // Shard-synchronization health: live views of the coordinator's
-  // per-run stats. The speculation counters stay zero under the
-  // conservative sync mode (and with one shard), so dashboards can key
-  // "is the optimistic mode doing anything" off sim.shard.journaled alone.
+  // per-run stats.
   metrics_.callback_gauge("sim.shard.windows", [this] {
     return static_cast<std::int64_t>(sharded_.stats().windows);
   });
   metrics_.callback_gauge("sim.shard.messages", [this] {
     return static_cast<std::int64_t>(sharded_.stats().messages);
-  });
-  metrics_.callback_gauge("sim.shard.rollbacks", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().rollbacks);
-  });
-  metrics_.callback_gauge("sim.shard.rolled_back_events", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().rolled_back_events);
-  });
-  metrics_.callback_gauge("sim.shard.journaled_effects", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().journaled_effects);
-  });
-  metrics_.callback_gauge("sim.shard.cancelled_messages", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().cancelled_messages);
-  });
-  metrics_.callback_gauge("sim.shard.max_speculation_depth", [this] {
-    return static_cast<std::int64_t>(sharded_.stats().max_speculation_depth);
   });
   // Causal-layer health: spans analyzed, watchdog firings, and the global
   // p99 end-to-end latency — all views of the aggregate analyze_causal()

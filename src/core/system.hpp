@@ -49,21 +49,6 @@ struct SystemConfig {
   bool cord_inline_support = true;
   /// Default for routing poll_cq through the kernel in CoRD mode.
   bool cord_poll_via_kernel = true;
-  /// Event-queue backend of every simulation engine: the 4-ary heap or
-  /// the calendar queue (the runtime queue=heap|calendar knob,
-  /// sim::parse_queue_kind). Both pop the identical (t, seq) order, so
-  /// every simulated result is bit-for-bit unchanged either way.
-  sim::QueueKind event_queue = sim::QueueKind::kHeap;
-  /// Shard-synchronization protocol (the runtime
-  /// sync=conservative|speculative knob, sim::parse_sync_mode). The
-  /// speculative mode lets shards run ahead of the conservative window
-  /// edge, journaling replayable dispatches and rolling back on late
-  /// cross-shard arrivals (DESIGN.md §17); simulated results stay
-  /// bit-for-bit identical under either mode. Inert when shards == 1.
-  sim::SyncMode sync = sim::SyncMode::kConservative;
-  /// Speculation throttle: how many lookahead windows past the
-  /// conservative edge a shard may run (>= 1; 1 = conservative pacing).
-  std::uint32_t speculation_depth = sim::ShardedEngine::kDefaultSpeculationDepth;
   /// Connection-endpoint mode (the runtime conn=exclusive|shared knob,
   /// os::parse_conn_mode). Exclusive gives every logical connection its
   /// own physical QP; shared multiplexes logical connections over a
@@ -138,8 +123,8 @@ class System {
 
   /// Rebuild the system-wide causal aggregate from the current merged
   /// trace (clears previous observations; SLO configuration is kept).
-  /// Shard-invariant: same simulation, any shard count or queue backend →
-  /// identical aggregate state. Feeds the causal.* gauges in metrics().
+  /// Shard-invariant: same simulation, any shard count → identical
+  /// aggregate state. Feeds the causal.* gauges in metrics().
   const trace::causal::Aggregator& analyze_causal();
   /// The causal aggregate as last built by analyze_causal() (empty until
   /// the first call). Configure SLOs here before running:

@@ -379,9 +379,7 @@ class Nic {
   /// On-NIC context caches (ICM model). QP contexts are touched on every
   /// doorbell ring, MR contexts on every MR-referencing WQE fetch; misses
   /// fold icm_miss_latency into the existing reservation timestamps.
-  /// Sender-side only, so all state stays shard-local; the NIC never opts
-  /// into speculative callbacks, so no journaling is needed under
-  /// sync=speculative (DESIGN.md §17: non-replayable models are fences).
+  /// Sender-side only, so all state stays shard-local.
   IcmCache icm_qp_;
   IcmCache icm_mr_;
 

@@ -25,9 +25,8 @@ namespace cord::os {
 
 enum class ConnMode : std::uint8_t { kExclusive, kShared };
 
-/// Parse the runtime knob value: "exclusive" | "shared" (mirrors
-/// sim::parse_queue_kind / parse_sync_mode). Throws std::invalid_argument
-/// on anything else.
+/// Parse the runtime knob value: "exclusive" | "shared". Throws
+/// std::invalid_argument on anything else.
 ConnMode parse_conn_mode(std::string_view name);
 std::string_view to_string(ConnMode mode);
 

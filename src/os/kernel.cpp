@@ -52,16 +52,12 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     return static_cast<std::int64_t>(policies_.epoch());
   });
   // This host's engine-queue health, surfaced through proc_read("metrics")
-  // alongside the kernel counters: live depth, high-water mark, and the
-  // calendar backend's resize count (0 under the heap backend).
+  // alongside the kernel counters: live depth and high-water mark.
   metrics_.callback_gauge("engine.queue_depth", [this] {
     return static_cast<std::int64_t>(engine_->pending_events());
   });
   metrics_.callback_gauge("engine.queue_peak_depth", [this] {
     return static_cast<std::int64_t>(engine_->queue_peak_depth());
-  });
-  metrics_.callback_gauge("engine.queue_resizes", [this] {
-    return static_cast<std::int64_t>(engine_->queue_resizes());
   });
   // Idle-poll elision on this host's engine (DESIGN.md §20).
   metrics_.callback_gauge("sim.polls_elided", [this] {
@@ -126,8 +122,7 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
   // Shard-synchronization health, mirrored into every host's procfs view
   // when this host's engine belongs to a sharded run (the counters are
   // coordinator-wide, not per host — same value from any host). Read-time
-  // callbacks against live stats; the speculation counters stay zero under
-  // the conservative sync mode.
+  // callbacks against live stats.
   if (const sim::ShardedEngine* coord = engine_->coordinator()) {
     const auto shard_gauge = [this, coord](std::string_view name,
                                            std::uint64_t sim::ShardStats::*f) {
@@ -137,15 +132,6 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     };
     shard_gauge("sim.shard.windows", &sim::ShardStats::windows);
     shard_gauge("sim.shard.messages", &sim::ShardStats::messages);
-    shard_gauge("sim.shard.rollbacks", &sim::ShardStats::rollbacks);
-    shard_gauge("sim.shard.rolled_back_events",
-                &sim::ShardStats::rolled_back_events);
-    shard_gauge("sim.shard.journaled_effects",
-                &sim::ShardStats::journaled_effects);
-    shard_gauge("sim.shard.cancelled_messages",
-                &sim::ShardStats::cancelled_messages);
-    shard_gauge("sim.shard.max_speculation_depth",
-                &sim::ShardStats::max_speculation_depth);
   }
 }
 

@@ -410,9 +410,6 @@ std::size_t topo_hosts(const Params& p) {
 /// two-host wire; a leaf-spine rack fabric whose access links inherit the
 /// config's wire bandwidth/propagation when Params::racks >= 1.
 core::SystemConfig topo_config(core::SystemConfig cfg, const Params& p) {
-  cfg.event_queue = p.queue;
-  cfg.sync = p.sync;
-  cfg.speculation_depth = p.speculation_depth;
   cfg.conn_mode = p.conn_mode;
   cfg.shared_qp_pool = p.shared_qp_pool;
   if (p.racks > 0) {
@@ -520,8 +517,6 @@ LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
   result.clamped_events = sys.sharded().clamped_events();
   result.shard_windows = sys.sharded().stats().windows;
   result.shard_messages = sys.sharded().stats().messages;
-  result.shard_rollbacks = sys.sharded().stats().rollbacks;
-  result.shard_journaled = sys.sharded().stats().journaled_effects;
   if (result.latency_us.count() == 0) {
     throw std::runtime_error("latency test produced no samples");
   }
@@ -640,8 +635,6 @@ BandwidthResult run_bandwidth(const core::SystemConfig& cfg, const Params& p) {
   result.clamped_events = sys.sharded().clamped_events();
   result.shard_windows = sys.sharded().stats().windows;
   result.shard_messages = sys.sharded().stats().messages;
-  result.shard_rollbacks = sys.sharded().stats().rollbacks;
-  result.shard_journaled = sys.sharded().stats().journaled_effects;
   if (result.messages == 0) {
     throw std::runtime_error("bandwidth test produced no result");
   }

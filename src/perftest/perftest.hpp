@@ -63,17 +63,6 @@ struct Params {
   /// block placement must be rack-aligned (shards must divide racks).
   std::size_t racks = 0;
   std::size_t hosts_per_rack = 2;
-  /// Event-queue backend (the queue=heap|calendar knob, forwarded to
-  /// SystemConfig::event_queue). Results are bit-identical either way —
-  /// asserted against the heap goldens in the test suite.
-  sim::QueueKind queue = sim::QueueKind::kHeap;
-  /// Shard synchronization (the sync=conservative|speculative knob,
-  /// forwarded to SystemConfig::sync). Results are bit-identical either
-  /// way — asserted against the single-engine goldens in the test suite.
-  sim::SyncMode sync = sim::SyncMode::kConservative;
-  /// Speculation throttle (windows past the conservative edge, >= 1;
-  /// forwarded to SystemConfig::speculation_depth).
-  std::uint32_t speculation_depth = sim::ShardedEngine::kDefaultSpeculationDepth;
   /// Connection-endpoint mode (the conn=exclusive|shared knob, forwarded
   /// to SystemConfig::conn_mode; see os/conn.hpp). Only the tenancy
   /// scenarios (perftest/tenancy.hpp) multiplex connections — the classic
@@ -100,12 +89,9 @@ struct LatencyResult {
   /// Engine clamp count for the run — nonzero means the run was truncated
   /// and its numbers are suspect (surface it, don't bury it).
   std::uint64_t clamped_events = 0;
-  /// Sharded-run sync statistics (zero for single-engine runs; the
-  /// speculation counters additionally need sync = kSpeculative).
+  /// Sharded-run sync statistics (zero for single-engine runs).
   std::uint64_t shard_windows = 0;
   std::uint64_t shard_messages = 0;
-  std::uint64_t shard_rollbacks = 0;
-  std::uint64_t shard_journaled = 0;
 };
 
 struct BandwidthResult {
@@ -117,12 +103,9 @@ struct BandwidthResult {
   std::vector<trace::Record> trace;
   std::uint64_t trace_dropped = 0;
   std::uint64_t clamped_events = 0;
-  /// Sharded-run sync statistics (zero for single-engine runs; the
-  /// speculation counters additionally need sync = kSpeculative).
+  /// Sharded-run sync statistics (zero for single-engine runs).
   std::uint64_t shard_windows = 0;
   std::uint64_t shard_messages = 0;
-  std::uint64_t shard_rollbacks = 0;
-  std::uint64_t shard_journaled = 0;
 };
 
 /// Run a ping-pong latency test on a fresh instance of `cfg`.

@@ -60,8 +60,6 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
     throw std::invalid_argument("window must be in [1, connections]");
   }
   core::SystemConfig cfg = base;
-  cfg.event_queue = p.queue;
-  cfg.sync = p.sync;
   cfg.conn_mode = p.conn_mode;
   cfg.shared_qp_pool = p.shared_qp_pool;
   cfg.nic.icm_qp_capacity = p.icm_qp_capacity;
@@ -259,8 +257,6 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
     throw std::invalid_argument("noisy-neighbor needs victims and attacker QPs");
   }
   core::SystemConfig cfg = base;
-  cfg.event_queue = p.queue;
-  cfg.sync = p.sync;
   cfg.nic.icm_qp_capacity = p.icm_qp_capacity;
   cfg.nic.icm_mr_capacity = p.icm_mr_capacity;
   // Host 0 runs every tenant; host 1 is the victims' quiet peer; host 2 is

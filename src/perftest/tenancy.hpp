@@ -23,8 +23,8 @@
 //
 // Both scenarios shard like the classic tests (connection setup is
 // out-of-band direct NIC state, so no sequential setup phase is needed)
-// and are bit-identical across shard counts, queue backends and sync
-// modes — asserted in tests/test_tenancy.cpp.
+// and are bit-identical across shard counts — asserted in
+// tests/test_tenancy.cpp.
 #pragma once
 
 #include "core/system.hpp"
@@ -49,8 +49,6 @@ struct ScaleParams {
   /// Issue through the CoRD kernel dataplane instead of bypass.
   bool cord = false;
   std::size_t shards = 1;
-  sim::QueueKind queue = sim::QueueKind::kHeap;
-  sim::SyncMode sync = sim::SyncMode::kConservative;
 };
 
 struct ScaleResult {
@@ -101,8 +99,6 @@ struct NoisyParams {
   std::uint32_t max_live_mrs = 8;        // RegistrationQuota live cap
   double regs_per_sec = 2000.0;          // RegistrationQuota refill
   std::size_t shards = 1;
-  sim::QueueKind queue = sim::QueueKind::kHeap;
-  sim::SyncMode sync = sim::SyncMode::kConservative;
 };
 
 struct NoisyResult {

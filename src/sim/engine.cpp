@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <stdexcept>
+
 #include "sim/sharded.hpp"
 
 namespace cord::sim {
@@ -113,18 +115,11 @@ Engine::~Engine() {
   // walk whole slabs.
   const auto clear_parked = [](const Item& item) {
     if (item.payload & kFnTag) {
-      reinterpret_cast<FnSlot*>(item.payload & ~kTagMask)->fn.clear();
+      reinterpret_cast<FnSlot*>(item.payload & ~kFnTag)->fn.clear();
     }
   };
-  if (queue_kind_ == QueueKind::kHeap) {
-    for (const Item& item : heap_.heap_items()) clear_parked(item);
-    if (heap_.has_cached()) clear_parked(heap_.cached());
-  } else {
-    cal_.for_each(clear_parked);
-  }
-  // Uncommitted speculative dispatches (a run that errored out mid-window)
-  // still own their slots — their callables were invoked but not released.
-  for (const SpecEntry& e : spec_.entries) clear_parked(e.item);
+  for (const Item& item : heap_.heap_items()) clear_parked(item);
+  if (heap_.has_cached()) clear_parked(heap_.cached());
   // Retire slabs (now guaranteed all-empty) to the thread-local cache
   // instead of freeing them; see slab_cache().
   auto& cache = slab_cache();

@@ -21,14 +21,6 @@
 //  * Scheduling into the past clamps to `now()` in every build mode (the
 //    old `assert` vanished under NDEBUG and silently corrupted event
 //    order); `clamped_events()` counts occurrences for tests/debugging.
-//  * The queue is a pluggable policy (QueueKind, chosen at construction):
-//    the 4-ary heap below, or the calendar queue (sim/calendar_queue.hpp)
-//    with O(1) amortized push/pop under mostly-FIFO timestamps. Both
-//    produce the exact `(t, seq)` strict total order, so pop sequences —
-//    and every golden output — are bit-identical under either backend.
-//    The run loops are templated over the backend and select it once per
-//    call, so the hot loop stays specialized and inlinable; per-push
-//    sites pay one perfectly predicted branch.
 //  * Busy-poll loops that keep finding nothing park beside the queue
 //    (Poller, DESIGN.md §20): the run loops replay their empty steps
 //    arithmetically in the exact (t, seq) slots their events would have
@@ -37,17 +29,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/task.hpp"
 #include "sim/units.hpp"
@@ -59,6 +47,19 @@ class Tracer;
 namespace cord::sim {
 
 class ShardedEngine;
+
+/// One queued event: a 24-byte POD moved by value through the heap. The
+/// payload is the engine's tagged pointer (coroutine frame or FnSlot).
+struct QueueItem {
+  Time t;
+  std::uint64_t seq;
+  std::uintptr_t payload;
+
+  bool before(const QueueItem& o) const {
+    return t != o.t ? t < o.t : seq < o.seq;
+  }
+};
+static_assert(std::is_trivially_copyable_v<QueueItem>);
 
 /// A busy-poll loop parked beside the event queue (DESIGN.md §20). While
 /// parked, the loop's coroutine stays suspended and the engine replays its
@@ -87,15 +88,12 @@ class Poller {
 
 class Engine {
  public:
-  explicit Engine(QueueKind queue = QueueKind::kHeap) : queue_kind_(queue) {
-    if (queue == QueueKind::kHeap) heap_.reserve(1024);
-  }
+  Engine() { heap_.reserve(1024); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
   Time now() const { return now_; }
-  QueueKind queue_kind() const { return queue_kind_; }
 
   /// Resume `h` at absolute time `t` (clamped to now() if in the past).
   void schedule_at(Time t, std::coroutine_handle<> h) {
@@ -117,75 +115,22 @@ class Engine {
   void call_at(Time t, F&& fn) {
     FnSlot* slot = acquire_slot();
     slot->fn.assign(std::forward<F>(fn));
-    push_fn(t, slot, kFnTag);
+    push_fn(t, slot);
   }
   /// Overload for a pre-built InlineFn (one relocation into the slot).
   void call_at(Time t, InlineFn fn) {
     FnSlot* slot = acquire_slot();
     slot->fn = std::move(fn);
-    push_fn(t, slot, kFnTag);
+    push_fn(t, slot);
   }
   template <typename F>
   void call_in(Time delay, F&& fn) {
     call_at(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Like call_at, but marks the callback as *replayable*: under the
-  /// speculative sharded sync mode (sim/sharded.hpp) the engine may
-  /// dispatch it beyond the conservative window edge, journal its effects
-  /// and re-execute it after a rollback. The contract a replayable
-  /// callable must honor (DESIGN.md §17):
-  ///  * every model-state write goes through spec_store() (so the journal
-  ///    can undo it) — or touches only engine-managed state (scheduling);
-  ///  * it must not mutate its own captures across invocations, resume a
-  ///    coroutine synchronously, or spawn a root task;
-  ///  * scheduling further events (call_at / schedule_at / cross_post) is
-  ///    fine — the journal cancels speculative children on rollback.
-  /// Outside speculative execution (single engine, conservative sync, or
-  /// sequential phases) the mark is inert: dispatch order, timestamps and
-  /// results are bit-identical to a plain call_at.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, InlineFn> &&
-                std::is_invocable_v<std::remove_cvref_t<F>&>>>
-  void call_at_replayable(Time t, F&& fn) {
-    FnSlot* slot = acquire_slot();
-    slot->fn.assign(std::forward<F>(fn));
-    push_fn(t, slot, kFnTag | kReplayTag);
-  }
-  void call_at_replayable(Time t, InlineFn fn) {
-    FnSlot* slot = acquire_slot();
-    slot->fn = std::move(fn);
-    push_fn(t, slot, kFnTag | kReplayTag);
-  }
-
-  /// Journaled model-state write: `slot = v`, recording the previous bytes
-  /// when the write happens inside a speculative dispatch so a rollback
-  /// can restore them. Outside speculation this is a plain assignment —
-  /// models can use it unconditionally at zero steady-state cost.
-  template <typename T>
-  void spec_store(T& slot, T v) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "spec_store journals raw bytes");
-    if (spec_active_) [[unlikely]] spec_save(&slot, sizeof(T));
-    slot = v;
-  }
-
-  /// True while the engine is inside a speculative (journaled) dispatch.
-  bool speculating() const { return spec_active_; }
-  /// Uncommitted speculative dispatches currently journaled.
-  std::size_t spec_depth() const { return spec_.entries.size(); }
-  /// Total speculative dispatches journaled over the engine's lifetime.
-  std::uint64_t spec_journaled_total() const { return spec_journaled_total_; }
-
   /// Detach a root task: it starts at the current time and owns itself.
   template <typename T>
   void spawn(Task<T> task) {
-    if (spec_active_) {
-      // A root's coroutine frame cannot be journaled; replayable
-      // callbacks must schedule callbacks, not spawn processes.
-      throw std::logic_error("Engine::spawn inside a speculative dispatch");
-    }
     auto h = task.release();
     auto& p = h.promise();
     p.owner_engine = this;
@@ -198,15 +143,10 @@ class Engine {
   /// final virtual time.
   /// Defined inline: this is THE simulation hot loop, and keeping it
   /// visible to callers lets the compiler collapse a schedule→dispatch
-  /// ping-pong into register traffic. The backend branch is taken once
-  /// per call; the loop itself is specialized per backend.
+  /// ping-pong into register traffic.
   Time run() {
     if (pending_ != 0 || !parked_.empty()) {
-      if (queue_kind_ == QueueKind::kHeap) {
-        run_drain(heap_);
-      } else {
-        run_drain(cal_);
-      }
+      run_drain();
       last_event_ = now_;
     }
     return now_;
@@ -216,10 +156,7 @@ class Engine {
   /// clamped to `deadline`.
   Time run_until(Time deadline) {
     if (pending_ != 0 || !parked_.empty()) {
-      const bool ran = queue_kind_ == QueueKind::kHeap
-                           ? run_until_drain(heap_, deadline)
-                           : run_until_drain(cal_, deadline);
-      if (ran) last_event_ = now_;
+      if (run_until_drain(deadline)) last_event_ = now_;
     }
     if (now_ < deadline) now_ = deadline;
     return now_;
@@ -232,8 +169,7 @@ class Engine {
   /// read on the hot loop. Parked pollers are not counted: they only exist
   /// on single-shard engines (park()).
   Time next_event_time() const {
-    if (pending_ == 0) return kNoEvent;
-    return queue_kind_ == QueueKind::kHeap ? heap_.top().t : cal_.min_time();
+    return pending_ == 0 ? kNoEvent : heap_.top().t;
   }
 
   /// Sharding context (sim/sharded.hpp). Null for a standalone engine;
@@ -246,10 +182,6 @@ class Engine {
   /// coordinator; delivery is deferred to a conservative window edge when
   /// the shards run in parallel. Defined in sharded.cpp.
   void cross_post(Engine& dst, Time t, InlineFn fn);
-  /// cross_post with the delivered callback marked replayable on `dst`
-  /// (see call_at_replayable) — the speculative sync mode may then execute
-  /// it ahead of the conservative edge. Identical to cross_post otherwise.
-  void cross_post_replayable(Engine& dst, Time t, InlineFn fn);
 
   /// Number of detached roots that have not finished yet.
   std::size_t live_roots() const { return roots_.size(); }
@@ -262,13 +194,6 @@ class Engine {
   std::size_t pending_events() const { return pending_; }
   /// High-water mark of the queue depth (events simultaneously queued).
   std::size_t queue_peak_depth() const { return peak_pending_; }
-  /// Calendar-queue resizes performed (0 under the heap backend).
-  std::uint64_t queue_resizes() const { return cal_.resizes(); }
-  /// Pushes that landed in the calendar's far-future overflow band
-  /// (0 under the heap backend).
-  std::uint64_t queue_overflow_events() const {
-    return cal_.overflow_pushes();
-  }
   /// Parked-poller steps replayed without an event (Poller::step calls
   /// that did not wake).
   std::uint64_t polls_elided() const { return polls_elided_; }
@@ -336,23 +261,20 @@ class Engine {
     if (t > now_) now_ = t;
   }
 
-  /// Pop and dispatch exactly one event (requires pending_ != 0).
-  /// Coordinator-only: the merged sequential mode interleaves engines
-  /// event-by-event in global (t, shard) order.
-  void step_one() {
-    const Item item = queue_pop();
+  /// Pop and dispatch exactly one event (requires pending_ != 0). The
+  /// drain loops' body; the coordinator's merged sequential mode also uses
+  /// it to interleave engines event-by-event in global (t, shard) order.
+  [[gnu::always_inline]] void step_one() {
+    --pending_;
+    const Item item = heap_.pop();
     now_ = item.t;
     dispatch(item.payload);
   }
 
-  // Payload tag bits. FnSlot and coroutine frames are both aligned to
-  // alignof(std::max_align_t) (>= 8), so the low bits of the address are
-  // free. kReplayTag only ever appears together with kFnTag — coroutine
-  // resumptions are never replayable (their frame state cannot be
-  // journaled) and act as speculation fences instead.
+  // Payload tag bit. FnSlot and coroutine frames are both aligned to
+  // alignof(std::max_align_t) (>= 8), so the low bit of the address is
+  // free.
   static constexpr std::uintptr_t kFnTag = 1;
-  static constexpr std::uintptr_t kReplayTag = 2;
-  static constexpr std::uintptr_t kTagMask = kFnTag | kReplayTag;
 
   /// Pooled parking space for one scheduled callback. Slots live in
   /// fixed-size slabs (stable addresses) and recycle via freelist; retired
@@ -363,7 +285,7 @@ class Engine {
   };
 
   /// One queued event (payload: coroutine frame address, or
-  /// FnSlot* | kFnTag). Shared with the calendar backend.
+  /// FnSlot* | kFnTag).
   using Item = QueueItem;
 
   /// 4-ary min-heap ordered by Item::before, fronted by a one-item cache.
@@ -463,98 +385,64 @@ class Engine {
     std::vector<Item> v_;
   };
 
-  // --- Backend dispatch -------------------------------------------------
-  // One predicted branch per operation (queue_kind_ never changes after
-  // construction); the drain loops hoist it out entirely. pending_ is the
-  // engine's own depth counter, so empty checks never consult a backend.
-
   [[gnu::always_inline]] void queue_push(Item item) {
     if (++pending_ > peak_pending_) peak_pending_ = pending_;
-    // Children pushed during a speculative dispatch are recorded so a
-    // rollback can purge them. One predicted-false branch on the hot path;
-    // spec_active_ is only ever true inside the speculative drain loop.
-    if (spec_active_) [[unlikely]] spec_.children.push_back(item.seq);
-    if (queue_kind_ == QueueKind::kHeap) {
-      heap_.push(item);
-    } else {
-      cal_.push(item);
-    }
+    heap_.push(item);
   }
 
-  [[gnu::always_inline]] Item queue_pop() {
-    --pending_;
-    return queue_kind_ == QueueKind::kHeap ? heap_.pop() : cal_.pop();
-  }
-
-  template <typename Q>
-  [[gnu::always_inline]] void run_drain(Q& q) {
+  [[gnu::always_inline]] void run_drain() {
     for (;;) {
       if (!parked_.empty()) {
-        drain_parked(q);
+        drain_parked();
         if (pending_ == 0) return;
       }
       // Events only, in the loop's original shape: runs that never park
       // pay one check per event.
       do {
-        --pending_;
-        const Item item = q.pop();
-        now_ = item.t;
-        dispatch(item.payload);
+        step_one();
       } while (pending_ != 0 && parked_.empty());
       if (pending_ == 0 && parked_.empty()) return;
     }
   }
 
   /// run_drain while some poller is parked; returns once none is.
-  template <typename Q>
-  [[gnu::noinline]] void drain_parked(Q& q) {
+  [[gnu::noinline]] void drain_parked() {
     while (!parked_.empty()) {
       if (pending_ == 0) {
         run_parked(nullptr, kNoEvent);
-      } else if (parked_.front().before(q.top())) {
-        run_parked(&q.top(), kNoEvent);
+      } else if (parked_.front().before(heap_.top())) {
+        run_parked(&heap_.top(), kNoEvent);
       } else {
-        --pending_;
-        const Item item = q.pop();
-        now_ = item.t;
-        dispatch(item.payload);
+        step_one();
       }
     }
   }
 
-  template <typename Q>
-  [[gnu::always_inline]] bool run_until_drain(Q& q, Time deadline) {
-    if (!parked_.empty()) return drain_parked_until(q, deadline);
+  [[gnu::always_inline]] bool run_until_drain(Time deadline) {
+    if (!parked_.empty()) return drain_parked_until(deadline);
     // Events only, in the loop's original shape (see run_drain).
-    if (q.top().t > deadline) return false;
+    if (heap_.top().t > deadline) return false;
     do {
-      --pending_;
-      const Item item = q.pop();
-      now_ = item.t;
-      dispatch(item.payload);
-    } while (pending_ != 0 && q.top().t <= deadline && parked_.empty());
-    if (!parked_.empty()) drain_parked_until(q, deadline);
+      step_one();
+    } while (pending_ != 0 && heap_.top().t <= deadline && parked_.empty());
+    if (!parked_.empty()) drain_parked_until(deadline);
     return true;
   }
 
   /// run_until_drain with parked pollers (it also drains plain events if
   /// the last poller wakes). Returns whether anything ran.
-  template <typename Q>
-  [[gnu::noinline]] bool drain_parked_until(Q& q, Time deadline) {
+  [[gnu::noinline]] bool drain_parked_until(Time deadline) {
     bool ran = false;
     for (;;) {
       const Item* next =
-          pending_ != 0 && q.top().t <= deadline ? &q.top() : nullptr;
+          pending_ != 0 && heap_.top().t <= deadline ? &heap_.top() : nullptr;
       if (!parked_.empty() && parked_.front().t <= deadline &&
           (next == nullptr || parked_.front().before(*next))) {
         run_parked(next, deadline);
       } else if (next == nullptr) {
         return ran;
       } else {
-        --pending_;
-        const Item item = q.pop();
-        now_ = item.t;
-        dispatch(item.payload);
+        step_one();
       }
       ran = true;
     }
@@ -633,94 +521,23 @@ class Engine {
     free_slots_ = slot;
   }
 
-  void push_fn(Time t, FnSlot* slot, std::uintptr_t tags) {
+  void push_fn(Time t, FnSlot* slot) {
     queue_push(Item{clamp_to_now(t), next_seq_++,
-                    reinterpret_cast<std::uintptr_t>(slot) | tags});
+                    reinterpret_cast<std::uintptr_t>(slot) | kFnTag});
   }
 
   /// Execute one popped event: resume a coroutine (tag 0) or invoke and
-  /// recycle a parked callback (kFnTag set; kReplayTag is inert here —
-  /// only the speculative drain loop reads it).
+  /// recycle a parked callback (kFnTag set).
   void dispatch(std::uintptr_t payload) {
     ++events_processed_;
     if (payload & kFnTag) {
-      FnSlot* slot = reinterpret_cast<FnSlot*>(payload & ~kTagMask);
+      FnSlot* slot = reinterpret_cast<FnSlot*>(payload & ~kFnTag);
       slot->fn();
       release_slot(slot);
     } else {
       std::coroutine_handle<>::from_address(reinterpret_cast<void*>(payload))
           .resume();
     }
-  }
-
-  // --- Speculation journal (sim/speculation.cpp, DESIGN.md §17) ---------
-  // One undo record per speculatively dispatched (replayable) event. The
-  // journal is strictly sorted by the engine's (t, seq) dispatch order, so
-  // commits truncate a prefix and rollbacks a suffix. The dispatched
-  // event's FnSlot is NOT released until its entry commits, which is what
-  // makes re-dispatch after a rollback possible (the callable survives
-  // invocation).
-
-  /// One journaled model-state write: `size` old bytes at blob[off].
-  struct SpecSave {
-    void* addr;
-    std::uint32_t size;
-    std::uint32_t off;
-  };
-
-  struct SpecEntry {
-    Item item;             // the dispatched event, original seq and tags
-    Time prev_now;         // clock before the dispatch
-    Time prev_last_event;
-    std::uint64_t prev_events;   // events_processed_ before the dispatch
-    std::uint64_t prev_clamped;
-    std::size_t trace_len;       // tracer record count before the dispatch
-    std::uint64_t trace_dropped;
-    std::uint32_t child_begin, child_end;  // range in children
-    std::uint32_t save_begin, save_end;    // range in saves
-  };
-
-  struct SpecJournal {
-    std::vector<SpecEntry> entries;
-    std::vector<std::uint64_t> children;  // seqs pushed during spec dispatches
-    std::vector<SpecSave> saves;
-    std::vector<std::byte> blob;          // saved old bytes, densely packed
-  };
-
-  /// Record the old bytes of a model-state slot about to be overwritten
-  /// inside a speculative dispatch (spec_store's slow path).
-  void spec_save(void* addr, std::size_t size) {
-    const std::uint32_t off = static_cast<std::uint32_t>(spec_.blob.size());
-    const std::byte* src = static_cast<const std::byte*>(addr);
-    spec_.blob.insert(spec_.blob.end(), src, src + size);
-    spec_.saves.push_back(
-        SpecSave{addr, static_cast<std::uint32_t>(size), off});
-  }
-
-  /// Drain loop of the speculative sync mode: events with t < `safe`
-  /// dispatch normally (they are conservatively proven final); replayable
-  /// events with safe <= t < `horizon` dispatch speculatively (journaled);
-  /// a non-replayable event beyond `safe` is a fence — the loop stops
-  /// before it. Returns true when it stopped at a fence.
-  bool run_speculative(Time safe, Time horizon);
-  template <typename Q>
-  bool run_speculative_drain(Q& q, Time safe, Time horizon);
-  /// Retire every journal entry with t <= `through` (their slots recycle).
-  void spec_commit(Time through);
-  /// Undo every journal entry with t > `keep_through`, restoring model
-  /// bytes, counters, the tracer and the event queue (undone events are
-  /// re-queued under their original seqs; their speculative children are
-  /// purged). Returns the number of undone dispatches.
-  std::uint64_t spec_rollback(Time keep_through);
-  /// Remove every queued item whose seq is in `dead` (releasing callback
-  /// slots); rollback's child-cancellation pass.
-  void spec_purge(const std::unordered_set<std::uint64_t>& dead);
-  /// Latest uncommitted speculative dispatch time (0 when the journal is
-  /// empty). The coordinator's rollback test reads this between barriers.
-  /// Note there is deliberately no "front" accessor: the journal does NOT
-  /// bound the coordinator's validation floors (speculation.cpp header).
-  Time spec_back_time() const {
-    return spec_.entries.empty() ? 0 : spec_.entries.back().item.t;
   }
 
   // 512 slots * sizeof(FnSlot)==128 keeps every slab at 64 KiB, safely
@@ -730,9 +547,7 @@ class Engine {
   // Upper bound on slots parked in the thread-local slab cache (~1 MiB).
   static constexpr std::size_t kMaxCachedSlots = 8192;
 
-  QueueKind queue_kind_ = QueueKind::kHeap;
   EventHeap heap_;
-  CalendarQueue cal_;  // ~100 idle bytes when the heap backend is active
   std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
   std::vector<Slab> slots_;
@@ -753,9 +568,6 @@ class Engine {
   std::uint64_t next_order_ = 0;
   std::uint64_t polls_elided_ = 0;
   std::uint64_t poll_wakes_ = 0;
-  SpecJournal spec_;
-  bool spec_active_ = false;
-  std::uint64_t spec_journaled_total_ = 0;
   trace::Tracer* tracer_ = nullptr;
   ShardedEngine* coordinator_ = nullptr;
   std::uint32_t shard_index_ = 0;

@@ -10,13 +10,13 @@
 
 namespace cord::sim {
 
-ShardedEngine::ShardedEngine(std::size_t shard_count, QueueKind queue) {
+ShardedEngine::ShardedEngine(std::size_t shard_count) {
   if (shard_count == 0) {
     throw std::invalid_argument("ShardedEngine: shard_count must be >= 1");
   }
   engines_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    auto e = std::make_unique<Engine>(queue);
+    auto e = std::make_unique<Engine>();
     e->coordinator_ = this;
     e->shard_index_ = static_cast<std::uint32_t>(i);
     engines_.push_back(std::move(e));
@@ -25,32 +25,8 @@ ShardedEngine::ShardedEngine(std::size_t shard_count, QueueKind queue) {
   lookahead_.assign(shard_count * shard_count, kUnboundedLookahead);
   out_min_.assign(shard_count, kUnboundedLookahead);
   window_end_.assign(shard_count, 0);
-  spec_safe_.assign(shard_count, 0);
-  spec_horizon_.assign(shard_count, 0);
-  post_order_.assign(shard_count * shard_count, 0);
   stats_.barrier_wait_ns.assign(shard_count, 0);
   stats_.barrier_waits.assign(shard_count, 0);
-}
-
-SyncMode parse_sync_mode(std::string_view name) {
-  if (name == "conservative") return SyncMode::kConservative;
-  if (name == "speculative") return SyncMode::kSpeculative;
-  throw std::invalid_argument("unknown sync mode '" + std::string(name) +
-                              "' (want conservative|speculative)");
-}
-
-std::string_view sync_mode_name(SyncMode mode) {
-  return mode == SyncMode::kConservative ? "conservative" : "speculative";
-}
-
-void ShardedEngine::set_sync(SyncMode mode, std::uint32_t depth) {
-  if (depth == 0) {
-    throw std::invalid_argument(
-        "ShardedEngine: speculation depth must be >= 1 (depth 1 is the "
-        "conservative edge itself)");
-  }
-  sync_ = mode;
-  spec_depth_ = depth;
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -128,19 +104,12 @@ void ShardedEngine::close_lookahead() {
   }
 }
 
-void ShardedEngine::post(Engine& src, Engine& dst, Time t, InlineFn fn,
-                         bool replayable) {
+void ShardedEngine::post(Engine& src, Engine& dst, Time t, InlineFn fn) {
   if (mode_ != Mode::kParallel) {
     // Single-threaded phases (merged setup, or user code between runs):
     // deliver directly. call_at clamps t < dst.now(), which cannot happen
-    // here because the merged mode keeps all clocks equal. The replayable
-    // mark is preserved so non-parallel runs stay bit-identical (the tag
-    // is inert outside the speculative drain loop).
-    if (replayable) {
-      dst.call_at_replayable(t, std::move(fn));
-    } else {
-      dst.call_at(t, std::move(fn));
-    }
+    // here because the merged mode keeps all clocks equal.
+    dst.call_at(t, std::move(fn));
     return;
   }
   // Subtraction form: t and now() are both in [0, kNoEvent], so the
@@ -157,13 +126,7 @@ void ShardedEngine::post(Engine& src, Engine& dst, Time t, InlineFn fn,
         ") (a cross-shard path is faster than the lookahead claims)");
   }
   mail_[src.shard_index_ * shard_count() + dst.shard_index_].push_back(
-      Msg{t, src.now(), std::move(fn), replayable});
-}
-
-Time ShardedEngine::min_next_event() const {
-  Time t = Engine::kNoEvent;
-  for (const auto& e : engines_) t = std::min(t, e->next_event_time());
-  return t;
+      Msg{t, std::move(fn)});
 }
 
 void ShardedEngine::sync_clocks() {
@@ -173,6 +136,9 @@ void ShardedEngine::sync_clocks() {
 }
 
 Time ShardedEngine::run_sequential() {
+  // One shard has nothing to merge. Engine::run() also replays parked
+  // pollers, which next_event_time() and step_one() do not see.
+  if (shard_count() == 1) return engines_[0]->run();
   mode_ = Mode::kSequential;
   for (;;) {
     // Next event globally, ties broken by shard index: a deterministic
@@ -229,11 +195,7 @@ void ShardedEngine::drain_mailboxes() {
     Engine& d = *engines_[dst];
     for (const Ref& r : order) {
       Msg& m = mail_[r.src * n + dst][r.pos];
-      if (m.replayable) {
-        d.call_at_replayable(m.t, std::move(m.fn));
-      } else {
-        d.call_at(m.t, std::move(m.fn));
-      }
+      d.call_at(m.t, std::move(m.fn));
     }
     stats_.messages += order.size();
     for (std::size_t src = 0; src < n; ++src) mail_[src * n + dst].clear();
@@ -245,14 +207,7 @@ Time ShardedEngine::run() {
   stats_.messages = 0;
   std::fill(stats_.barrier_wait_ns.begin(), stats_.barrier_wait_ns.end(), 0);
   std::fill(stats_.barrier_waits.begin(), stats_.barrier_waits.end(), 0);
-  stats_.speculative = false;
-  stats_.rollbacks = 0;
-  stats_.rolled_back_events = 0;
-  stats_.journaled_effects = 0;
-  stats_.cancelled_messages = 0;
-  stats_.max_speculation_depth = 0;
   if (shard_count() == 1) return engines_[0]->run();
-  if (sync_ == SyncMode::kSpeculative) return run_speculative_parallel();
   return run_parallel();
 }
 
@@ -405,12 +360,6 @@ std::uint64_t ShardedEngine::clamped_events() const {
   return s;
 }
 
-std::uint64_t ShardedEngine::queue_resizes() const {
-  std::uint64_t s = 0;
-  for (const auto& e : engines_) s += e->queue_resizes();
-  return s;
-}
-
 std::size_t ShardedEngine::queue_peak_depth() const {
   std::size_t m = 0;
   for (const auto& e : engines_) m = std::max(m, e->queue_peak_depth());
@@ -433,19 +382,6 @@ void Engine::cross_post(Engine& dst, Time t, InlineFn fn) {
         "Engine::cross_post: engines do not share a ShardedEngine");
   }
   coordinator_->post(*this, dst, t, std::move(fn));
-}
-
-void Engine::cross_post_replayable(Engine& dst, Time t, InlineFn fn) {
-  if (&dst == this) {
-    call_at_replayable(t, std::move(fn));
-    return;
-  }
-  if (coordinator_ == nullptr || dst.coordinator_ != coordinator_) {
-    throw std::logic_error(
-        "Engine::cross_post_replayable: engines do not share a "
-        "ShardedEngine");
-  }
-  coordinator_->post(*this, dst, t, std::move(fn), /*replayable=*/true);
 }
 
 }  // namespace cord::sim

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -51,16 +50,6 @@
 #include "sim/units.hpp"
 
 namespace cord::sim {
-
-/// Synchronization protocol of a parallel sharded run (DESIGN.md §12/§17).
-enum class SyncMode : std::uint8_t {
-  kConservative,  ///< lookahead windows only — never executes ahead
-  kSpeculative,   ///< Time-Warp style: run ahead, journal, roll back
-};
-
-/// Parse "conservative" / "speculative" (throws std::invalid_argument).
-SyncMode parse_sync_mode(std::string_view name);
-std::string_view sync_mode_name(SyncMode mode);
 
 /// Per-run statistics of a sharded execution (reset by each run call).
 struct ShardStats {
@@ -73,23 +62,6 @@ struct ShardStats {
   /// Window-edge barriers each shard blocked on (the wait count behind
   /// barrier_wait_ns; feeds the critical-path report's sync section).
   std::vector<std::uint64_t> barrier_waits;
-  /// True when the run used the speculative protocol (> 1 shard with
-  /// sync = kSpeculative); the counters below stay zero otherwise.
-  bool speculative = false;
-  /// Rollbacks applied (one per shard per round that had to rewind).
-  std::uint64_t rollbacks = 0;
-  /// Speculatively dispatched events undone by rollbacks (each is
-  /// re-queued and re-executed later).
-  std::uint64_t rolled_back_events = 0;
-  /// Speculative dispatches journaled (events run ahead of the
-  /// conservative edge; committed + rolled back).
-  std::uint64_t journaled_effects = 0;
-  /// Cross-shard messages cancelled because their posting dispatch was
-  /// rolled back (the pool-held analogue of Time-Warp anti-messages).
-  std::uint64_t cancelled_messages = 0;
-  /// Largest uncommitted journal length observed on any shard at a
-  /// resolution point (how far ahead speculation actually ran).
-  std::uint64_t max_speculation_depth = 0;
 };
 
 class ShardedEngine {
@@ -105,11 +77,7 @@ class ShardedEngine {
   /// large finite time for the sentinel and silently stop synchronizing.
   static constexpr Time kUnboundedLookahead = Engine::kNoEvent / 2;
 
-  /// `queue` selects the event-queue backend of every member engine
-  /// (sim/calendar_queue.hpp); both backends pop the same (t, seq) order,
-  /// so sharded runs are bit-identical under either.
-  explicit ShardedEngine(std::size_t shard_count,
-                         QueueKind queue = QueueKind::kHeap);
+  explicit ShardedEngine(std::size_t shard_count);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
   ~ShardedEngine();
@@ -137,20 +105,6 @@ class ShardedEngine {
   /// so callers only need to describe direct pair bounds.
   void set_lookahead(const std::vector<Time>& matrix);
 
-  /// Select the parallel synchronization protocol. kConservative (the
-  /// default) is the exact windowed protocol above. kSpeculative lets each
-  /// shard run up to `depth` lookahead windows past its conservative edge,
-  /// journaling replayable dispatches (Engine::call_at_replayable) and
-  /// rolling them back when a cross-shard arrival lands in their past —
-  /// Time-Warp with a bounded throttle (DESIGN.md §17). Non-replayable
-  /// events act as fences, so models that never opt in execute exactly the
-  /// conservative schedule. `depth` >= 1; depth 1 speculates zero windows
-  /// ahead (the conservative edge itself).
-  void set_sync(SyncMode mode, std::uint32_t depth = kDefaultSpeculationDepth);
-  SyncMode sync() const { return sync_; }
-  std::uint32_t speculation_depth() const { return spec_depth_; }
-  static constexpr std::uint32_t kDefaultSpeculationDepth = 8;
-
   /// Minimum off-diagonal lookahead (kUnboundedLookahead when no pair
   /// interacts) — the uniform-protocol view of the matrix.
   Time lookahead() const { return min_lookahead_; }
@@ -166,16 +120,16 @@ class ShardedEngine {
   /// mailbox and throws std::logic_error if `t` violates the declared
   /// lookahead (a torn window: the model generated an effect earlier than
   /// the sync protocol can deliver it). Outside parallel execution it is
-  /// delivered immediately. `replayable` marks the delivered callback as
-  /// replayable on the destination (see Engine::call_at_replayable).
-  void post(Engine& src, Engine& dst, Time t, InlineFn fn,
-            bool replayable = false);
+  /// delivered immediately.
+  void post(Engine& src, Engine& dst, Time t, InlineFn fn);
 
   /// Merged sequential execution: one thread interleaves every engine in
   /// global (t, shard) order with a single shared notion of "now" (each
   /// engine's clock follows the global clock). Use for setup phases whose
   /// coroutines hop between shards in ways the conservative protocol does
   /// not allow. Returns the final global time; all shard clocks end equal.
+  /// With one shard this is exactly Engine::run(), parked pollers
+  /// included.
   Time run_sequential();
 
   /// Parallel conservative-window execution until every queue and mailbox
@@ -195,8 +149,6 @@ class ShardedEngine {
   std::uint64_t events_processed() const;
   std::uint64_t clamped_events() const;
   std::size_t live_roots() const;
-  /// Calendar-queue resizes summed over all shards (0 under the heap).
-  std::uint64_t queue_resizes() const;
   /// Largest queue-depth high-water mark across all shards.
   std::size_t queue_peak_depth() const;
 
@@ -206,36 +158,15 @@ class ShardedEngine {
   }
 
  private:
-  friend class Engine;  // speculative protocol helpers in speculation.cpp
-
   struct Msg {
-    Time t;            ///< delivery time on the destination
-    Time post_t;       ///< source clock when the message was posted
+    Time t;  ///< delivery time on the destination
     InlineFn fn;
-    bool replayable;
-  };
-
-  /// A cross-shard message held by the coordinator until its posting
-  /// dispatch commits (speculative mode only). Holding — instead of
-  /// delivering tentatively — is what makes anti-messages unnecessary: a
-  /// message that reached a destination queue can never be invalidated,
-  /// so rollback cancellation is a pool-local erase (DESIGN.md §17).
-  struct PoolMsg {
-    Time t;
-    Time post_t;
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint64_t order;  ///< per-(src, dst) posting order, across rounds
-    InlineFn fn;
-    bool replayable;
   };
 
   enum class Mode { kIdle, kSequential, kParallel };
 
   Time run_parallel();
-  Time run_speculative_parallel();  // speculation.cpp
   void drain_mailboxes();
-  Time min_next_event() const;
   /// Min-plus transitive closure of lookahead_, then refresh the derived
   /// min_lookahead_ / out_min_ caches.
   void close_lookahead();
@@ -256,17 +187,6 @@ class ShardedEngine {
   /// coordinator between barriers. Engine::kNoEvent means "unbounded: run
   /// to queue exhaustion".
   std::vector<Time> window_end_;
-  SyncMode sync_ = SyncMode::kConservative;
-  std::uint32_t spec_depth_ = kDefaultSpeculationDepth;
-  /// Speculative-round worker parameters (coordinator-written between
-  /// barriers): spec_safe_[k] bounds unjournaled execution, spec_horizon_
-  /// bounds speculation (safe + (depth - 1) windows).
-  std::vector<Time> spec_safe_;
-  std::vector<Time> spec_horizon_;
-  /// Held cross-shard messages (speculative mode; coordinator-only).
-  std::vector<PoolMsg> pool_;
-  /// Per-(src * n + dst) running posting-order counters for pool_ entries.
-  std::vector<std::uint64_t> post_order_;
   bool stop_ = false;
   std::exception_ptr error_;
   ShardStats stats_;

@@ -70,7 +70,7 @@ void Aggregator::ingest(std::span<const Record> records) {
   }
   // Stage 2: finalize every chain whose sender completion has arrived.
   // Completed waterfalls are observed in content order, so one-shot
-  // whole-trace ingests are shard-count and backend invariant.
+  // whole-trace ingests are shard-count invariant.
   std::vector<Waterfall> done;
   std::vector<std::uint32_t> done_spans;
   for (const auto& [span, chain] : pending_) {

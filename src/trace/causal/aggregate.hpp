@@ -21,7 +21,7 @@
 // Determinism: spans completed within one ingest batch are observed in
 // content order (waterfall_before), so a whole-trace ingest produces
 // identical aggregate state — and identical reports — for the same
-// simulation at any shard count or queue backend.
+// simulation at any shard count.
 #pragma once
 
 #include <array>

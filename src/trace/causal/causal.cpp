@@ -302,26 +302,6 @@ std::string critical_path_report(const CriticalPath& cp,
             static_cast<unsigned long long>(sync->barrier_wait_ns.size()),
             static_cast<unsigned long long>(waits),
             static_cast<unsigned long long>(sync->windows));
-    if (sync->speculative) {
-      // Companion section for the optimistic sync mode: how much work ran
-      // ahead of the conservative edge, and how much of it was wasted.
-      // Reads together with the barrier-idle line above — speculation
-      // trades journal/rollback work for fewer, shorter barrier waits.
-      const double waste =
-          sync->journaled_effects == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(sync->rolled_back_events) /
-                    static_cast<double>(sync->journaled_effects);
-      appendf(out,
-              "  shard-spec: %llu dispatches journaled past the edge, "
-              "%llu rollbacks undoing %llu (%.1f%% wasted), %llu messages "
-              "cancelled, max depth %llu\n",
-              static_cast<unsigned long long>(sync->journaled_effects),
-              static_cast<unsigned long long>(sync->rollbacks),
-              static_cast<unsigned long long>(sync->rolled_back_events), waste,
-              static_cast<unsigned long long>(sync->cancelled_messages),
-              static_cast<unsigned long long>(sync->max_speculation_depth));
-    }
   }
   return out;
 }

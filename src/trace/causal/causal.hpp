@@ -28,8 +28,7 @@
 //
 // Determinism: waterfalls are pure functions of the record multiset and
 // are ordered by content (never by span id, which is a per-tracer
-// counter), so analysis output is identical across shard counts and
-// event-queue backends.
+// counter), so analysis output is identical across shard counts.
 #pragma once
 
 #include <array>
@@ -120,7 +119,7 @@ std::optional<Waterfall> build_waterfall(std::span<const Record> chain);
 
 /// Group a record stream by span and build every completed chain's
 /// waterfall, ordered by content (waterfall_before) — identical output
-/// for the same simulation at any shard count or queue backend.
+/// for the same simulation at any shard count.
 std::vector<Waterfall> build_waterfalls(std::span<const Record> records);
 
 /// Aggregated critical-path view over a set of waterfalls: per-stage

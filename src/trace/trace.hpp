@@ -184,16 +184,6 @@ class Tracer {
     dropped_ = 0;
   }
 
-  /// Rewind the stream to a previously observed (size(), dropped()) state.
-  /// Used by the speculative shard sync (DESIGN.md §17) to erase records
-  /// emitted by rolled-back dispatches, keeping canonical traces invariant
-  /// across sync modes. Slab storage is append-only, so this is two store
-  /// instructions; records past `count` are simply overwritten later.
-  void truncate(std::size_t count, std::uint64_t dropped) {
-    if (count <= count_) count_ = count;
-    dropped_ = dropped;
-  }
-
  private:
   // 2048 * 40 B = 80 KiB per slab: below glibc's mmap threshold, so slab
   // allocation is a plain heap carve, not an mmap/munmap pair.

@@ -5,8 +5,7 @@
 //   * tx_batch > 1 must not change simulated results: latency samples are
 //     exactly the per-op samples (the flush happens at the same virtual
 //     instant the per-op syscall would have), and batched runs are
-//     bit-identical across event-queue backends, sync modes and shard
-//     counts.
+//     bit-identical across shard counts.
 //   * one flush = one kernel crossing servicing the whole ring — the
 //     crossings / ops_serviced counters must diverge.
 //   * edge cases: an empty flush is a strict no-op (covered in
@@ -42,26 +41,20 @@ Params cord_params(TestOp op, Transport tr, std::size_t size) {
 // --- Differential: batched CoRD == per-op CoRD, sample for sample -------
 
 TEST(Batch, BatchedLatencyMatchesPerOpRandomized) {
-  // Randomized configurations, fixed seed: op x transport x size x queue
-  // backend x sync mode x shard count. For every drawn config the batched
+  // Randomized configurations, fixed seed: op x transport x size x shard
+  // count. For every drawn config the batched
   // runs must reproduce the per-op latency samples *exactly* — the
   // submission ring defers the crossing but never moves it in virtual
   // time (the poll that harvests the completion flushes first).
   std::mt19937 rng(0xC02Du);
   const TestOp ops[] = {TestOp::kSend, TestOp::kWrite, TestOp::kRead};
   const std::size_t sizes[] = {8, 64, 512, 4096};
-  const sim::QueueKind queues[] = {sim::QueueKind::kHeap,
-                                   sim::QueueKind::kCalendar};
-  const sim::SyncMode syncs[] = {sim::SyncMode::kConservative,
-                                 sim::SyncMode::kSpeculative};
   const std::size_t shard_opts[] = {1, 2, 4};
   for (int trial = 0; trial < 5; ++trial) {
     const TestOp op = ops[rng() % 3];
     const Transport tr =
         (op == TestOp::kSend && rng() % 2 == 0) ? Transport::kUD : Transport::kRC;
     Params base = cord_params(op, tr, sizes[rng() % 4]);
-    base.queue = queues[rng() % 2];
-    base.sync = syncs[rng() % 2];
     base.shards = shard_opts[rng() % 3];
     const auto ref = run_latency(core::system_l(), base);
     for (std::uint32_t b : {4u, 16u, 64u}) {
@@ -75,39 +68,23 @@ TEST(Batch, BatchedLatencyMatchesPerOpRandomized) {
   }
 }
 
-TEST(Batch, BatchedBandwidthBitIdenticalAcrossBackendsAndShards) {
+TEST(Batch, BatchedBandwidthBitIdenticalAcrossShards) {
   // A deep-pipeline bandwidth run actually exercises multi-WR flushes
   // (the latency ping-pong above only ever gathers one WR). The result
-  // must be bit-identical across every backend/sync/shard combination.
+  // must be bit-identical at every shard count.
   Params p = cord_params(TestOp::kSend, Transport::kRC, 64);
   p.iterations = 300;
   p.tx_depth = 64;
   p.tx_batch = 16;
-  double gbps = 0.0;
-  sim::Time elapsed = 0;
-  bool first = true;
-  for (sim::QueueKind q : {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    for (sim::SyncMode s :
-         {sim::SyncMode::kConservative, sim::SyncMode::kSpeculative}) {
-      for (std::size_t shards : {1u, 2u, 4u}) {
-        Params v = p;
-        v.queue = q;
-        v.sync = s;
-        v.shards = shards;
-        const auto r = run_bandwidth(core::system_l(), v);
-        ASSERT_EQ(r.messages, 300u);
-        if (first) {
-          gbps = r.gbps;
-          elapsed = r.elapsed;
-          first = false;
-          continue;
-        }
-        EXPECT_EQ(r.gbps, gbps) << "queue=" << static_cast<int>(q)
-                                << " sync=" << static_cast<int>(s)
-                                << " shards=" << shards;
-        EXPECT_EQ(r.elapsed, elapsed);
-      }
-    }
+  const auto single = run_bandwidth(core::system_l(), p);
+  ASSERT_EQ(single.messages, 300u);
+  for (std::size_t shards : {2u, 4u}) {
+    Params v = p;
+    v.shards = shards;
+    const auto r = run_bandwidth(core::system_l(), v);
+    ASSERT_EQ(r.messages, 300u);
+    EXPECT_EQ(r.gbps, single.gbps) << "shards=" << shards;
+    EXPECT_EQ(r.elapsed, single.elapsed) << "shards=" << shards;
   }
 }
 

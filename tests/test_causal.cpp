@@ -1,5 +1,5 @@
 // Tests for cord::trace::causal — waterfall conservation (bit-exact, at
-// every shard count and queue backend), critical-path extraction, the
+// every shard count), critical-path extraction, the
 // bounded aggregation layer, the tail-latency watchdog, and the kernel /
 // System surfaces they feed.
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@ using namespace cord;
 namespace causal = trace::causal;
 
 perftest::Params traced(perftest::TestOp op, std::size_t shards,
-                        sim::QueueKind queue, int iters = 15) {
+                        int iters = 15) {
   perftest::Params p;
   p.op = op;
   p.msg_size = 4096;
@@ -33,7 +33,6 @@ perftest::Params traced(perftest::TestOp op, std::size_t shards,
   p.server = verbs::ContextOptions{.mode = verbs::DataplaneMode::kCord};
   p.capture_trace = true;
   p.shards = shards;
-  p.queue = queue;
   return p;
 }
 
@@ -169,71 +168,63 @@ TEST(BuildWaterfall, OutOfOrderMilestonesAreClampedNotNegative) {
 }
 
 // ---------------------------------------------------------------------------
-// Conservation on real traces: bit-exact at 1/2/4 shards, both backends,
-// all perftest ops
+// Conservation on real traces: bit-exact at 1/2/4 shards, all perftest ops
 // ---------------------------------------------------------------------------
 
-TEST(Conservation, BitExactAcrossShardsBackendsAndOps) {
+TEST(Conservation, BitExactAcrossShardsAndOps) {
   const auto cfg = core::system_l();
   for (perftest::TestOp op : {perftest::TestOp::kSend, perftest::TestOp::kWrite,
                               perftest::TestOp::kRead}) {
     for (std::size_t shards : {1u, 2u, 4u}) {
-      for (sim::QueueKind q : {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-        const auto r = perftest::run_latency(cfg, traced(op, shards, q));
-        ASSERT_EQ(r.trace_dropped, 0u);
-        const auto falls = causal::build_waterfalls(r.trace);
-        ASSERT_FALSE(falls.empty())
-            << "op=" << static_cast<int>(op) << " shards=" << shards;
-        // Independent end-to-end per span, straight from the raw records.
-        std::map<std::uint32_t, sim::Time> post, done;
-        for (const trace::Record& rc : r.trace) {
-          if (rc.span == 0) continue;
-          if (rc.point == trace::Point::kVerbsPostSend &&
-              (!post.count(rc.span) || rc.t < post[rc.span])) {
-            post[rc.span] = rc.t;
-          }
-          if (rc.point == trace::Point::kCompletion && rc.aux == 0 &&
-              (!done.count(rc.span) || rc.t > done[rc.span])) {
-            done[rc.span] = rc.t;
-          }
+      const auto r = perftest::run_latency(cfg, traced(op, shards));
+      ASSERT_EQ(r.trace_dropped, 0u);
+      const auto falls = causal::build_waterfalls(r.trace);
+      ASSERT_FALSE(falls.empty())
+          << "op=" << static_cast<int>(op) << " shards=" << shards;
+      // Independent end-to-end per span, straight from the raw records.
+      std::map<std::uint32_t, sim::Time> post, done;
+      for (const trace::Record& rc : r.trace) {
+        if (rc.span == 0) continue;
+        if (rc.point == trace::Point::kVerbsPostSend &&
+            (!post.count(rc.span) || rc.t < post[rc.span])) {
+          post[rc.span] = rc.t;
         }
-        for (const causal::Waterfall& w : falls) {
-          // The conservation invariant: stage widths sum to the span's
-          // end-to-end latency, bit-exact in integer picoseconds.
-          ASSERT_EQ(w.stage_sum(), w.e2e())
-              << "op=" << static_cast<int>(op) << " shards=" << shards
-              << " qpn=" << w.qpn;
-          ASSERT_TRUE(post.count(w.span) && done.count(w.span));
-          ASSERT_EQ(w.e2e(), done[w.span] - post[w.span]);
-          for (const causal::StageSlice& s : w.stages) {
-            ASSERT_EQ(s.span, s.service + s.queue);
-            ASSERT_GE(s.service, 0);
-            ASSERT_GE(s.queue, 0);
-          }
+        if (rc.point == trace::Point::kCompletion && rc.aux == 0 &&
+            (!done.count(rc.span) || rc.t > done[rc.span])) {
+          done[rc.span] = rc.t;
+        }
+      }
+      for (const causal::Waterfall& w : falls) {
+        // The conservation invariant: stage widths sum to the span's
+        // end-to-end latency, bit-exact in integer picoseconds.
+        ASSERT_EQ(w.stage_sum(), w.e2e())
+            << "op=" << static_cast<int>(op) << " shards=" << shards
+            << " qpn=" << w.qpn;
+        ASSERT_TRUE(post.count(w.span) && done.count(w.span));
+        ASSERT_EQ(w.e2e(), done[w.span] - post[w.span]);
+        for (const causal::StageSlice& s : w.stages) {
+          ASSERT_EQ(s.span, s.service + s.queue);
+          ASSERT_GE(s.service, 0);
+          ASSERT_GE(s.queue, 0);
         }
       }
     }
   }
 }
 
-TEST(Conservation, ReportsIdenticalAcrossShardCountsAndBackends) {
+TEST(Conservation, ReportsIdenticalAcrossShardCounts) {
   const auto cfg = core::system_l();
-  auto reports = [&](std::size_t shards, sim::QueueKind q) {
+  auto reports = [&](std::size_t shards) {
     const auto r =
-        perftest::run_latency(cfg, traced(perftest::TestOp::kSend, shards, q));
+        perftest::run_latency(cfg, traced(perftest::TestOp::kSend, shards));
     causal::Aggregator agg;
     agg.ingest(r.trace);
     EXPECT_GT(agg.spans(), 0u);
     return agg.latency_report() + "\n---\n" + agg.critpath_report();
   };
-  const std::string golden = reports(1, sim::QueueKind::kHeap);
+  const std::string golden = reports(1);
   for (std::size_t shards : {2u, 4u}) {
-    EXPECT_EQ(reports(shards, sim::QueueKind::kHeap), golden)
-        << "shards=" << shards;
-  }
-  for (std::size_t shards : {1u, 2u, 4u}) {
-    EXPECT_EQ(reports(shards, sim::QueueKind::kCalendar), golden)
-        << "calendar shards=" << shards;
+    EXPECT_EQ(reports(shards), golden) << "shards=" << shards;
   }
 }
 

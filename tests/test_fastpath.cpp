@@ -23,106 +23,82 @@ namespace cord {
 namespace {
 
 // --- Event engine ordering --------------------------------------------
-//
-// Every ordering contract holds under both event-queue backends (the
-// queue=heap|calendar knob) — the calendar queue's whole claim is a
-// bit-identical pop order, so each test runs once per backend.
-
-constexpr sim::QueueKind kQueueKinds[] = {sim::QueueKind::kHeap,
-                                          sim::QueueKind::kCalendar};
 
 TEST(EngineOrder, SameTimestampFiresInInsertionOrder) {
-  for (const sim::QueueKind kind : kQueueKinds) {
-    SCOPED_TRACE(sim::queue_kind_name(kind));
-    sim::Engine engine(kind);
-    std::vector<int> fired;
-    // Enough events to overflow the queue's one-item cache and exercise
-    // heap sifts, all at the same timestamp.
-    for (int i = 0; i < 300; ++i) {
-      engine.call_at(sim::ns(50), [&fired, i] { fired.push_back(i); });
-    }
-    engine.run();
-    ASSERT_EQ(fired.size(), 300u);
-    for (int i = 0; i < 300; ++i) EXPECT_EQ(fired[i], i) << "at index " << i;
+  sim::Engine engine;
+  std::vector<int> fired;
+  // Enough events to overflow the queue's one-item cache and exercise
+  // heap sifts, all at the same timestamp.
+  for (int i = 0; i < 300; ++i) {
+    engine.call_at(sim::ns(50), [&fired, i] { fired.push_back(i); });
   }
+  engine.run();
+  ASSERT_EQ(fired.size(), 300u);
+  for (int i = 0; i < 300; ++i) EXPECT_EQ(fired[i], i) << "at index " << i;
 }
 
 TEST(EngineOrder, MixedTimestampsSortStably) {
-  for (const sim::QueueKind kind : kQueueKinds) {
-    SCOPED_TRACE(sim::queue_kind_name(kind));
-    sim::Engine engine(kind);
-    std::vector<std::pair<int, int>> fired;  // (time_ns, insertion index)
-    // Interleave three timestamps in an adversarial insertion order.
-    const int times[] = {30, 10, 20, 10, 30, 20, 10, 20, 30};
-    for (int i = 0; i < 9; ++i) {
-      engine.call_at(sim::ns(times[i]), [&fired, t = times[i], i] {
-        fired.emplace_back(t, i);
-      });
-    }
-    engine.run();
-    const std::vector<std::pair<int, int>> expect = {
-        {10, 1}, {10, 3}, {10, 6}, {20, 2}, {20, 5},
-        {20, 7}, {30, 0}, {30, 4}, {30, 8}};
-    EXPECT_EQ(fired, expect);
-    EXPECT_EQ(engine.events_processed(), 9u);
+  sim::Engine engine;
+  std::vector<std::pair<int, int>> fired;  // (time_ns, insertion index)
+  // Interleave three timestamps in an adversarial insertion order.
+  const int times[] = {30, 10, 20, 10, 30, 20, 10, 20, 30};
+  for (int i = 0; i < 9; ++i) {
+    engine.call_at(sim::ns(times[i]), [&fired, t = times[i], i] {
+      fired.emplace_back(t, i);
+    });
   }
+  engine.run();
+  const std::vector<std::pair<int, int>> expect = {
+      {10, 1}, {10, 3}, {10, 6}, {20, 2}, {20, 5},
+      {20, 7}, {30, 0}, {30, 4}, {30, 8}};
+  EXPECT_EQ(fired, expect);
+  EXPECT_EQ(engine.events_processed(), 9u);
 }
 
 TEST(EngineOrder, PastTimeClampsToNowInsteadOfReordering) {
-  for (const sim::QueueKind kind : kQueueKinds) {
-    SCOPED_TRACE(sim::queue_kind_name(kind));
-    sim::Engine engine(kind);
-    std::vector<int> fired;
-    engine.call_at(sim::ns(100), [&] {
+  sim::Engine engine;
+  std::vector<int> fired;
+  engine.call_at(sim::ns(100), [&] {
+    EXPECT_EQ(engine.now(), sim::ns(100));
+    // Scheduling into the past must clamp to now(), not time-travel.
+    engine.call_at(sim::ns(40), [&] {
+      fired.push_back(2);
       EXPECT_EQ(engine.now(), sim::ns(100));
-      // Scheduling into the past must clamp to now(), not time-travel.
-      engine.call_at(sim::ns(40), [&] {
-        fired.push_back(2);
-        EXPECT_EQ(engine.now(), sim::ns(100));
-      });
-      fired.push_back(1);
     });
-    EXPECT_EQ(engine.clamped_events(), 0u);
-    engine.run();
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-    EXPECT_EQ(engine.clamped_events(), 1u);
-  }
+    fired.push_back(1);
+  });
+  EXPECT_EQ(engine.clamped_events(), 0u);
+  engine.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(engine.clamped_events(), 1u);
 }
 
 TEST(EngineOrder, RunUntilLeavesLaterEventsQueued) {
-  for (const sim::QueueKind kind : kQueueKinds) {
-    SCOPED_TRACE(sim::queue_kind_name(kind));
-    sim::Engine engine(kind);
-    int fired = 0;
-    engine.call_at(sim::ns(10), [&] { ++fired; });
-    engine.call_at(sim::ns(20), [&] { ++fired; });
-    engine.call_at(sim::ns(30), [&] { ++fired; });
-    EXPECT_EQ(engine.pending_events(), 3u);
-    EXPECT_EQ(engine.run_until(sim::ns(20)), sim::ns(20));
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(engine.pending_events(), 1u);
-    engine.run();
-    EXPECT_EQ(fired, 3);
-    EXPECT_EQ(engine.pending_events(), 0u);
-  }
+  sim::Engine engine;
+  int fired = 0;
+  engine.call_at(sim::ns(10), [&] { ++fired; });
+  engine.call_at(sim::ns(20), [&] { ++fired; });
+  engine.call_at(sim::ns(30), [&] { ++fired; });
+  EXPECT_EQ(engine.pending_events(), 3u);
+  EXPECT_EQ(engine.run_until(sim::ns(20)), sim::ns(20));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(engine.pending_events(), 0u);
 }
 
 // Parked callbacks that never fire must still be destroyed (captures own
 // resources — here a shared_ptr whose use_count observes destruction).
-// The calendar run also covers the teardown walk over bucket chains and
-// the overflow band.
 TEST(EngineOrder, UnfiredCallbacksDestroyedAtTeardown) {
-  for (const sim::QueueKind kind : kQueueKinds) {
-    SCOPED_TRACE(sim::queue_kind_name(kind));
-    auto token = std::make_shared<int>(42);
-    {
-      sim::Engine engine(kind);
-      engine.call_at(sim::ns(10), [keep = token] { (void)*keep; });
-      engine.call_at(sim::ns(20), [keep = token] { (void)*keep; });
-      EXPECT_EQ(token.use_count(), 3);
-    }
-    EXPECT_EQ(token.use_count(), 1);
+  auto token = std::make_shared<int>(42);
+  {
+    sim::Engine engine;
+    engine.call_at(sim::ns(10), [keep = token] { (void)*keep; });
+    engine.call_at(sim::ns(20), [keep = token] { (void)*keep; });
+    EXPECT_EQ(token.use_count(), 3);
   }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --- InlineFn ----------------------------------------------------------
@@ -281,35 +257,27 @@ TEST(GoldenSmoke, Fig1ShapedLatencyAndBandwidth) {
       {4096, false, 0x1.2ae147ae147aep+1, 0x1.2ae147ae147aep+1, 0x1.2ae147ae147aep+1},
       {4096, true, 0x1.baad2dcb1465fp+2, 0x1.baad2dcb1465fp+2, 0x1.baad2dcb1465fp+2},
   };
-  // The goldens were captured on the heap backend; the calendar backend
-  // must reproduce every one of them bit-for-bit (same hex floats, same
-  // elapsed picosecond count).
-  for (const sim::QueueKind kind : kQueueKinds) {
-    SCOPED_TRACE(sim::queue_kind_name(kind));
-    for (const Golden& g : lat_golden) {
-      perftest::Params p;
-      p.queue = kind;
-      p.op = perftest::TestOp::kSend;
-      p.msg_size = g.size;
-      p.iterations = 50;
-      p.warmup = 10;
-      p.knobs.interrupt_wait = g.interrupt;
-      const auto r = perftest::run_latency(cfg, p);
-      EXPECT_EQ(r.avg_us, g.avg) << "size=" << g.size << " int=" << g.interrupt;
-      EXPECT_EQ(r.p50_us, g.p50) << "size=" << g.size << " int=" << g.interrupt;
-      EXPECT_EQ(r.p99_us, g.p99) << "size=" << g.size << " int=" << g.interrupt;
-    }
-
+  for (const Golden& g : lat_golden) {
     perftest::Params p;
-    p.queue = kind;
     p.op = perftest::TestOp::kSend;
-    p.msg_size = 65536;
-    p.iterations = 200;
-    const auto r = perftest::run_bandwidth(cfg, p);
-    EXPECT_EQ(r.gbps, 0x1.899e6c9441779p+6);
-    EXPECT_EQ(r.messages, 200u);
-    EXPECT_EQ(r.elapsed, 1'065'575'000);
+    p.msg_size = g.size;
+    p.iterations = 50;
+    p.warmup = 10;
+    p.knobs.interrupt_wait = g.interrupt;
+    const auto r = perftest::run_latency(cfg, p);
+    EXPECT_EQ(r.avg_us, g.avg) << "size=" << g.size << " int=" << g.interrupt;
+    EXPECT_EQ(r.p50_us, g.p50) << "size=" << g.size << " int=" << g.interrupt;
+    EXPECT_EQ(r.p99_us, g.p99) << "size=" << g.size << " int=" << g.interrupt;
   }
+
+  perftest::Params p;
+  p.op = perftest::TestOp::kSend;
+  p.msg_size = 65536;
+  p.iterations = 200;
+  const auto r = perftest::run_bandwidth(cfg, p);
+  EXPECT_EQ(r.gbps, 0x1.899e6c9441779p+6);
+  EXPECT_EQ(r.messages, 200u);
+  EXPECT_EQ(r.elapsed, 1'065'575'000);
 }
 
 }  // namespace

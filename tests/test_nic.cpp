@@ -27,9 +27,7 @@ struct TwoNodeFixture {
   std::unique_ptr<Nic> nic0;
   std::unique_ptr<Nic> nic1;
 
-  explicit TwoNodeFixture(NicConfig c = {},
-                          sim::QueueKind q = sim::QueueKind::kHeap)
-      : engine(q), cfg(c) {
+  explicit TwoNodeFixture(NicConfig c = {}) : cfg(c) {
     network.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
     network.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
     network.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
@@ -814,12 +812,11 @@ TEST(Segmentation, NicCountersTrackExactChunkCounts) {
   EXPECT_EQ(f.nic0->counters().seg_chunks, want_chunks);
 }
 
-TEST(Segmentation, DeliveryTimesIdenticalAcrossQueueBackends) {
+TEST(Segmentation, BoundarySizeDeliveryTimesAreReproducible) {
   // The same boundary-size workload must finish at the same simulated
-  // instant under the heap and calendar event queues — segmentation math
-  // must not depend on the scheduler backend.
-  auto run = [](sim::QueueKind q) {
-    TwoNodeFixture f({}, q);
+  // instants run to run.
+  auto run = [] {
+    TwoNodeFixture f;
     auto p = f.connect_rc();
     const std::uint32_t mtu = f.cfg.mtu;
     const std::uint32_t max_size = 3 * mtu + 1;
@@ -853,10 +850,9 @@ TEST(Segmentation, DeliveryTimesIdenticalAcrossQueueBackends) {
     completion_times.push_back(f.engine.now());
     return completion_times;
   };
-  const auto heap = run(sim::QueueKind::kHeap);
-  const auto calendar = run(sim::QueueKind::kCalendar);
-  ASSERT_EQ(heap.size(), 5u) << "4 completions + final engine time";
-  EXPECT_EQ(heap, calendar);
+  const auto first = run();
+  ASSERT_EQ(first.size(), 5u) << "4 completions + final engine time";
+  EXPECT_EQ(run(), first);
 }
 
 }  // namespace

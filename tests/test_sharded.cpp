@@ -1,13 +1,16 @@
 // Sharded-simulation tests: the conservative-window protocol itself, its
-// setup-time rejection of unsafe partitions, run-to-run and
-// shards-vs-single-engine determinism (golden values + canonical trace
-// memcmp), the NIC's doorbell/completion batching counters, the coroutine
-// frame arena, and the flame view.
+// setup-time rejection of unsafe partitions, a randomized single-engine
+// vs conservative differential, run-to-run and shards-vs-single-engine
+// determinism (golden values + canonical trace memcmp), the NIC's
+// doorbell/completion batching counters, the coroutine frame arena, and
+// the flame view.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/system.hpp"
@@ -104,6 +107,205 @@ TEST(ShardedEngine, SequentialMergesGlobalTimeOrder) {
   EXPECT_EQ(se.stats().sequential_events, 4u);
 }
 
+// Shard-sync counters surface through System::metrics() and every host
+// kernel's proc_read("metrics").
+TEST(ShardedEngine, CountersSurfaceThroughSystemMetricsAndProcfs) {
+  core::System sys(core::system_l(), /*host_count=*/2, /*shards=*/2);
+  sim::ShardedEngine& se = sys.sharded();
+  // Drive the shards directly with two chains that post to each other:
+  // the hosts' NIC models stay idle, so every counter below is
+  // attributable to the chains.
+  struct Chain {
+    sim::ShardedEngine* se;
+    std::uint32_t s, k;
+    void operator()() const {
+      sim::Engine& e = se->shard(s);
+      if (k % 8 == 0) {
+        e.cross_post(se->shard(1 - s), e.now() + se->lookahead(s, 1 - s),
+                     sim::InlineFn([] {}));
+      }
+      if (k + 1 < 64) e.call_at(e.now() + sim::ns(10), Chain{se, s, k + 1});
+    }
+  };
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    se.shard(s).call_at(1 + s, Chain{&se, s, 0});
+  }
+  se.run();
+  const auto& st = se.stats();
+  EXPECT_GT(st.windows, 0u);
+  EXPECT_EQ(st.messages, 16u);
+  EXPECT_EQ(se.clamped_events(), 0u);
+  EXPECT_EQ(sys.metrics().gauge_value("sim.shard.windows"),
+            static_cast<std::int64_t>(st.windows));
+  EXPECT_EQ(sys.metrics().gauge_value("sim.shard.messages"),
+            static_cast<std::int64_t>(st.messages));
+  const std::string dump = sys.host(0).kernel().proc_read("metrics");
+  EXPECT_NE(dump.find("sim.shard.windows"), std::string::npos);
+  EXPECT_NE(dump.find("sim.shard.messages"), std::string::npos);
+  EXPECT_EQ(sys.host(1).kernel().metrics().gauge_value("sim.shard.messages"),
+            static_cast<std::int64_t>(st.messages));
+}
+
+// --- Differential: conservative windows against a single engine -------
+//
+// Every event's behavior below is a pure function of (seed, shard, step),
+// never of model state, and all state writes are commutative
+// accumulations. So the same final state is reachable under any legal
+// execution order, and one model must give bit-equal accumulators, final
+// times, event counts and zero clamps on a single engine and under
+// conservative sharded sync, for any topology and seed.
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+struct ModelCfg {
+  std::size_t shards = 2;
+  Time lookahead = 100;
+  std::uint64_t seed = 1;
+  std::uint32_t chain_len = 64;  // events per shard chain
+  Time base_gap = 0;             // per-event delta = base_gap + h % gap_mod
+  Time gap_mod = 1;
+  std::uint32_t post_every = 4;  // cross-post when h % post_every == 0
+  // Per-shard overrides (index < size); empty = uniform.
+  std::vector<Time> base_gap_of;
+  std::vector<std::uint32_t> chain_len_of;
+
+  Time gap(std::size_t s) const {
+    return s < base_gap_of.size() ? base_gap_of[s] : base_gap;
+  }
+  std::uint32_t len(std::size_t s) const {
+    return s < chain_len_of.size() ? chain_len_of[s] : chain_len;
+  }
+};
+
+struct ModelResult {
+  std::vector<std::uint64_t> acc;  // one commutative accumulator per shard
+  Time final_time = 0;
+  std::uint64_t events = 0;
+  std::uint64_t clamped = 0;
+};
+
+// Executor seam: where events live and how cross-"shard" posts travel.
+struct SingleExec {
+  explicit SingleExec(const ModelCfg&) {}
+  sim::Engine& engine(std::size_t) { return eng; }
+  void post(std::size_t, std::size_t, Time t, sim::InlineFn fn) {
+    eng.call_at(t, std::move(fn));
+  }
+  Time run() { return eng.run(); }
+  std::uint64_t events() const { return eng.events_processed(); }
+  std::uint64_t clamped() const { return eng.clamped_events(); }
+  sim::Engine eng;
+};
+
+struct ShardExec {
+  explicit ShardExec(const ModelCfg& cfg) : se(cfg.shards) {
+    se.set_lookahead(cfg.lookahead);
+  }
+  sim::Engine& engine(std::size_t s) { return se.shard(s); }
+  void post(std::size_t src, std::size_t dst, Time t, sim::InlineFn fn) {
+    se.shard(src).cross_post(se.shard(dst), t, std::move(fn));
+  }
+  Time run() { return se.run(); }
+  std::uint64_t events() const { return se.events_processed(); }
+  std::uint64_t clamped() const { return se.clamped_events(); }
+  sim::ShardedEngine se;
+};
+
+// One chain step on logical shard `s`. Scheduling decisions never read
+// model state, so the executed event set is identical across executors.
+template <typename Exec>
+void chain_step(Exec& ex, const ModelCfg& cfg, ModelResult& st,
+                std::uint32_t s, std::uint32_t k) {
+  sim::Engine& e = ex.engine(s);
+  const Time t = e.now();
+  const std::uint64_t h = splitmix(cfg.seed ^ (s * 0x10001ULL) ^ k);
+  st.acc[s] += h;
+  if (cfg.shards > 1 && cfg.post_every != 0 && h % cfg.post_every == 0) {
+    const auto dst = static_cast<std::uint32_t>(
+        (s + 1 + (h >> 8) % (cfg.shards - 1)) % cfg.shards);
+    const Time post_t =
+        t + cfg.lookahead + static_cast<Time>((h >> 16) % 16);
+    const std::uint64_t v = splitmix(h);
+    ex.post(s, dst, post_t,
+            sim::InlineFn([&st, dst, v] { st.acc[dst] += v; }));
+  }
+  if (k + 1 < cfg.len(s)) {
+    const Time delta = cfg.gap(s) + static_cast<Time>(h % cfg.gap_mod);
+    e.call_at(t + delta, [&ex, &cfg, &st, s, k] {
+      chain_step(ex, cfg, st, s, k + 1);
+    });
+  }
+}
+
+template <typename Exec>
+ModelResult run_model(const ModelCfg& cfg) {
+  Exec ex(cfg);
+  ModelResult r;
+  r.acc.assign(cfg.shards, 0);
+  for (std::uint32_t s = 0; s < cfg.shards; ++s) {
+    ex.engine(s).call_at(static_cast<Time>(1 + s), [&ex, &cfg, &r, s] {
+      chain_step(ex, cfg, r, s, 0);
+    });
+  }
+  r.final_time = ex.run();
+  r.events = ex.events();
+  r.clamped = ex.clamped();
+  return r;
+}
+
+void expect_equivalent(const ModelCfg& cfg) {
+  const ModelResult single = run_model<SingleExec>(cfg);
+  const ModelResult cons = run_model<ShardExec>(cfg);
+  EXPECT_EQ(single.acc, cons.acc);
+  EXPECT_EQ(single.final_time, cons.final_time);
+  EXPECT_EQ(single.events, cons.events);
+  EXPECT_EQ(0u, single.clamped);
+  EXPECT_EQ(0u, cons.clamped);
+}
+
+// A dense fast shard plus a slow poster whose every step posts: the slow
+// shard's deliveries bound the fast shard's windows.
+TEST(ShardedDifferential, DenseShardWithSlowPosterMatchesSingleEngine) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ModelCfg cfg;
+    cfg.shards = 2;
+    cfg.lookahead = 100;
+    cfg.seed = seed;
+    cfg.gap_mod = 8;
+    cfg.post_every = 1;  // every shard-0 step posts
+    cfg.base_gap_of = {400, 25};
+    cfg.chain_len_of = {24, 256};
+    expect_equivalent(cfg);
+  }
+}
+
+// Randomized sweep: topologies and rates drawn from the seed.
+TEST(ShardedDifferential, RandomizedMatchesSingleEngine) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const std::uint64_t h = splitmix(seed * 0xabcdULL);
+    ModelCfg cfg;
+    cfg.shards = 2 + h % 3;  // 2..4
+    cfg.lookahead = 50 + static_cast<Time>((h >> 8) % 200);
+    cfg.seed = seed;
+    cfg.chain_len = 48 + static_cast<std::uint32_t>((h >> 16) % 128);
+    cfg.base_gap = 10 + static_cast<Time>((h >> 24) % 64);
+    cfg.gap_mod = 1 + static_cast<Time>((h >> 32) % 96);
+    cfg.post_every = 1 + static_cast<std::uint32_t>((h >> 40) % 5);
+    // Skew one shard slow.
+    cfg.base_gap_of.assign(cfg.shards, cfg.base_gap);
+    cfg.base_gap_of[h % cfg.shards] = cfg.base_gap * 16;
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " shards=" + std::to_string(cfg.shards));
+    expect_equivalent(cfg);
+  }
+}
+
 // --- Determinism: sharded runs against the single-engine goldens ------
 //
 // The values are the GoldenSmoke goldens from test_fastpath.cpp (hex
@@ -123,6 +325,7 @@ TEST(ShardedGolden, SendLatencyMatchesSingleEngineGoldens) {
     EXPECT_EQ(r.avg_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
     EXPECT_EQ(r.p50_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
     EXPECT_EQ(r.p99_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
+    EXPECT_EQ(r.clamped_events, 0u);
     EXPECT_GT(r.shard_windows, 0u);
     EXPECT_GT(r.shard_messages, 0u);
   }
@@ -249,117 +452,6 @@ TEST(ShardedGolden, CanonicalTraceIsShardInvariant) {
                            t1.size() * sizeof(trace::Record)));
   EXPECT_EQ(0, std::memcmp(t1.data(), t4.data(),
                            t1.size() * sizeof(trace::Record)));
-}
-
-// --- Determinism: the speculative sync mode against the same goldens --
-//
-// The NIC stack never marks a callback replayable, so under
-// sync=speculative every event beyond the conservative edge is a fence:
-// the optimistic mode must execute the exact conservative schedule and
-// reproduce every single-engine golden bit-for-bit, with zero dispatches
-// journaled. This is the safety half of the Time-Warp work; the speedup
-// half lives in bench_shard_scaling's replayable workload.
-
-TEST(SpeculativeGolden, SendLatencyMatchesSingleEngineGoldens) {
-  const auto cfg = core::system_l();
-  for (std::size_t shards : {2u, 4u}) {
-    for (sim::QueueKind queue : {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      perftest::Params p;
-      p.op = perftest::TestOp::kSend;
-      p.msg_size = 64;
-      p.iterations = 50;
-      p.warmup = 10;
-      p.shards = shards;
-      p.queue = queue;
-      p.sync = sim::SyncMode::kSpeculative;
-      const auto r = perftest::run_latency(cfg, p);
-      EXPECT_EQ(r.avg_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
-      EXPECT_EQ(r.p50_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
-      EXPECT_EQ(r.p99_us, 0x1.3ae147ae147aep+0) << "shards=" << shards;
-      EXPECT_EQ(r.clamped_events, 0u);
-      EXPECT_EQ(r.shard_journaled, 0u);  // all-fence workload
-      EXPECT_EQ(r.shard_rollbacks, 0u);
-      EXPECT_GT(r.shard_windows, 0u);
-      EXPECT_GT(r.shard_messages, 0u);
-    }
-  }
-}
-
-TEST(SpeculativeGolden, LargeAndInterruptLatencyMatchGoldens) {
-  const auto cfg = core::system_l();
-  {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 4096;
-    p.iterations = 50;
-    p.warmup = 10;
-    p.shards = 2;
-    p.sync = sim::SyncMode::kSpeculative;
-    const auto r = perftest::run_latency(cfg, p);
-    EXPECT_EQ(r.avg_us, 0x1.2ae147ae147aep+1);
-  }
-  {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 64;
-    p.iterations = 50;
-    p.warmup = 10;
-    p.knobs.interrupt_wait = true;
-    p.shards = 2;
-    p.sync = sim::SyncMode::kSpeculative;
-    const auto r = perftest::run_latency(cfg, p);
-    EXPECT_EQ(r.avg_us, 0x1.74e1719f7f8cbp+2);
-  }
-}
-
-TEST(SpeculativeGolden, BandwidthMatchesSingleEngineGolden) {
-  const auto cfg = core::system_l();
-  for (std::size_t shards : {2u, 4u}) {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 65536;
-    p.iterations = 200;
-    p.shards = shards;
-    p.sync = sim::SyncMode::kSpeculative;
-    const auto r = perftest::run_bandwidth(cfg, p);
-    EXPECT_EQ(r.gbps, 0x1.899e6c9441779p+6) << "shards=" << shards;
-    EXPECT_EQ(r.messages, 200u);
-    EXPECT_EQ(r.elapsed, 1'065'575'000) << "shards=" << shards;
-    EXPECT_EQ(r.shard_journaled, 0u);
-  }
-}
-
-TEST(SpeculativeGolden, CanonicalTraceIsSyncModeInvariant) {
-  const auto cfg = core::system_l();
-  auto capture = [&](std::size_t shards, sim::SyncMode sync,
-                     sim::QueueKind queue) {
-    perftest::Params p;
-    p.op = perftest::TestOp::kSend;
-    p.msg_size = 256;
-    p.iterations = 20;
-    p.warmup = 5;
-    p.shards = shards;
-    p.sync = sync;
-    p.queue = queue;
-    p.capture_trace = true;
-    auto r = perftest::run_latency(cfg, p);
-    EXPECT_EQ(r.trace_dropped, 0u);
-    return trace::canonical_trace(std::move(r.trace));
-  };
-  const auto single =
-      capture(1, sim::SyncMode::kConservative, sim::QueueKind::kHeap);
-  ASSERT_FALSE(single.empty());
-  for (std::size_t shards : {2u, 4u}) {
-    for (sim::QueueKind queue :
-         {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      const auto spec = capture(shards, sim::SyncMode::kSpeculative, queue);
-      ASSERT_EQ(single.size(), spec.size())
-          << "shards=" << shards << " queue=" << static_cast<int>(queue);
-      EXPECT_EQ(0, std::memcmp(single.data(), spec.data(),
-                               single.size() * sizeof(trace::Record)))
-          << "shards=" << shards << " queue=" << static_cast<int>(queue);
-    }
-  }
 }
 
 // --- Satellite: NIC doorbell/completion batching ----------------------

@@ -1,10 +1,16 @@
-// Unit tests for the discrete-event simulation core: engine ordering,
-// parked pollers, coroutine task composition, latches/signals/channels,
-// FIFO resources, RNG determinism, and statistics.
+// Unit tests for the discrete-event simulation core: engine ordering
+// (including a randomized differential against a reference order), parked
+// pollers, coroutine task composition, latches/signals/channels, FIFO
+// resources, RNG determinism, and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -123,6 +129,95 @@ TEST(Engine, DestructorReclaimsStuckRoots) {
   e.run();
   EXPECT_EQ(e.live_roots(), 1u);
   latch_owner.reset();  // must destroy the suspended root without UB
+}
+
+// --- Event queue against a reference total order ----------------------------
+// A seeded program schedules through call_at from outside and inside
+// dispatch. Its times mix duplicate timestamps, clamped past scheduling
+// and far-future times next to ShardedEngine::kUnboundedLookahead (where
+// the shard coordinator's window arithmetic ends). The clock steps in
+// run_until windows with a next_event_time() peek at each edge, as the
+// coordinator drives it. Every dispatch must pop the minimum of a std::set
+// on (t, seq) that mirrors the queue.
+
+struct RefQueue {
+  Engine engine;
+  Rng rng;
+  std::set<std::pair<Time, std::uint64_t>> ref;
+  std::uint64_t next_seq = 0;  // mirrors the engine's insertion counter
+  std::uint64_t clamped = 0;
+  std::uint64_t fired = 0;
+  std::size_t peak = 0;
+  Time last_push = 0;
+  int budget = 20000;
+
+  explicit RefQueue(std::uint64_t seed) : rng(seed) {}
+
+  Time draw_time() {
+    const Time now = engine.now();
+    const auto r = static_cast<Time>(rng.next_u64() % 2048);
+    switch (rng.next_u64() % 8) {
+      case 0:  // at or before now: a past time clamps to now
+        return now - r % 20;
+      case 1:  // duplicate of the previous push's timestamp
+        return last_push;
+      case 2:  // within a few picoseconds
+        return now + r % 64;
+      case 3:
+      case 4:
+      case 5:  // the FIFO-ish common case: a few ns out
+        return now + ns(1 + r % 2000);
+      case 6:  // milliseconds out
+        return now + ms(1 + r % 50);
+      default:  // next to the coordinator's unbounded-window sentinel
+        return ShardedEngine::kUnboundedLookahead - r % 4;
+    }
+  }
+
+  void push() {
+    --budget;
+    const Time want = draw_time();
+    last_push = want;
+    if (want < engine.now()) ++clamped;
+    const std::uint64_t seq = next_seq++;
+    ref.emplace(std::max(want, engine.now()), seq);
+    peak = std::max(peak, ref.size());
+    engine.call_at(want, [this, seq] { fire(seq); });
+  }
+
+  void fire(std::uint64_t seq) {
+    ASSERT_FALSE(ref.empty());
+    const auto [t, expect_seq] = *ref.begin();
+    ASSERT_EQ(engine.now(), t);
+    ASSERT_EQ(seq, expect_seq);
+    ref.erase(ref.begin());
+    ++fired;
+    const std::uint64_t kids = rng.next_u64() % 3;
+    for (std::uint64_t k = 0; k < kids && budget > 0; ++k) push();
+  }
+};
+
+TEST(Engine, RandomizedOrderMatchesReference) {
+  for (const std::uint64_t seed : {1ull, 7ull, 0xC0FFEEull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RefQueue q(seed);
+    for (Time edge = ns(100); q.budget > 0; edge += ns(137)) {
+      for (int i = 0; i < 4 && q.budget > 0; ++i) q.push();
+      ASSERT_EQ(q.engine.next_event_time(),
+                q.ref.empty() ? Engine::kNoEvent : q.ref.begin()->first);
+      q.engine.run_until(edge);
+      ASSERT_EQ(q.engine.pending_events(), q.ref.size());
+    }
+    q.engine.run();
+    EXPECT_TRUE(q.ref.empty());
+    EXPECT_EQ(q.engine.next_event_time(), Engine::kNoEvent);
+    EXPECT_EQ(q.engine.events_processed(), q.fired);
+    EXPECT_EQ(q.engine.clamped_events(), q.clamped);
+    EXPECT_EQ(q.engine.queue_peak_depth(), q.peak);
+    // The stream must have exercised the clamp and the far-future band.
+    EXPECT_GT(q.clamped, 0u);
+    EXPECT_GE(q.engine.now(), ShardedEngine::kUnboundedLookahead - 3);
+  }
 }
 
 // --- Parked pollers ---------------------------------------------------------
@@ -308,6 +403,40 @@ TEST(Poller, ParkOnMultiShardEngineThrows) {
   e.run();
   EXPECT_TRUE(threw);
   EXPECT_EQ(e.live_roots(), 0u);
+}
+
+TEST(Poller, OneShardCoordinatorReplaysParkedStepsInEitherRunMode) {
+  // A one-shard coordinator has nothing to merge, so run_sequential()
+  // must drain like run() and Engine::run(), parked pollers included.
+  struct Wait final : Poller {
+    bool ready = false;
+    int steps = 0;
+    Time step() override {
+      ++steps;
+      return ready ? kWake : ns(10);
+    }
+  };
+  for (const bool sequential : {false, true}) {
+    SCOPED_TRACE(sequential ? "run_sequential" : "run");
+    ShardedEngine sharded(1);
+    Engine& e = sharded.shard(0);
+    Wait wait;
+    Time woke = -1;
+    e.call_at(us(1), [&wait] { wait.ready = true; });
+    e.spawn([](Engine& e, Wait& w, Time& woke) -> Task<> {
+      co_await e.park(w, ns(10));
+      woke = e.now();
+    }(e, wait, woke));
+    const Time end = sequential ? sharded.run_sequential() : sharded.run();
+    // Steps at 10, 20, ..., 1000 ns; the callback due at 1 us was
+    // scheduled first, so it runs before the step that wakes.
+    EXPECT_EQ(wait.steps, 100);
+    EXPECT_EQ(e.polls_elided(), 99u);
+    EXPECT_EQ(e.poll_wakes(), 1u);
+    EXPECT_EQ(woke, us(1));
+    EXPECT_EQ(end, us(1));
+    EXPECT_EQ(sharded.live_roots(), 0u);
+  }
 }
 
 Task<int> add_later(Engine& e, int a, int b) {

@@ -465,47 +465,39 @@ TEST(RackGolden, BandwidthIsShardInvariant) {
   }
 }
 
-TEST(RackGolden, MtuBoundarySizesAreShardAndBackendInvariant) {
+TEST(RackGolden, MtuBoundarySizesAreShardInvariant) {
   // MTU segmentation edge cases (1 byte, exactly k*MTU, k*MTU + 1) across
   // the routed rack fabric: the fused per-burst segmentation must produce
-  // bit-identical latencies at every shard count under both event-queue
-  // backends. The NIC default MTU is 4096.
+  // bit-identical latencies at every shard count. The NIC default MTU is
+  // 4096.
   const auto cfg = core::system_l();
   for (const std::size_t msg_size : {std::size_t{1}, std::size_t{4096},
                                      std::size_t{3 * 4096},
                                      std::size_t{3 * 4096 + 1}}) {
-    auto params = [&](std::size_t shards, sim::QueueKind queue) {
+    auto params = [&](std::size_t shards) {
       perftest::Params p = rack_params(perftest::TestOp::kSend, shards);
       p.msg_size = msg_size;
       p.iterations = 10;
       p.warmup = 2;
-      p.queue = queue;
       return p;
     };
-    const auto single =
-        perftest::run_latency(cfg, params(1, sim::QueueKind::kHeap));
+    const auto single = perftest::run_latency(cfg, params(1));
     EXPECT_GT(single.avg_us, 0.0);
-    for (const sim::QueueKind queue :
-         {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-      for (const std::size_t shards : {1u, 2u, 4u}) {
-        if (shards == 1 && queue == sim::QueueKind::kHeap) continue;
-        SCOPED_TRACE("msg_size=" + std::to_string(msg_size) + " " +
-                     std::string(sim::queue_kind_name(queue)) +
-                     " shards=" + std::to_string(shards));
-        const auto r = perftest::run_latency(cfg, params(shards, queue));
-        EXPECT_EQ(r.avg_us, single.avg_us);
-        EXPECT_EQ(r.p50_us, single.p50_us);
-        EXPECT_EQ(r.p99_us, single.p99_us);
-      }
+    for (const std::size_t shards : {2u, 4u}) {
+      SCOPED_TRACE("msg_size=" + std::to_string(msg_size) +
+                   " shards=" + std::to_string(shards));
+      const auto r = perftest::run_latency(cfg, params(shards));
+      EXPECT_EQ(r.avg_us, single.avg_us);
+      EXPECT_EQ(r.p50_us, single.p50_us);
+      EXPECT_EQ(r.p99_us, single.p99_us);
     }
   }
 }
 
 TEST(RackGolden, CanonicalTraceIsShardInvariant) {
   const auto cfg = core::system_l();
-  auto capture = [&](std::size_t shards, sim::QueueKind queue) {
+  auto capture = [&](std::size_t shards) {
     perftest::Params p = rack_params(perftest::TestOp::kSend, shards);
-    p.queue = queue;
     p.msg_size = 256;
     p.iterations = 10;
     p.warmup = 2;
@@ -514,23 +506,16 @@ TEST(RackGolden, CanonicalTraceIsShardInvariant) {
     EXPECT_EQ(r.trace_dropped, 0u);
     return trace::canonical_trace(std::move(r.trace));
   };
-  // The 1-shard heap capture is the golden; every other (shards, queue)
-  // combination — including the calendar event queue at 1, 2 and 4
-  // shards — must reproduce it byte-for-byte. The sharded calendar runs
-  // also cover its next_event_time() peeks at conservative window edges.
-  const auto t1 = capture(1, sim::QueueKind::kHeap);
+  // The 1-shard capture is the golden; the 2- and 4-shard runs must
+  // reproduce it byte-for-byte.
+  const auto t1 = capture(1);
   ASSERT_FALSE(t1.empty());
-  for (const sim::QueueKind queue :
-       {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    for (const std::size_t shards : {1u, 2u, 4u}) {
-      if (shards == 1 && queue == sim::QueueKind::kHeap) continue;
-      SCOPED_TRACE(std::string(sim::queue_kind_name(queue)) + " shards=" +
-                   std::to_string(shards));
-      const auto t = capture(shards, queue);
-      ASSERT_EQ(t1.size(), t.size());
-      EXPECT_EQ(0, std::memcmp(t1.data(), t.data(),
-                               t1.size() * sizeof(trace::Record)));
-    }
+  for (const std::size_t shards : {2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto t = capture(shards);
+    ASSERT_EQ(t1.size(), t.size());
+    EXPECT_EQ(0, std::memcmp(t1.data(), t.data(),
+                             t1.size() * sizeof(trace::Record)));
   }
 }
 

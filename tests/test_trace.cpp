@@ -475,6 +475,29 @@ TEST(SystemMetrics, EngineGaugesAreLive) {
   EXPECT_EQ(sys.metrics().gauge_value("engine.clamped_events"), 0);
 }
 
+TEST(SystemMetrics, QueueGaugesMirrorEngineStats) {
+  core::System sys(core::system_l(), 2);
+  // Before any load: the gauge exists and reads zero.
+  EXPECT_EQ(sys.metrics().gauge_value("engine.queue_peak_depth"), 0);
+  int fired = 0;
+  for (int i = 0; i < 5000; ++i) {
+    sys.engine().call_at(sim::ns(10 + i * 5), [&fired] { ++fired; });
+  }
+  sys.sharded().run();
+  EXPECT_EQ(fired, 5000);
+  EXPECT_EQ(sys.metrics().gauge_value("engine.queue_peak_depth"), 5000);
+  // The same stats surface per host through the kernel's /proc-style
+  // metrics read — the Kernel::proc_read("metrics") observability path.
+  const std::string dump = sys.host(0).kernel().proc_read("metrics");
+  EXPECT_NE(dump.find("engine.queue_depth"), std::string::npos);
+  EXPECT_NE(dump.find("engine.queue_peak_depth"), std::string::npos);
+  EXPECT_EQ(
+      sys.host(0).kernel().metrics().gauge_value("engine.queue_peak_depth"),
+      5000);
+  EXPECT_EQ(sys.host(0).kernel().metrics().gauge_value("engine.queue_depth"),
+            0);
+}
+
 TEST(SystemMetrics, NicGaugesMirrorDoorbellAndBurstCounters) {
   // Ten sequential RC sends (each waits for its completion): every post
   // rings its own doorbell, activates one burst of one WR, and the fused

@@ -6,10 +6,9 @@
 // proc_read("latency"/"critpath"): e2e percentiles, the per-stage
 // share/queue table, the critical-path summary, and the slowest spans'
 // full waterfalls. An optional metrics dump (MetricsRegistry::text())
-// adds an infrastructure summary — engine-queue health (depth, peak,
-// calendar resizes) and the NIC doorbell/burst pipeline — so one command
-// answers both "where did the time go" and "what was the machinery
-// doing".
+// adds an infrastructure summary — engine-queue health (depth, peak) and
+// the NIC doorbell/burst pipeline — so one command answers both "where
+// did the time go" and "what was the machinery doing".
 //
 // Usage:
 //   cord-inspect <trace.csv|trace.json> [metrics.txt]
