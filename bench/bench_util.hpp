@@ -69,15 +69,16 @@ inline int iters_for(std::size_t msg_size, int small = 2000, int large = 40) {
   return small;
 }
 
-/// A clamped run hit the engine's event-count safety limit: the data point
-/// covers fewer iterations than requested and must not be read as a
-/// steady-state number. One stderr line per affected point keeps figure
-/// output (stdout) clean while making truncation impossible to miss.
+/// A clamped event was scheduled into the past and ran at now() instead:
+/// a model bug, so the data point must not be trusted. One stderr line per
+/// affected point keeps figure output (stdout) clean while making the bug
+/// impossible to miss.
 inline void warn_clamped(std::uint64_t clamped, const char* where) {
   if (clamped == 0) return;
   std::fprintf(stderr,
-               "WARNING: %s: engine clamped %llu event(s); results for this "
-               "point are truncated\n",
+               "WARNING: %s: %llu event(s) were scheduled into the past and "
+               "clamped to the current time (a model bug); results for this "
+               "point are suspect\n",
                where, static_cast<unsigned long long>(clamped));
 }
 

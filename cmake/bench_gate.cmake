@@ -32,8 +32,7 @@
 # and investigate", not proof by itself.
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
-foreach(var BASELINE MICRO_SIM TRACE_BENCH SHARD_BENCH SHARD_BASELINE
-        TENANCY_BENCH OUT_DIR TOLERANCE)
+foreach(var BASELINE MICRO_SIM TRACE_BENCH TENANCY_BENCH OUT_DIR TOLERANCE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "bench_gate: missing -D${var}")
   endif()
@@ -41,10 +40,7 @@ endforeach()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
-# {name -> cpu_time} of a google-benchmark JSON file into <prefix>_<name>,
-# plus {name -> real_time} into <prefix>_RT_<name> (the shard-scaling
-# entries are barrier-bound and gated on wall time: the main thread's
-# cpu_time excludes the shard workers).
+# {name -> cpu_time} of a google-benchmark JSON file into <prefix>_<name>.
 function(load_bench_times json_file prefix)
   file(READ "${json_file}" _doc)
   string(JSON _n LENGTH "${_doc}" "benchmarks")
@@ -53,10 +49,8 @@ function(load_bench_times json_file prefix)
   foreach(i RANGE 0 ${_last})
     string(JSON _name GET "${_doc}" "benchmarks" ${i} "name")
     string(JSON _time GET "${_doc}" "benchmarks" ${i} "cpu_time")
-    string(JSON _rt GET "${_doc}" "benchmarks" ${i} "real_time")
     string(MAKE_C_IDENTIFIER "${_name}" _id)
     set(${prefix}_${_id} "${_time}" PARENT_SCOPE)
-    set(${prefix}_RT_${_id} "${_rt}" PARENT_SCOPE)
     # Custom counters land as top-level keys of the benchmark entry. The
     # deterministic virtual-time figure of merit (BM_SyscallBatch) rides in
     # sim_ns_per_op; absent for every other benchmark.
@@ -230,60 +224,6 @@ else()
             "${TR_BM_ScheduleDispatch_NoTracer} ns — OK")
   endif()
 endif()
-
-# --- 3. shard-scaling matrix -------------------------------------------------
-# The full bench_shard_scaling matrix — {pairs, rack} fabrics x 1/2/4/8
-# shards — gated on real_time against the committed baseline
-# (BENCH_shard_scaling.json). Every entry is gated, including multi-shard
-# ones: they bound the sync protocol's barrier/thread overhead even on a
-# 1-core host. Multi-shard
-# wall times are barrier-bound and noisier than single-engine loops, so
-# they get double tolerance; shards:1 entries (the sharding layer's tax on
-# classic single-engine runs) keep the strict one.
-set(_shard "${OUT_DIR}/BENCH_shard_scaling.json")
-execute_process(
-  COMMAND "${SHARD_BENCH}" --benchmark_format=json --benchmark_out=${_shard}
-          --benchmark_out_format=json --benchmark_min_time=0.3
-  RESULT_VARIABLE _rc OUTPUT_QUIET)
-if(NOT _rc EQUAL 0)
-  message(FATAL_ERROR "bench_gate: bench_shard_scaling failed (rc=${_rc})")
-endif()
-
-load_bench_times("${SHARD_BASELINE}" SHBASE)
-load_bench_times("${_shard}" SHFRESH)
-math(EXPR _tol_multi "2 * ${TOLERANCE}")
-foreach(_name ${SHBASE_NAMES})
-  string(MAKE_C_IDENTIFIER "${_name}" _id)
-  if(NOT DEFINED SHFRESH_RT_${_id})
-    list(APPEND _failures
-         "${_name}: present in shard baseline, missing from fresh run")
-    continue()
-  endif()
-  if(_name MATCHES "shards:1/")
-    set(_tol "${TOLERANCE}")
-  else()
-    set(_tol "${_tol_multi}")
-  endif()
-  check_regression("${SHBASE_RT_${_id}}" "${SHFRESH_RT_${_id}}" "${_tol}" _pct)
-  if(_pct)
-    list(APPEND _failures
-         "${_name}: real_time ${SHFRESH_RT_${_id}} ns vs baseline ${SHBASE_RT_${_id}} ns (+${_pct}%, limit +${_tol}%)")
-  endif()
-endforeach()
-
-# Anti-disarm check (same idea as the NIC gate): the single-engine
-# entries that carry the strict tolerance must exist in the committed
-# baseline itself, so regenerating it without them cannot silently drop
-# the gate.
-foreach(_name
-    "BM_ShardScaling/shards:1/real_time"
-    "BM_ShardScalingRack/shards:1/real_time")
-  string(MAKE_C_IDENTIFIER "${_name}" _id)
-  if(NOT DEFINED SHBASE_${_id})
-    list(APPEND _failures
-         "shard gate: ${_name} missing from committed baseline ${SHARD_BASELINE}")
-  endif()
-endforeach()
 
 # --- 4. massive-tenancy scenarios --------------------------------------------
 # bench_tenancy emits *simulated* (virtual-time, deterministic) numbers,

@@ -1,42 +1,18 @@
-// Fabric between NICs: point-to-point links, rack-style switched
-// topologies, and statically routed multi-hop paths.
+// Fabric between NICs: point-to-point links and per-node loopbacks.
 //
 // A Link is full duplex: each direction is an independent FIFO Resource at
 // the wire bandwidth plus a fixed propagation delay. The paper's two
 // evaluation systems are back-to-back two-node setups (a single link plus
-// per-NIC loopback paths), and that direct-wire fast path is unchanged.
-// Beyond it, a Network may contain switch nodes (added with add_switch,
-// wired with the same connect()) and then computes static shortest-path
-// routes between hosts; path() returns a multi-hop Path chain traversed
-// store-and-forward at MTU-chunk granularity (see topology.hpp for the
-// rack preset and topology.cpp for route computation).
-//
-// Sharding: every hop's serialization Resource is bound to the engine of
-// the endpoint that *drives* it — for host<->switch and switch<->spine
-// links both directions bind to the lower-tier (host-side) endpoint, so
-// the uplink segment of a route is reserved by the sending host's shard
-// and the downlink segment by the receiving host's shard. Only the
-// timestamped boundary arrival crosses shards, which preserves the
-// sharding invariant of sim/sharded.hpp. The src-prefix/dst-suffix split
-// point (Path::src_hops) is *topological* — climbing hops are source-
-// side, descending hops destination-side — so it is identical at every
-// shard count; compute_routes() validates that the placement's engine
-// bindings agree with that split for every routed pair and rejects
-// placements that would make a middle hop race (e.g. a rack whose hosts
-// straddle shards). The source-side propagation of a route is therefore a
-// lower bound on cross-shard latency, i.e. the conservative lookahead of
-// that shard pair (cross_lookahead_matrix).
+// per-NIC loopback paths); larger systems wire every host pair directly,
+// so every path is exactly one hop.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -46,108 +22,28 @@ namespace cord::fabric {
 
 using NodeId = std::uint32_t;
 
-/// One wire segment of a (possibly multi-hop) path: the direction's
-/// serialization resource plus its effective propagation — link
-/// propagation, with the forwarding latency of the switch the hop leaves
-/// from folded in at route-build time.
-struct Hop {
+/// The directed one-hop path from a source host to a destination host: a
+/// direction of a direct wire, or a node's loopback.
+struct Path {
   sim::Resource* tx = nullptr;
   sim::Bandwidth bandwidth;
   sim::Time propagation = 0;
-};
 
-/// The directed path from a source host towards a destination host: up to
-/// kMaxHops store-and-forward hops. The first `src_hops` hops are the
-/// tier-climbing (source-side) segment, reserved by the sender; the
-/// remaining tier-descending hops are reserved at arrival time (plain
-/// data crosses the shard boundary, never a Resource). The split is a
-/// function of the route's shape alone — NOT of shard placement — so the
-/// boundary (and everything dated at it, e.g. UD completions and the
-/// ctrl-lane handoff) is identical in fused and sharded execution; in a
-/// sharded run compute_routes additionally validates that the prefix is
-/// engine-bound to the source and the suffix to the destination. A direct
-/// link or a loopback is the 1-hop special case with src_hops ==
-/// hop_count == 1.
-struct Path {
-  static constexpr std::size_t kMaxHops = 4;  // host->ToR->spine->ToR->host
-  std::array<Hop, kMaxHops> hops{};
-  std::uint8_t hop_count = 0;
-  std::uint8_t src_hops = 0;
-
-  std::uint8_t dst_hops() const { return hop_count - src_hops; }
-
-  /// Reserve the source-side segment for one chunk that is ready to enter
-  /// the wire at `ready`; returns when the chunk has fully crossed the
-  /// last source-side hop (== arrival at the destination node when the
-  /// path has no destination-side segment).
-  sim::Time reserve_src(sim::Time ready, std::uint64_t wire_bytes) const {
-    sim::Time t = ready;
-    for (std::size_t i = 0; i < src_hops; ++i) {
-      t = hops[i].tx->reserve_at(t, hops[i].bandwidth.time_for(wire_bytes)) +
-          hops[i].propagation;
-    }
-    return t;
-  }
-
-  /// Reserve the destination-side segment for a chunk that crossed the
-  /// boundary at `at`; returns arrival at the destination node. Must run
-  /// on the destination's engine (its thread owns these resources).
-  sim::Time reserve_dst(sim::Time at, std::uint64_t wire_bytes) const {
-    sim::Time t = at;
-    for (std::size_t i = src_hops; i < hop_count; ++i) {
-      t = hops[i].tx->reserve_at(t, hops[i].bandwidth.time_for(wire_bytes)) +
-          hops[i].propagation;
-    }
-    return t;
-  }
-
-  /// Reserve every hop (single-engine callers only, e.g. the socket
-  /// stack): equivalent to reserve_dst(reserve_src(...)).
-  sim::Time reserve_all(sim::Time ready, std::uint64_t wire_bytes) const {
-    return reserve_dst(reserve_src(ready, wire_bytes), wire_bytes);
-  }
-
-  /// Serialization + propagation of the destination-side segment without
-  /// reserving it — used for control packets (ACK/NAK), which ride a
-  /// priority lane and do not contend on downlinks.
-  sim::Time dst_latency(std::uint64_t wire_bytes) const {
-    sim::Time t = 0;
-    for (std::size_t i = src_hops; i < hop_count; ++i) {
-      t += hops[i].bandwidth.time_for(wire_bytes) + hops[i].propagation;
-    }
-    return t;
-  }
-
-  /// Total propagation of the source-side segment: the hard lower bound on
-  /// how soon a message on this path can cross the shard boundary — the
-  /// conservative lookahead contribution of this route.
-  sim::Time src_propagation() const {
-    sim::Time t = 0;
-    for (std::size_t i = 0; i < src_hops; ++i) t += hops[i].propagation;
-    return t;
-  }
-
-  /// Total propagation over all hops.
-  sim::Time propagation() const {
-    sim::Time t = 0;
-    for (std::size_t i = 0; i < hop_count; ++i) t += hops[i].propagation;
-    return t;
+  /// Reserve the wire for one chunk that is ready to enter it at `ready`;
+  /// returns when the chunk has fully arrived at the destination node.
+  sim::Time reserve(sim::Time ready, std::uint64_t wire_bytes) const {
+    return tx->reserve_at(ready, bandwidth.time_for(wire_bytes)) + propagation;
   }
 };
 
 class Link {
  public:
-  /// `engine_ab`/`engine_ba` own the a->b / b->a transmit resources. The
-  /// binding is decided by Network::connect (lower-tier endpoint drives
-  /// both directions of a tiered link; per-source for equal tiers).
-  Link(sim::Engine& engine_ab, sim::Engine& engine_ba, NodeId a, NodeId b,
-       sim::Bandwidth bw, sim::Time propagation)
+  Link(sim::Engine& engine, NodeId a, NodeId b, sim::Bandwidth bw,
+       sim::Time propagation)
       : a_(a),
         b_(b),
-        a_to_b_(engine_ab),
-        b_to_a_(engine_ba),
-        engine_ab_(&engine_ab),
-        engine_ba_(&engine_ba),
+        a_to_b_(engine),
+        b_to_a_(engine),
         bandwidth_(bw),
         propagation_(propagation) {}
 
@@ -162,19 +58,8 @@ class Link {
     throw std::invalid_argument("node not on this link");
   }
 
-  /// Engine the `src`-sourced direction's resource is bound to.
-  sim::Engine* engine_from(NodeId src) const {
-    if (src == a_) return engine_ab_;
-    if (src == b_) return engine_ba_;
-    throw std::invalid_argument("node not on this link");
-  }
-
   Path path_from(NodeId src) {
-    Path p;
-    p.hops[0] = Hop{tx_from(src), bandwidth_, propagation_};
-    p.hop_count = 1;
-    p.src_hops = 1;
-    return p;
+    return Path{tx_from(src), bandwidth_, propagation_};
   }
 
  private:
@@ -182,29 +67,17 @@ class Link {
   NodeId b_;
   sim::Resource a_to_b_;
   sim::Resource b_to_a_;
-  sim::Engine* engine_ab_;
-  sim::Engine* engine_ba_;
   sim::Bandwidth bandwidth_;
   sim::Time propagation_;
 };
 
-/// The set of links, switches and per-node loopback paths, plus the static
-/// route table between hosts (computed on demand; see topology.cpp).
+/// The set of links and per-node loopback paths.
 class Network {
  public:
-  /// Maps a node to the engine that simulates it (shard placement). Must
-  /// cover switch nodes as well as hosts.
-  using EngineOf = std::function<sim::Engine&(NodeId)>;
-
-  /// Single-engine fabric: every node on `engine`.
-  explicit Network(sim::Engine& engine)
-      : engine_of_([&engine](NodeId) -> sim::Engine& { return engine; }) {}
-
-  /// Shard-aware fabric: each node's resources bind to its own engine.
-  explicit Network(EngineOf engine_of) : engine_of_(std::move(engine_of)) {}
+  explicit Network(sim::Engine& engine) : engine_(&engine) {}
 
   /// Create a bidirectional link between two nodes. Reconnecting an
-  /// existing pair throws: replacing the Link would dangle the Path hop
+  /// existing pair throws: replacing the Link would dangle the Path
   /// resources already handed to NICs mid-simulation.
   void connect(NodeId a, NodeId b, sim::Bandwidth bw, sim::Time propagation) {
     const auto key = ordered(a, b);
@@ -215,17 +88,7 @@ class Network {
           " are already linked (reconnecting would invalidate Path "
           "resources held by NICs)");
     }
-    // Binding rule: the lower-tier endpoint drives both directions (its
-    // shard's thread is the only one that ever reserves them — uplinks by
-    // the sending rack, downlinks by the receiving rack). Equal tiers
-    // (host-host direct wires) keep the legacy per-source binding.
-    const int ta = tier_of(a), tb = tier_of(b);
-    sim::Engine& ea = engine_of_(a);
-    sim::Engine& eb = engine_of_(b);
-    sim::Engine& e_ab = ta <= tb ? ea : eb;
-    sim::Engine& e_ba = tb <= ta ? eb : ea;
-    links_[key] = std::make_unique<Link>(e_ab, e_ba, a, b, bw, propagation);
-    routes_ready_ = false;
+    links_[key] = std::make_unique<Link>(*engine_, a, b, bw, propagation);
   }
 
   /// Register a host node and configure its loopback characteristics
@@ -233,114 +96,29 @@ class Network {
   /// PCIe).
   void add_node(NodeId n, sim::Bandwidth loopback_bw, sim::Time loopback_delay) {
     auto [it, inserted] = loopback_.try_emplace(n);
-    if (inserted) {
-      it->second.resource = std::make_unique<sim::Resource>(engine_of_(n));
-    }
+    if (inserted) it->second.resource = std::make_unique<sim::Resource>(*engine_);
     it->second.bandwidth = loopback_bw;
     it->second.delay = loopback_delay;
-    routes_ready_ = false;
   }
 
-  /// Register a switch node. `tier` orders the topology (hosts are tier 0,
-  /// ToRs 1, spines 2); `forward_latency` is charged per hop leaving the
-  /// switch and folded into that hop's propagation at route-build time.
-  void add_switch(NodeId n, int tier, sim::Time forward_latency = 0) {
-    if (loopback_.contains(n)) {
-      throw std::invalid_argument("Network::add_switch: node " +
-                                  std::to_string(n) + " is already a host");
-    }
-    switches_[n] = Switch{tier, forward_latency};
-    routes_ready_ = false;
-  }
-
-  bool is_switch(NodeId n) const { return switches_.contains(n); }
-
-  /// The directed path from `src` towards `dst` (both hosts). Direct links
-  /// and loopbacks resolve immediately; anything else consults the static
-  /// route table, computing it on first use. Throws std::invalid_argument
-  /// when no route exists.
+  /// The directed path from `src` to `dst`: the node's loopback when they
+  /// are equal, else the direct link between them. Throws
+  /// std::invalid_argument for an unknown node or a missing link.
   Path path(NodeId src, NodeId dst) {
     if (src == dst) {
       auto it = loopback_.find(src);
       if (it == loopback_.end()) throw std::invalid_argument("unknown node");
-      Path p;
-      p.hops[0] = Hop{it->second.resource.get(), it->second.bandwidth,
-                      it->second.delay};
-      p.hop_count = 1;
-      p.src_hops = 1;
-      return p;
+      return Path{it->second.resource.get(), it->second.bandwidth,
+                  it->second.delay};
     }
-    if (auto it = links_.find(ordered(src, dst)); it != links_.end()) {
-      return it->second->path_from(src);
-    }
-    if (switches_.empty()) {
-      throw std::invalid_argument("no link between nodes");
-    }
-    ensure_routes();
-    auto it = routes_.find({src, dst});
-    if (it == routes_.end()) {
-      throw std::invalid_argument("no route between nodes " +
-                                  std::to_string(src) + " and " +
-                                  std::to_string(dst));
-    }
-    return it->second.path;
+    auto it = links_.find(ordered(src, dst));
+    if (it == links_.end()) throw std::invalid_argument("no link between nodes");
+    return it->second->path_from(src);
   }
-
-  bool has_path(NodeId src, NodeId dst) {
-    if (src == dst) return loopback_.contains(src);
-    if (links_.contains(ordered(src, dst))) return true;
-    if (switches_.empty()) return false;
-    ensure_routes();
-    return routes_.contains({src, dst});
-  }
-
-  /// The node sequence (src .. dst inclusive) of the routed path, for
-  /// tests and reports. Direct links return {src, dst}.
-  std::vector<NodeId> route(NodeId src, NodeId dst);
-
-  /// Compute static shortest-path routes between every host pair (BFS by
-  /// hop count, ties broken towards lower node ids — deterministic), and
-  /// split each route topologically: tier-climbing hops form the source
-  /// prefix, tier-descending hops the destination suffix (identical at
-  /// every shard count). Validates that the prefix is driven by the
-  /// source's engine and the suffix by the destination's; throws
-  /// std::invalid_argument for placements that would make a hop race
-  /// (defined in topology.cpp).
-  void compute_routes();
-
-  /// Conservative lookahead of a partition: the minimum source-side
-  /// propagation over routed host pairs that `shard_of` places on
-  /// different shards. Returns sim::Engine::kNoEvent when nothing crosses
-  /// a shard boundary (ShardedEngine::set_lookahead clamps it to its
-  /// unbounded sentinel). A zero result means the partition is invalid
-  /// for parallel execution; ShardedEngine::set_lookahead rejects it.
-  sim::Time min_cross_lookahead(
-      const std::function<std::size_t(NodeId)>& shard_of);
-
-  /// Per-shard-pair lookahead matrix (row-major, [src * shards + dst]):
-  /// entry (i, j) is the minimum source-side propagation over host pairs
-  /// placed on (i, j); sim::Engine::kNoEvent where no routed pair crosses
-  /// (i, j). Feed to ShardedEngine::set_lookahead(matrix).
-  std::vector<sim::Time> cross_lookahead_matrix(
-      const std::function<std::size_t(NodeId)>& shard_of, std::size_t shards);
 
  private:
   static std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
     return a < b ? std::pair{a, b} : std::pair{b, a};
-  }
-
-  int tier_of(NodeId n) const {
-    auto it = switches_.find(n);
-    return it == switches_.end() ? 0 : it->second.tier;
-  }
-
-  sim::Time forward_latency_of(NodeId n) const {
-    auto it = switches_.find(n);
-    return it == switches_.end() ? 0 : it->second.forward_latency;
-  }
-
-  void ensure_routes() {
-    if (!routes_ready_) compute_routes();
   }
 
   struct Loopback {
@@ -349,22 +127,9 @@ class Network {
     sim::Time delay = 0;
   };
 
-  struct Switch {
-    int tier = 1;
-    sim::Time forward_latency = 0;
-  };
-
-  struct RouteEntry {
-    Path path;
-    std::vector<NodeId> nodes;  // src .. dst inclusive
-  };
-
-  EngineOf engine_of_;
+  sim::Engine* engine_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
   std::map<NodeId, Loopback> loopback_;
-  std::map<NodeId, Switch> switches_;
-  std::map<std::pair<NodeId, NodeId>, RouteEntry> routes_;
-  bool routes_ready_ = false;
 };
 
 }  // namespace cord::fabric

@@ -270,8 +270,7 @@ void Nic::sq_resume(std::uint32_t qpn) {
   if (engine_->tracer() != nullptr) [[unlikely]] {
     // Trace-fidelity drain: the per-WQE coroutine reserves and records at
     // the same virtual times, in the same event order, as the pre-fusion
-    // worker — which is the order the canonical traces are committed in
-    // (a single shard's trace buffer is the raw emission order, so fused
+    // worker (the trace buffer is the raw emission order, so fused
     // future-dated emission would break its time-sortedness).
     engine_->spawn(sq_worker(qpn));
   } else {
@@ -315,9 +314,9 @@ void Nic::sq_drain_burst(QueuePair& qp) {
   // computed by waking at f_{k-1} — reserve_at's start is max(now,
   // earliest, next_free), and no foreign event can interleave inside this
   // event. Each WQE's downstream chain is reserved with earliest = f_k,
-  // which equals the reservation the worker made at engine-time f_k for
-  // the single-active-writer resources of the NIC model (the same
-  // argument reserve_dst_chain documents).
+  // which equals the reservation the worker made at engine-time f_k
+  // whenever the downstream resource has a single active writer (start =
+  // max(now, earliest, next_free), and now <= f_k).
   counters_.sq_fused_batches++;
   const std::uint32_t qpn = qp.qpn();
   sim::Time last = engine_->now();
@@ -403,85 +402,10 @@ void Nic::retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts) {
   }(*this, qpn, std::move(wr), rnr_attempts));
 }
 
-void Nic::retry_send_copy(std::uint32_t qpn, SendWr wr,
-                          std::uint32_t rnr_attempts) {
-  retry_send(qpn, wr_pool_.acquire(std::move(wr)), rnr_attempts);
-}
-
 Nic::SenderMeta Nic::meta_of(const SendWr& wr) {
   return SenderMeta{wr.wr_id, wr.trace_span,
                     static_cast<std::uint32_t>(payload_len(wr)), wr.opcode,
                     wr.signaled};
-}
-
-void Nic::post_remote(Nic& dst, sim::Time t, sim::InlineFn fn) {
-  if (dst.engine_ == engine_) {
-    engine_->call_at(t, std::move(fn));
-  } else {
-    counters_.cross_msgs++;
-    engine_->cross_post(*dst.engine_, t, std::move(fn));
-  }
-}
-
-sim::Time Nic::reserve_src_chunk(const fabric::Path& p, std::uint32_t chunk,
-                                 std::uint32_t wire_bytes, bool skip_src_dma,
-                                 sim::Time at) {
-  // dma_latency is pipeline depth, not occupancy: reservations on the
-  // shared DMA engine consume only the transfer time, and the fixed
-  // latency shifts the readiness of every chunk afterwards. Folding the
-  // latency into the reservation's earliest-start would spuriously
-  // serialize unrelated messages (the engine would sit "reserved but
-  // idle" for the latency window) — catastrophic on loopback paths where
-  // source- and destination-side reservations share one engine.
-  const sim::Time s =
-      skip_src_dma
-          ? at
-          : dma_rd_.reserve_at(at, cfg_.pcie_bandwidth.time_for(chunk)) +
-                cfg_.dma_latency;
-  return p.reserve_src(s, wire_bytes);
-}
-
-std::vector<Nic::ChunkArrival> Nic::schedule_chain_src(Nic& dst,
-                                                       std::uint64_t bytes,
-                                                       bool skip_src_dma,
-                                                       sim::Time at) {
-  fabric::Path p = network_->path(node_, dst.node_);
-  std::vector<ChunkArrival> out;
-  out.reserve(chunk_count(bytes, cfg_.mtu));
-  counters_.seg_msgs++;
-  for_each_chunk(bytes, cfg_.mtu, [&](std::uint32_t chunk) {
-    // Source-side segment only: on a routed path this is the uplink hops
-    // bound to this shard; the arrival timestamp is the chunk crossing the
-    // shard boundary (== delivery for a direct wire).
-    const std::uint32_t wire = chunk + cfg_.header_bytes;
-    const sim::Time w = reserve_src_chunk(p, chunk, wire, skip_src_dma, at);
-    out.push_back(ChunkArrival{w, chunk, wire});
-  });
-  counters_.seg_chunks += out.size();
-  return out;
-}
-
-Nic::TxTimes Nic::reserve_dst_chain(const fabric::Path& p,
-                                    const std::vector<ChunkArrival>& chunks,
-                                    bool include_dma) {
-  // Runs at the first chunk's boundary-arrival time. A reservation with
-  // earliest = chunk arrival made now is identical to the one the fused
-  // schedule_chain made at source-process time whenever the destination
-  // segment's resources have a single active writer (start = max(now,
-  // earliest, next_free), and now <= every chunk arrival here) — which
-  // holds for the request/response and streaming patterns of the test
-  // topologies.
-  TxTimes t{engine_->now(), engine_->now()};
-  for (const ChunkArrival& c : chunks) {
-    t.wire_done = p.reserve_dst(c.at, c.wire_bytes);
-    t.delivered =
-        include_dma
-            ? dma_wr_.reserve_at(t.wire_done,
-                                 cfg_.pcie_bandwidth.time_for(c.bytes)) +
-                  cfg_.dma_latency
-            : t.wire_done;
-  }
-  return t;
 }
 
 // One record per pipeline stage of a WQE's execution, future-dated from
@@ -512,25 +436,9 @@ void Nic::trace_chain(std::uint32_t qpn, const SendWr& wr, const TxTimes& t,
   }
 }
 
-void Nic::trace_fetch(std::uint32_t qpn, const SendWr& wr, std::uint64_t len,
-                      sim::Time fetch_cost) {
-  trace::Tracer* tr = engine_->tracer();
-  const auto node = static_cast<std::uint8_t>(node_);
-  // Same reservation plumbing as trace_chain (runs at the end of the
-  // processing slot), so cross-shard chains carry identical durations.
-  const sim::Time at = engine_->now();
-  tr->record_at(at - fetch_cost, trace::Point::kWqeFetch,
-                wr.trace_span, qpn, 0, node, len, fetch_cost);
-  if (!wr.inline_data && len > 0) {
-    tr->record_at(at, trace::Point::kDmaFetch, wr.trace_span, qpn, 0, node,
-                  len, dma_fetch_time(len));
-  }
-}
-
 sim::Time Nic::dma_fetch_time(std::uint64_t len) const {
   // Summed PCIe occupancy of the payload's MTU chunks — the same
-  // segmentation schedule_chain_src reserves, reproduced arithmetically
-  // so fused and cross-shard paths trace identical service durations.
+  // segmentation schedule_chain reserves, reproduced arithmetically.
   sim::Time total = 0;
   for_each_chunk(len, cfg_.mtu, [&](std::uint32_t chunk) {
     total += cfg_.pcie_bandwidth.time_for(chunk);
@@ -567,80 +475,31 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   }
 
   const std::uint32_t sqpn = qp.qpn();
-  const bool cross = dst->engine_ != engine_;
   switch (wr.opcode) {
     case Opcode::kSend:
     case Opcode::kSendWithImm: {
-      // UD always takes the boundary-split path, even on one engine: the
-      // unreliable send completes at its local wire egress — the end of
-      // the path's source-side segment, a topological point (the tier-
-      // climbing prefix; see Path::src_hops) that does not depend on
-      // shard placement — which keeps the completion time, and thus the
-      // whole run, identical at every shard count. On a direct wire the
-      // boundary IS the delivery, so two-host results are unchanged.
-      if (cross || is_ud) {
-        auto arrivals = schedule_chain_src(*dst, len, wr.inline_data, at);
-        const sim::Time wire_done = arrivals.back().at;
-        const sim::Time posted = at;
-        if (engine_->tracer() != nullptr) [[unlikely]] {
-          // kWireTx and kDmaDeliver are emitted by the destination, which
-          // computes the true wire arrival past the boundary.
-          trace_fetch(sqpn, wr, len, fetch_cost);
-        }
-        if (is_ud) {
-          sender_complete(sqpn, wr, WcStatus::kSuccess,
-                          wire_done + cfg_.cqe_write);
-        }
-        // Hoisted before the closure construction moves `arrivals` out
-        // (function-argument evaluation order is unspecified).
-        const sim::Time first_at = arrivals.front().at;
-        post_remote(*dst, first_at,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr),
-                                   arrivals = std::move(arrivals), posted,
-                                   rnr_attempts, is_ud]() mutable {
-                      dst->remote_send_arrival(dqpn, std::move(wrc),
-                                               std::move(arrivals), *self,
-                                               sqpn, posted, rnr_attempts,
-                                               !is_ud);
-                    }));
-        break;
-      }
       TxTimes t = schedule_chain(*dst, len, wr.inline_data,
                                  /*include_dst_dma=*/true, at);
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, len, at, fetch_cost);
       }
+      // An unreliable send gets no ACK: it completes at its wire egress.
+      if (is_ud) {
+        sender_complete(sqpn, wr, WcStatus::kSuccess,
+                        t.wire_done + cfg_.cqe_write);
+      }
       WrRef shared = wr_pool_.acquire(std::move(wr));
       engine_->call_at(t.wire_done,
                        [this, dst, dqpn = dest.qpn, shared, sqpn,
-                        delivered = t.delivered, rnr_attempts] {
+                        delivered = t.delivered, rnr_attempts, is_ud] {
                          dst->handle_send_arrival(dqpn, shared, *this, sqpn,
                                                   delivered, rnr_attempts,
-                                                  /*reliable=*/true);
+                                                  /*reliable=*/!is_ud);
                        });
       break;
     }
     case Opcode::kRdmaWrite:
     case Opcode::kRdmaWriteWithImm: {
-      if (cross) {
-        auto arrivals = schedule_chain_src(*dst, len, wr.inline_data, at);
-        const sim::Time posted = at;
-        if (engine_->tracer() != nullptr) [[unlikely]] {
-          trace_fetch(sqpn, wr, len, fetch_cost);
-        }
-        const sim::Time first_at = arrivals.front().at;  // before the move
-        post_remote(*dst, first_at,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr),
-                                   arrivals = std::move(arrivals), posted,
-                                   rnr_attempts]() mutable {
-                      dst->remote_write_arrival(dqpn, std::move(wrc),
-                                                std::move(arrivals), *self,
-                                                sqpn, posted, rnr_attempts);
-                    }));
-        break;
-      }
       TxTimes t = schedule_chain(*dst, len, wr.inline_data,
                                  /*include_dst_dma=*/true, at);
       if (engine_->tracer() != nullptr) [[unlikely]] {
@@ -656,26 +515,12 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
       break;
     }
     case Opcode::kRdmaRead: {
-      // Header-only read request towards the responder: it reserves only
-      // the source-side segment (this shard's resources) and rides the
-      // non-contending ctrl lane over the destination side, so the chain
-      // itself is shard-safe; just the arrival dispatch may cross.
-      fabric::Path rp = network_->path(node_, dst->node_);
+      // Header-only read request towards the responder.
       const sim::Time req_arrive =
-          rp.reserve_src(at, cfg_.header_bytes) +
-          rp.dst_latency(cfg_.header_bytes);
+          network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
       TxTimes t{req_arrive, req_arrive};
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
-      }
-      if (cross) {
-        post_remote(*dst, t.wire_done,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr)]() mutable {
-                      WrRef local = dst->wr_pool_.acquire(std::move(wrc));
-                      dst->handle_read_request(dqpn, local, *self, sqpn);
-                    }));
-        break;
       }
       WrRef shared = wr_pool_.acquire(std::move(wr));
       engine_->call_at(t.wire_done, [this, dst, dqpn = dest.qpn, shared, sqpn] {
@@ -685,25 +530,12 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
     }
     case Opcode::kFetchAdd:
     case Opcode::kCompareSwap: {
-      // The request carries the operands (header-sized on the wire). Like
-      // the read request: source-side reservation + ctrl-lane latency over
-      // the destination side, identical in fused and split execution.
-      fabric::Path rp = network_->path(node_, dst->node_);
+      // The request carries the operands (header-sized on the wire).
       const sim::Time req_arrive =
-          rp.reserve_src(at, cfg_.header_bytes) +
-          rp.dst_latency(cfg_.header_bytes);
+          network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
       TxTimes t{req_arrive, req_arrive};
       if (engine_->tracer() != nullptr) [[unlikely]] {
         trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
-      }
-      if (cross) {
-        post_remote(*dst, t.wire_done,
-                    sim::InlineFn([dst, dqpn = dest.qpn, self = this, sqpn,
-                                   wrc = std::move(wr)]() mutable {
-                      WrRef local = dst->wr_pool_.acquire(std::move(wrc));
-                      dst->handle_atomic_request(dqpn, local, *self, sqpn);
-                    }));
-        break;
       }
       WrRef shared = wr_pool_.acquire(std::move(wr));
       engine_->call_at(t.wire_done, [this, dst, dqpn = dest.qpn, shared, sqpn] {
@@ -712,59 +544,6 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
       break;
     }
   }
-}
-
-void Nic::remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
-                              std::vector<ChunkArrival> arrivals, Nic& src,
-                              std::uint32_t src_qpn, sim::Time posted,
-                              std::uint32_t rnr_attempts, bool reliable) {
-  const fabric::Path p = network_->path(src.node(), node_);
-  const auto [wire_done, delivered] =
-      reserve_dst_chain(p, arrivals, /*include_dma=*/true);
-  if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
-    // The kWireTx record mirrors the fused path's byte-for-byte: dated at
-    // the source's post time, on the source node, spanning the full wire
-    // crossing — only this shard knows where the crossing ends.
-    tr->record_at(posted, trace::Point::kWireTx, wr.trace_span, src_qpn, 0,
-                  static_cast<std::uint8_t>(src.node()), payload_len(wr),
-                  wire_done - posted);
-    if (delivered > wire_done) {
-      tr->record_at(wire_done, trace::Point::kDmaDeliver, wr.trace_span,
-                    src_qpn, 0, static_cast<std::uint8_t>(node_),
-                    payload_len(wr), delivered - wire_done);
-    }
-  }
-  WrRef shared = wr_pool_.acquire(std::move(wr));
-  engine_->call_at(wire_done, [this, local_qpn, shared, &src, src_qpn,
-                               delivered, rnr_attempts, reliable] {
-    handle_send_arrival(local_qpn, shared, src, src_qpn, delivered,
-                        rnr_attempts, reliable);
-  });
-}
-
-void Nic::remote_write_arrival(std::uint32_t local_qpn, SendWr wr,
-                               std::vector<ChunkArrival> arrivals, Nic& src,
-                               std::uint32_t src_qpn, sim::Time posted,
-                               std::uint32_t rnr_attempts) {
-  const fabric::Path p = network_->path(src.node(), node_);
-  const auto [wire_done, delivered] =
-      reserve_dst_chain(p, arrivals, /*include_dma=*/true);
-  if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
-    tr->record_at(posted, trace::Point::kWireTx, wr.trace_span, src_qpn, 0,
-                  static_cast<std::uint8_t>(src.node()), payload_len(wr),
-                  wire_done - posted);
-    if (delivered > wire_done) {
-      tr->record_at(wire_done, trace::Point::kDmaDeliver, wr.trace_span,
-                    src_qpn, 0, static_cast<std::uint8_t>(node_),
-                    payload_len(wr), delivered - wire_done);
-    }
-  }
-  WrRef shared = wr_pool_.acquire(std::move(wr));
-  engine_->call_at(wire_done, [this, local_qpn, shared, &src, src_qpn,
-                               delivered, rnr_attempts] {
-    handle_write_arrival(local_qpn, shared, src, src_qpn, delivered,
-                         rnr_attempts);
-  });
 }
 
 void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
@@ -803,22 +582,16 @@ void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
   counters_.rx_msgs++;
   // Response carries the old value back; the requester DMA-writes it into
   // the caller's 8-byte buffer and completes.
-  // The requester-side memcpy + completion run on the requester's shard
-  // (post_remote); everything they need travels as plain data.
   engine_->call_at(done, [this, wr, old_value, &src, src_qpn] {
-    fabric::Path p = network_->path(node_, src.node());
-    const sim::Time arrive =
-        p.reserve_src(engine_->now(), cfg_.ack_bytes + 8) +
-        p.dst_latency(cfg_.ack_bytes + 8);
-    post_remote(src, arrive,
-                sim::InlineFn([psrc = &src, src_qpn, m = meta_of(*wr),
-                               addr = wr->sge.addr, old_value] {
-                  std::memcpy(mem(addr), &old_value, 8);
-                  psrc->sender_complete(src_qpn, m, WcStatus::kSuccess,
-                                        psrc->engine_->now() +
-                                            psrc->cfg_.ack_processing +
-                                            psrc->cfg_.cqe_write);
-                }));
+    const sim::Time arrive = network_->path(node_, src.node())
+                                 .reserve(engine_->now(), cfg_.ack_bytes + 8);
+    engine_->call_at(arrive, [psrc = &src, src_qpn, m = meta_of(*wr),
+                              addr = wr->sge.addr, old_value] {
+      std::memcpy(mem(addr), &old_value, 8);
+      psrc->sender_complete(src_qpn, m, WcStatus::kSuccess,
+                            psrc->engine_->now() + psrc->cfg_.ack_processing +
+                                psrc->cfg_.cqe_write);
+    });
   });
 }
 
@@ -852,18 +625,12 @@ void Nic::handle_send_arrival(std::uint32_t local_qpn, WrRef wr,
         if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
       });
     } else {
-      // The WR travels back by value: the retry re-enters the sender's
-      // pool on the sender's shard (WrRefs must not cross threads).
-      send_ctrl(src, engine_->now(),
-                [&src, src_qpn, wrc = SendWr(*wr), rnr_attempts]() mutable {
-                  src.engine_->call_in(
-                      src.cfg_.rnr_timer,
-                      [&src, src_qpn, wrc = std::move(wrc),
-                       rnr_attempts]() mutable {
-                        src.retry_send_copy(src_qpn, std::move(wrc),
-                                            rnr_attempts + 1);
-                      });
-                });
+      send_ctrl(src, engine_->now(), [&src, src_qpn, wr, rnr_attempts] {
+        src.engine_->call_in(src.cfg_.rnr_timer,
+                             [&src, src_qpn, wr, rnr_attempts] {
+                               src.retry_send(src_qpn, wr, rnr_attempts + 1);
+                             });
+      });
     }
     return;
   }
@@ -944,16 +711,12 @@ void Nic::handle_write_arrival(std::uint32_t local_qpn, WrRef wr,
       if (rnr_attempts + 1 >= src.cfg_.rnr_retries) {
         nak(WcStatus::kRnrRetryExceeded);
       } else {
-        send_ctrl(src, engine_->now(),
-                  [&src, src_qpn, wrc = SendWr(*wr), rnr_attempts]() mutable {
-                    src.engine_->call_in(
-                        src.cfg_.rnr_timer,
-                        [&src, src_qpn, wrc = std::move(wrc),
-                         rnr_attempts]() mutable {
-                          src.retry_send_copy(src_qpn, std::move(wrc),
-                                              rnr_attempts + 1);
-                        });
-                  });
+        send_ctrl(src, engine_->now(), [&src, src_qpn, wr, rnr_attempts] {
+          src.engine_->call_in(src.cfg_.rnr_timer,
+                               [&src, src_qpn, wr, rnr_attempts] {
+                                 src.retry_send(src_qpn, wr, rnr_attempts + 1);
+                               });
+        });
       }
       return;
     }
@@ -1004,31 +767,6 @@ void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
   // Responder streams the data back; charge responder-side processing.
   processing_.reserve(cfg_.rx_processing);
   counters_.rx_msgs++;  // the read request itself
-  if (src.engine_ != engine_) {
-    // Cross-shard requester: reserve the responder-side half of the chain
-    // here, ship the payload + per-chunk arrivals across, and let the
-    // requester finish its DMA-write reservations and the memcpy on its
-    // own shard. The payload is snapshotted at response time rather than
-    // at delivery time — indistinguishable unless the responder mutates
-    // the region mid-flight (which the verbs contract already forbids for
-    // concurrently read regions).
-    auto arrivals =
-        schedule_chain_src(src, len, /*skip_src_dma=*/false, engine_->now());
-    counters_.tx_bytes += len;
-    std::vector<std::byte> data(len);
-    if (len > 0) std::memcpy(data.data(), mem(wr->remote_addr), len);
-    const sim::Time first_at = arrivals.front().at;  // before the move
-    post_remote(src, first_at,
-                sim::InlineFn([psrc = &src, src_qpn, m = meta_of(*wr),
-                               addr = wr->sge.addr, len, responder = node_,
-                               arrivals = std::move(arrivals),
-                               data = std::move(data)]() mutable {
-                  psrc->remote_read_response(src_qpn, m, addr, len, responder,
-                                             std::move(arrivals),
-                                             std::move(data));
-                }));
-    return;
-  }
   TxTimes t = schedule_chain(src, len, /*skip_src_dma=*/false,
                              /*include_dst_dma=*/true, engine_->now());
   counters_.tx_bytes += len;
@@ -1042,53 +780,33 @@ void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
   });
 }
 
-void Nic::remote_read_response(std::uint32_t qpn, SenderMeta m,
-                               std::uintptr_t addr, std::uint64_t len,
-                               NodeId responder,
-                               std::vector<ChunkArrival> arrivals,
-                               std::vector<std::byte> data) {
-  const fabric::Path p = network_->path(responder, node_);
-  const sim::Time delivered =
-      reserve_dst_chain(p, arrivals, /*include_dma=*/true).delivered;
-  engine_->call_at(delivered, [this, qpn, m, addr, len,
-                               data = std::move(data)] {
-    if (len > 0) std::memcpy(mem(addr), data.data(), len);
-    counters_.rx_bytes += len;
-    sender_complete(qpn, m, WcStatus::kSuccess,
-                    engine_->now() + cfg_.ack_processing + cfg_.cqe_write);
-  });
-}
-
 void Nic::send_ctrl(Nic& dst, sim::Time earliest, sim::InlineFn fn) {
-  // The ctrl packet serializes on the path's source-side segment (always
-  // shard-local) and rides a non-contending priority lane over the
-  // destination side (dst_latency). The segment split is topological
-  // (Path::src_hops is placement-independent), so fused and split runs
-  // reserve the same hops and apply the same latency formula to the same
-  // suffix — ctrl packets never contend on destination-side downlinks in
-  // either mode, and the two stay bit-identical even under converging
-  // traffic. Only the arrival callback may cross shards, so callers must
-  // capture nothing but plain data and `dst`-side state in `fn`.
-  fabric::Path p = network_->path(node_, dst.node());
-  const sim::Time arrive = p.reserve_src(earliest, cfg_.ack_bytes) +
-                           p.dst_latency(cfg_.ack_bytes);
-  post_remote(dst, arrive + dst.cfg_.ack_processing, std::move(fn));
+  // The ctrl packet serializes on the wire like any other chunk.
+  const sim::Time arrive =
+      network_->path(node_, dst.node()).reserve(earliest, cfg_.ack_bytes);
+  engine_->call_at(arrive + dst.cfg_.ack_processing, std::move(fn));
 }
 
 Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
                                  bool include_dst_dma, sim::Time at) {
-  fabric::Path p = network_->path(node_, dst.node_);
+  const fabric::Path p = network_->path(node_, dst.node_);
   TxTimes t{at, at};
   counters_.seg_msgs++;
   counters_.seg_chunks += chunk_count(bytes, cfg_.mtu);
   for_each_chunk(bytes, cfg_.mtu, [&](std::uint32_t chunk) {
-    // Store-and-forward over the routed path: source-side hops, then
-    // destination-side hops — the same reservations, in the same order,
-    // that the split schedule_chain_src + reserve_dst_chain pair makes.
-    const std::uint32_t wire = chunk + cfg_.header_bytes;
-    const sim::Time boundary =
-        reserve_src_chunk(p, chunk, wire, skip_src_dma, at);
-    t.wire_done = p.reserve_dst(boundary, wire);
+    // dma_latency is pipeline depth, not occupancy: reservations on the
+    // shared DMA engine consume only the transfer time, and the fixed
+    // latency shifts the readiness of every chunk afterwards. Folding the
+    // latency into the reservation's earliest-start would spuriously
+    // serialize unrelated messages (the engine would sit "reserved but
+    // idle" for the latency window) — catastrophic on loopback paths where
+    // source- and destination-side reservations share one engine.
+    const sim::Time ready =
+        skip_src_dma
+            ? at
+            : dma_rd_.reserve_at(at, cfg_.pcie_bandwidth.time_for(chunk)) +
+                  cfg_.dma_latency;
+    t.wire_done = p.reserve(ready, chunk + cfg_.header_bytes);
     t.delivered =
         include_dst_dma
             ? dst.dma_wr_.reserve_at(t.wire_done,
@@ -1130,18 +848,16 @@ void Nic::sender_complete_now(std::uint32_t qpn, const SenderMeta& m,
 
 void Nic::ctrl_complete(Nic& requester, sim::Time earliest,
                         std::uint32_t requester_qpn, SenderMeta m) {
-  // Same wire/priority-lane model as send_ctrl; the callback lands one
-  // cqe_write later and executes the completion directly, so a successful
-  // ACK costs one requester-side event instead of two.
-  fabric::Path p = network_->path(node_, requester.node());
-  const sim::Time arrive = p.reserve_src(earliest, cfg_.ack_bytes) +
-                           p.dst_latency(cfg_.ack_bytes);
-  post_remote(requester,
-              arrive + requester.cfg_.ack_processing + requester.cfg_.cqe_write,
-              sim::InlineFn([req = &requester, requester_qpn, m] {
-                req->sender_complete_now(requester_qpn, m,
-                                         WcStatus::kSuccess);
-              }));
+  // Same wire model as send_ctrl; the callback lands one cqe_write later
+  // and executes the completion directly, so a successful ACK costs one
+  // requester-side event instead of two.
+  const sim::Time arrive =
+      network_->path(node_, requester.node()).reserve(earliest, cfg_.ack_bytes);
+  engine_->call_at(
+      arrive + requester.cfg_.ack_processing + requester.cfg_.cqe_write,
+      [req = &requester, requester_qpn, m] {
+        req->sender_complete_now(requester_qpn, m, WcStatus::kSuccess);
+      });
 }
 
 }  // namespace cord::nic

@@ -86,8 +86,6 @@ struct NicCounters {
   std::uint64_t seg_chunks = 0;  ///< MTU chunks those messages produced
   std::uint64_t cqe_flush_batches = 0;  ///< coalesced error-flush events
   std::uint64_t cqe_flushed = 0;        ///< CQEs delivered by those events
-  /// Messages that crossed a shard boundary (0 on a single-engine run).
-  std::uint64_t cross_msgs = 0;
 };
 
 class Nic {
@@ -155,9 +153,8 @@ class Nic {
     sim::Time delivered = 0;  // last byte written to destination memory
   };
 
-  /// The subset of a SendWr that sender-side completion reads. Plain data:
-  /// safe to carry across shard threads, unlike WrRef (whose intrusive
-  /// refcount is deliberately non-atomic — WrRefs never leave their shard).
+  /// The subset of a SendWr that sender-side completion reads, captured by
+  /// value in completion callbacks.
   struct SenderMeta {
     std::uint64_t wr_id = 0;
     std::uint32_t trace_span = 0;
@@ -167,56 +164,15 @@ class Nic {
   };
   static SenderMeta meta_of(const SendWr& wr);
 
-  /// One MTU chunk crossing the path's shard boundary: for a direct wire,
-  /// arrival at the destination NIC; for a routed path, the instant it
-  /// clears the last source-side hop. The source shard computes these from
-  /// its own (local) DMA-fetch + uplink reservations; the destination
-  /// shard replays its downlink + DMA-write reservations from them with
-  /// the same timestamps the fused schedule_chain would have produced.
-  struct ChunkArrival {
-    sim::Time at = 0;
-    std::uint32_t bytes = 0;  ///< payload bytes (sizes the dst DMA write)
-    /// Bytes on the wire: payload plus the *sender's* per-packet header.
-    /// Carried with the chunk so the destination shard replays the
-    /// suffix-hop reservations with the same wire size the fused
-    /// schedule_chain uses — with heterogeneous per-NIC header_bytes the
-    /// receiver's config would differ.
-    std::uint32_t wire_bytes = 0;
-  };
-
   static std::byte* mem(std::uintptr_t addr) {
     return reinterpret_cast<std::byte*>(addr);
   }
 
-  /// Reserve the pipelined resource chain for `bytes` towards `dst`
-  /// (same-shard destinations only: touches dst.dma_wr_ directly). `at`
+  /// Reserve the pipelined resource chain for `bytes` towards `dst`. `at`
   /// is the WQE's processing-done time: >= now, and ahead of now when the
   /// fused burst drain reserves a whole burst from one event.
   TxTimes schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
                          bool include_dst_dma, sim::Time at);
-  /// Source half of schedule_chain for a cross-shard `dst`: reserves the
-  /// local DMA fetch + the path's source-side hops, returns per-chunk
-  /// boundary arrivals for the destination shard to finish via
-  /// reserve_dst_chain.
-  std::vector<ChunkArrival> schedule_chain_src(Nic& dst, std::uint64_t bytes,
-                                               bool skip_src_dma, sim::Time at);
-  /// One chunk of the source-side chain: DMA fetch (unless inline) then
-  /// the path's source-side hops, earliest-started at `at`.
-  sim::Time reserve_src_chunk(const fabric::Path& p, std::uint32_t chunk,
-                              std::uint32_t wire_bytes, bool skip_src_dma,
-                              sim::Time at);
-  /// Destination half: replays the destination-side hop (+ optionally
-  /// DMA-write) reservations of schedule_chain from the boundary arrivals
-  /// (called at the first chunk's arrival time). `p` is the forward path
-  /// the chunks traveled (src towards this NIC).
-  TxTimes reserve_dst_chain(const fabric::Path& p,
-                            const std::vector<ChunkArrival>& chunks,
-                            bool include_dma);
-
-  /// Run `fn` at `t` on dst's engine: plain call_at when dst shares this
-  /// NIC's engine (byte-identical to the pre-sharding code path), a
-  /// mailbox-routed cross_post otherwise.
-  void post_remote(Nic& dst, sim::Time t, sim::InlineFn fn);
 
   void kick(QueuePair& qp, std::uint32_t trace_span = 0);
   /// One drain round: dispatches to the fused SoA burst drain, or (with a
@@ -246,9 +202,6 @@ class Nic {
   void process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
                    sim::Time at, bool mr_ok, sim::Time fetch_cost);
   void retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts);
-  /// Cross-shard RNR retry entry: the WR came back by value; re-pool it
-  /// locally and retry.
-  void retry_send_copy(std::uint32_t qpn, SendWr wr, std::uint32_t rnr_attempts);
 
   void handle_send_arrival(std::uint32_t local_qpn, WrRef wr,
                            Nic& src, std::uint32_t src_qpn, sim::Time delivered,
@@ -260,22 +213,6 @@ class Nic {
                            Nic& src, std::uint32_t src_qpn);
   void handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
                              Nic& src, std::uint32_t src_qpn);
-
-  // Cross-shard entry points (run on this NIC's shard; the WR arrives by
-  // value and is re-pooled locally before entering the handlers above).
-  void remote_send_arrival(std::uint32_t local_qpn, SendWr wr,
-                           std::vector<ChunkArrival> arrivals, Nic& src,
-                           std::uint32_t src_qpn, sim::Time posted,
-                           std::uint32_t rnr_attempts, bool reliable);
-  void remote_write_arrival(std::uint32_t local_qpn, SendWr wr,
-                            std::vector<ChunkArrival> arrivals, Nic& src,
-                            std::uint32_t src_qpn, sim::Time posted,
-                            std::uint32_t rnr_attempts);
-  void remote_read_response(std::uint32_t qpn, SenderMeta m,
-                            std::uintptr_t addr, std::uint64_t len,
-                            NodeId responder,
-                            std::vector<ChunkArrival> arrivals,
-                            std::vector<std::byte> data);
 
   /// Schedule an ACK/NAK-sized packet back to `dst` and run `fn` when it
   /// has been processed there.
@@ -294,11 +231,6 @@ class Nic {
   /// the WQE's processing time (== now on the traced path).
   void trace_chain(std::uint32_t qpn, const SendWr& wr, const TxTimes& t,
                    NodeId dst_node, std::uint64_t len, sim::Time at,
-                   sim::Time fetch_cost);
-  /// The fetch-side records only (kWqeFetch, kDmaFetch) — used on the
-  /// boundary-crossing path, where the destination shard emits kWireTx and
-  /// kDmaDeliver once it has computed the true wire arrival.
-  void trace_fetch(std::uint32_t qpn, const SendWr& wr, std::uint64_t len,
                    sim::Time fetch_cost);
   /// Summed PCIe occupancy of a payload's MTU chunks (the source-side DMA
   /// service time plumbed into kDmaFetch records).
@@ -379,7 +311,6 @@ class Nic {
   /// On-NIC context caches (ICM model). QP contexts are touched on every
   /// doorbell ring, MR contexts on every MR-referencing WQE fetch; misses
   /// fold icm_miss_latency into the existing reservation timestamps.
-  /// Sender-side only, so all state stays shard-local.
   IcmCache icm_qp_;
   IcmCache icm_mr_;
 

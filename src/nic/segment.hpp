@@ -1,10 +1,9 @@
-// MTU segmentation, shared by the fused and split transmission paths.
+// MTU segmentation, shared by the NIC's transmit chain (schedule_chain)
+// and its traced DMA durations (dma_fetch_time).
 //
 // A message of `bytes` payload is cut into MTU-sized chunks; a
 // zero-length message (doorbell-only send, pure-immediate write) still
-// occupies exactly one header-only chunk on the wire. Both facts used to
-// live implicitly in three copies of the same do/while loop
-// (schedule_chain, schedule_chain_src, reserve_dst_chain); they are the
+// occupies exactly one header-only chunk on the wire. Both facts are the
 // segmentation contract, so they live here once, where the chunk-count
 // arithmetic and the iteration can't drift apart.
 #pragma once

@@ -64,7 +64,7 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
   cfg.shared_qp_pool = p.shared_qp_pool;
   cfg.nic.icm_qp_capacity = p.icm_qp_capacity;
   cfg.nic.icm_mr_capacity = p.icm_mr_capacity;
-  core::System sys(cfg, /*host_count=*/2, p.shards);
+  core::System sys(cfg);
 
   os::ConnectionService cli(sys.host(0), p.conn_mode, p.shared_qp_pool);
   os::ConnectionService srv(sys.host(1), p.conn_mode, p.shared_qp_pool);
@@ -88,7 +88,7 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
 
   ScaleResult result;
   result.latency_us.reserve(p.ops);
-  sys.engine_for(0).spawn(
+  sys.engine().spawn(
       [](core::System& sys, os::ConnectionService& cli,
          std::vector<const nic::MemoryRegion*>& mrs,
          const nic::MemoryRegion& sink_mr, std::uintptr_t src_addr,
@@ -96,7 +96,7 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
          ScaleResult& result) -> sim::Task<> {
         verbs::Context ctx(sys.host(0), 0,
                            sys.options(mode_of(p.cord), /*tenant=*/1));
-        sim::Engine& eng = sys.engine_for(0);
+        sim::Engine& eng = sys.engine();
         std::vector<Time> post_t(p.ops, 0);
         std::size_t posted = 0, done = 0;
         std::uint32_t outstanding = 0;
@@ -125,7 +125,7 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
         }
       }(sys, cli, mrs, sink_mr, uptr(src.data()), uptr(sink.data()), p,
         result));
-  sys.sharded().run();
+  sys.engine().run();
 
   result.avg_us = result.latency_us.mean();
   result.p50_us = result.latency_us.percentile(50);
@@ -140,7 +140,7 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
   result.icm_mr_evictions = ms.evictions;
   result.physical_qps = cli.physical_count();
   result.conn_table_bytes = cli.conn_table_bytes();
-  result.clamped_events = sys.sharded().clamped_events();
+  result.clamped_events = sys.engine().clamped_events();
   if (result.latency_us.count() == 0) {
     throw std::runtime_error("scale test produced no samples");
   }
@@ -163,7 +163,7 @@ sim::Task<> victim_loop(core::System& sys, const NoisyParams& p,
                         std::uintptr_t dst, std::uint32_t rkey,
                         sim::Samples& out) {
   verbs::Context ctx(sys.host(0), core_idx, sys.options(mode_of(p.cord), tenant));
-  sim::Engine& eng = sys.engine_for(0);
+  sim::Engine& eng = sys.engine();
   for (std::size_t i = 0; i < p.victim_pings; ++i) {
     const Time t0 = eng.now();
     SendWr wr;
@@ -192,7 +192,7 @@ sim::Task<> attacker_loop(core::System& sys, const NoisyParams& p,
                           std::uintptr_t src, std::uintptr_t dst,
                           std::uint32_t rkey, NoisyResult& res) {
   verbs::Context ctx(sys.host(0), p.victims, sys.options(mode_of(p.cord), tenant));
-  sim::Engine& eng = sys.engine_for(0);
+  sim::Engine& eng = sys.engine();
   std::size_t next = 0;
   std::uint32_t outstanding = 0;
   std::uint64_t wr_id = 0;
@@ -235,7 +235,7 @@ sim::Task<> churn_loop(core::System& sys, const NoisyParams& p,
                        void* buf, NoisyResult& res) {
   verbs::Context ctx(sys.host(0), p.victims + 1,
                      sys.options(mode_of(p.cord), tenant));
-  sim::Engine& eng = sys.engine_for(0);
+  sim::Engine& eng = sys.engine();
   while (eng.now() < p.duration) {
     const nic::MemoryRegion* mr =
         co_await ctx.reg_mr(pd, buf, 4096, nic::kAccessLocalWrite);
@@ -260,9 +260,8 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
   cfg.nic.icm_qp_capacity = p.icm_qp_capacity;
   cfg.nic.icm_mr_capacity = p.icm_mr_capacity;
   // Host 0 runs every tenant; host 1 is the victims' quiet peer; host 2 is
-  // the attacker's flood sink; host 3 keeps the host count divisible for
-  // 1/2/4-shard block placements.
-  core::System sys(cfg, /*host_count=*/4, p.shards);
+  // the attacker's flood sink.
+  core::System sys(cfg, /*host_count=*/3);
   os::Host& h0 = sys.host(0);
   os::Host& h1 = sys.host(1);
   os::Host& h2 = sys.host(2);
@@ -346,9 +345,9 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
   }
   std::vector<std::byte> churn_buf(4096, std::byte{0});
 
-  // --- Run: every root on host 0's shard ------------------------------
+  // --- Run: every root on host 0 ---------------------------------------
   std::vector<sim::Samples> per_victim(p.victims);
-  sim::Engine& eng = sys.engine_for(0);
+  sim::Engine& eng = sys.engine();
   for (std::size_t v = 0; v < p.victims; ++v) {
     eng.spawn(victim_loop(sys, p, v, static_cast<os::TenantId>(1 + v),
                           *vqps[v], *vcqs[v], vsrc_mr.lkey, uptr(vsrc.data()),
@@ -359,7 +358,7 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
                           uptr(asrc.data()), uptr(asink.data()), asink_mr.rkey,
                           res));
   eng.spawn(churn_loop(sys, p, attacker, pd0, churn_buf.data(), res));
-  sys.sharded().run();
+  sys.engine().run();
 
   res.victim_us.reserve(p.victims * p.victim_pings);
   for (const sim::Samples& s : per_victim) {
@@ -371,7 +370,7 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
   const nic::IcmCache::Stats qs = h0.nic().icm_qp_cache().stats();
   res.icm_qp_misses = qs.misses;
   res.icm_qp_evictions = qs.evictions;
-  res.clamped_events = sys.sharded().clamped_events();
+  res.clamped_events = sys.engine().clamped_events();
   if (res.victim_us.count() == 0) {
     throw std::runtime_error("noisy-neighbor produced no victim samples");
   }

@@ -1,9 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <stdexcept>
-
-#include "sim/sharded.hpp"
-
 namespace cord::sim {
 
 namespace detail {
@@ -13,11 +9,6 @@ void notify_root_done(Engine& engine, std::uint64_t root_id) noexcept {
 }  // namespace detail
 
 void Engine::park_at(Poller& p, std::coroutine_handle<> h, Time t) {
-  if (coordinator_ != nullptr && coordinator_->shard_count() > 1) {
-    throw std::logic_error(
-        "Engine::park on a multi-shard engine: parked pollers run only on "
-        "a single engine");
-  }
   p.h_ = h;
   // Sift up from a new leaf.
   const Parked x{t, next_seq_, next_order_++, &p};

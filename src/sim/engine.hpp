@@ -46,8 +46,6 @@ class Tracer;
 
 namespace cord::sim {
 
-class ShardedEngine;
-
 /// One queued event: a 24-byte POD moved by value through the heap. The
 /// payload is the engine's tagged pointer (coroutine frame or FnSlot).
 struct QueueItem {
@@ -145,43 +143,25 @@ class Engine {
   /// visible to callers lets the compiler collapse a schedule→dispatch
   /// ping-pong into register traffic.
   Time run() {
-    if (pending_ != 0 || !parked_.empty()) {
-      run_drain();
-      last_event_ = now_;
-    }
+    if (pending_ != 0 || !parked_.empty()) run_drain();
     return now_;
   }
   /// Run until the queue drains or virtual time would pass `deadline`.
   /// Events and poller steps after `deadline` stay queued; now() is
   /// clamped to `deadline`.
   Time run_until(Time deadline) {
-    if (pending_ != 0 || !parked_.empty()) {
-      if (run_until_drain(deadline)) last_event_ = now_;
-    }
+    if (pending_ != 0 || !parked_.empty()) run_until_drain(deadline);
     if (now_ < deadline) now_ = deadline;
     return now_;
   }
 
   /// Sentinel for "no queued event" (see next_event_time()).
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
-  /// Timestamp of the earliest queued event, or kNoEvent when idle. Used
-  /// by the shard coordinator to compute conservative time windows; never
-  /// read on the hot loop. Parked pollers are not counted: they only exist
-  /// on single-shard engines (park()).
+  /// Timestamp of the earliest queued event, or kNoEvent when idle. Never
+  /// read on the hot loop. Parked pollers are not counted.
   Time next_event_time() const {
     return pending_ == 0 ? kNoEvent : heap_.top().t;
   }
-
-  /// Sharding context (sim/sharded.hpp). Null for a standalone engine;
-  /// set by ShardedEngine, which owns its member engines. Cold data: the
-  /// hot loop never touches it.
-  ShardedEngine* coordinator() const { return coordinator_; }
-  std::uint32_t shard_index() const { return shard_index_; }
-  /// Schedule `fn` at absolute virtual time `t` on `dst`, which may belong
-  /// to another shard (thread). Requires both engines to share a
-  /// coordinator; delivery is deferred to a conservative window edge when
-  /// the shards run in parallel. Defined in sharded.cpp.
-  void cross_post(Engine& dst, Time t, InlineFn fn);
 
   /// Number of detached roots that have not finished yet.
   std::size_t live_roots() const { return roots_.size(); }
@@ -234,8 +214,7 @@ class Engine {
   /// Awaitable: suspend the calling coroutine as the parked poller `p`.
   /// Its first step falls after `delay`, in the slot schedule_in(delay)
   /// would have taken; the coroutine resumes when a step returns
-  /// Poller::kWake. Throws std::logic_error on an engine of a multi-shard
-  /// coordinator, whose windows know nothing of parked pollers.
+  /// Poller::kWake.
   auto park(Poller& p, Time delay) {
     struct Awaiter {
       Engine& engine;
@@ -252,18 +231,9 @@ class Engine {
 
  private:
   friend void detail::notify_root_done(Engine&, std::uint64_t) noexcept;
-  friend class ShardedEngine;
 
-  /// Advance the clock without dispatching anything. Used by the shard
-  /// coordinator for global-clock semantics in merged (sequential) mode
-  /// and to align shard clocks at window edges; never moves time backward.
-  void advance_now(Time t) {
-    if (t > now_) now_ = t;
-  }
-
-  /// Pop and dispatch exactly one event (requires pending_ != 0). The
-  /// drain loops' body; the coordinator's merged sequential mode also uses
-  /// it to interleave engines event-by-event in global (t, shard) order.
+  /// Pop and dispatch exactly one event (requires pending_ != 0): the
+  /// drain loops' body.
   [[gnu::always_inline]] void step_one() {
     --pending_;
     const Item item = heap_.pop();
@@ -418,21 +388,22 @@ class Engine {
     }
   }
 
-  [[gnu::always_inline]] bool run_until_drain(Time deadline) {
-    if (!parked_.empty()) return drain_parked_until(deadline);
+  [[gnu::always_inline]] void run_until_drain(Time deadline) {
+    if (!parked_.empty()) {
+      drain_parked_until(deadline);
+      return;
+    }
     // Events only, in the loop's original shape (see run_drain).
-    if (heap_.top().t > deadline) return false;
+    if (heap_.top().t > deadline) return;
     do {
       step_one();
     } while (pending_ != 0 && heap_.top().t <= deadline && parked_.empty());
     if (!parked_.empty()) drain_parked_until(deadline);
-    return true;
   }
 
   /// run_until_drain with parked pollers (it also drains plain events if
-  /// the last poller wakes). Returns whether anything ran.
-  [[gnu::noinline]] bool drain_parked_until(Time deadline) {
-    bool ran = false;
+  /// the last poller wakes).
+  [[gnu::noinline]] void drain_parked_until(Time deadline) {
     for (;;) {
       const Item* next =
           pending_ != 0 && heap_.top().t <= deadline ? &heap_.top() : nullptr;
@@ -440,11 +411,10 @@ class Engine {
           (next == nullptr || parked_.front().before(*next))) {
         run_parked(next, deadline);
       } else if (next == nullptr) {
-        return ran;
+        return;
       } else {
         step_one();
       }
-      ran = true;
     }
   }
 
@@ -555,11 +525,6 @@ class Engine {
   FnSlot* free_slots_ = nullptr;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
   Time now_ = 0;
-  /// Virtual time of the latest event dispatched by run()/run_until().
-  /// Conservative-window execution parks now_ at window edges between
-  /// rounds; the shard coordinator reads this to report (and restore) the
-  /// true final time, which matches the single-engine run bit-for-bit.
-  Time last_event_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
@@ -569,8 +534,6 @@ class Engine {
   std::uint64_t polls_elided_ = 0;
   std::uint64_t poll_wakes_ = 0;
   trace::Tracer* tracer_ = nullptr;
-  ShardedEngine* coordinator_ = nullptr;
-  std::uint32_t shard_index_ = 0;
 };
 
 }  // namespace cord::sim

@@ -48,7 +48,7 @@ struct ThreadCache {
 
   ~ThreadCache() {
     // Splice everything this thread cached back into the global pool so a
-    // short-lived shard worker never strands recycled blocks.
+    // short-lived thread never strands recycled blocks.
     Global& g = global();
     std::lock_guard<std::mutex> lock(g.mu);
     for (std::size_t c = 0; c < kClasses; ++c) {

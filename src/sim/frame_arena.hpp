@@ -9,14 +9,13 @@
 //
 // Threading: allocation and same-thread free go through a thread_local
 // cache with no synchronization. A frame freed on a different thread than
-// the one that allocated it (a setup-phase coroutine destroyed on a shard
-// worker) lands on that thread's local freelist — blocks are just memory,
-// freelist membership is independent of which slab they came from. Slabs
-// are retired to a process-wide registry and reclaimed only at process
-// exit, so a block never outlives its slab; when a thread exits, its
-// cached freelists are spliced into a mutex-protected global pool that
-// other threads refill from, so shard workers (fresh threads per run)
-// leak nothing across runs.
+// the one that allocated it lands on that thread's local freelist —
+// blocks are just memory, freelist membership is independent of which
+// slab they came from. Slabs are retired to a process-wide registry and
+// reclaimed only at process exit, so a block never outlives its slab;
+// when a thread exits, its cached freelists are spliced into a
+// mutex-protected global pool that other threads refill from, so
+// short-lived threads that run simulations leak nothing.
 #pragma once
 
 #include <cstddef>

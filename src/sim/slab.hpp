@@ -11,9 +11,8 @@
 // contiguous memory instead of malloc's scattered chunks.
 //
 // Threading follows the arena's contract: allocation and free may happen
-// on different threads (setup-phase objects destroyed after a sharded
-// run); blocks never outlive their slab because slabs are only reclaimed
-// at process exit.
+// on different threads; blocks never outlive their slab because slabs are
+// only reclaimed at process exit.
 #pragma once
 
 #include <cstddef>

@@ -20,8 +20,8 @@
 //
 // Determinism: spans completed within one ingest batch are observed in
 // content order (waterfall_before), so a whole-trace ingest produces
-// identical aggregate state — and identical reports — for the same
-// simulation at any shard count.
+// identical aggregate state — and identical reports — whatever order the
+// records were emitted in.
 #pragma once
 
 #include <array>
@@ -114,8 +114,8 @@ class Aggregator {
   /// for tenants with no completed spans (proc_read convention).
   std::string tenant_report(std::uint32_t tenant) const;
   /// critical_path_report over everything observed, plus the slowest-span
-  /// waterfalls. Shard-invariant unless `sync` is provided.
-  std::string critpath_report(const sim::ShardStats* sync = nullptr) const;
+  /// waterfalls.
+  std::string critpath_report() const;
 
  private:
   struct TenantStats {

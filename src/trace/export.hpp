@@ -46,17 +46,4 @@ std::vector<Record> parse_records_csv(std::string_view text);
 /// Events whose name is not a known Point are skipped.
 std::vector<Record> parse_chrome_trace(std::string_view json);
 
-/// Merge per-shard streams into one, ordered by virtual time. Stable:
-/// records with equal timestamps keep shard order, then emission order
-/// within a shard.
-std::vector<Record> merge_by_time(std::vector<std::vector<Record>> streams);
-
-/// Shard-invariant normal form of a trace. A sharded run emits the same
-/// *set* of records as the single-engine run, but tie-order at equal
-/// timestamps and span-id assignment (per-tracer counters) differ. This
-/// sorts by every field except span, then renumbers spans by order of
-/// first appearance — two runs of the same simulation memcmp equal after
-/// canonicalization regardless of shard count.
-std::vector<Record> canonical_trace(std::vector<Record> records);
-
 }  // namespace cord::trace

@@ -110,19 +110,7 @@ class Tracer {
   bool enabled() const { return enabled_; }
 
   /// Fresh correlation id for one work request's span chain (never 0).
-  std::uint32_t new_span() {
-    const std::uint32_t s = next_span_;
-    next_span_ += span_stride_;
-    return s;
-  }
-
-  /// Interleave this tracer's span ids with other tracers' (shard s of N
-  /// uses first = s + 1, stride = N) so ids stay unique across a merged
-  /// multi-shard stream. The default (1, 1) is the plain counter.
-  void set_span_range(std::uint32_t first, std::uint32_t stride) {
-    next_span_ = first == 0 ? stride : first;  // spans are never 0
-    span_stride_ = stride == 0 ? 1 : stride;
-  }
+  std::uint32_t new_span() { return next_span_++; }
 
   /// Append a record stamped with the engine's current virtual time.
   void record(Point p, std::uint32_t span, std::uint32_t qpn,
@@ -207,7 +195,6 @@ class Tracer {
   std::size_t count_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint32_t next_span_ = 1;
-  std::uint32_t span_stride_ = 1;
   bool enabled_ = false;
 };
 

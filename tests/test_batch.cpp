@@ -5,7 +5,7 @@
 //   * tx_batch > 1 must not change simulated results: latency samples are
 //     exactly the per-op samples (the flush happens at the same virtual
 //     instant the per-op syscall would have), and batched runs are
-//     bit-identical across shard counts.
+//     bit-identical run to run.
 //   * one flush = one kernel crossing servicing the whole ring — the
 //     crossings / ops_serviced counters must diverge.
 //   * edge cases: an empty flush is a strict no-op (covered in
@@ -41,21 +41,19 @@ Params cord_params(TestOp op, Transport tr, std::size_t size) {
 // --- Differential: batched CoRD == per-op CoRD, sample for sample -------
 
 TEST(Batch, BatchedLatencyMatchesPerOpRandomized) {
-  // Randomized configurations, fixed seed: op x transport x size x shard
-  // count. For every drawn config the batched
+  // Randomized configurations, fixed seed: op x transport x size. For
+  // every drawn config the batched
   // runs must reproduce the per-op latency samples *exactly* — the
   // submission ring defers the crossing but never moves it in virtual
   // time (the poll that harvests the completion flushes first).
   std::mt19937 rng(0xC02Du);
   const TestOp ops[] = {TestOp::kSend, TestOp::kWrite, TestOp::kRead};
   const std::size_t sizes[] = {8, 64, 512, 4096};
-  const std::size_t shard_opts[] = {1, 2, 4};
   for (int trial = 0; trial < 5; ++trial) {
     const TestOp op = ops[rng() % 3];
     const Transport tr =
         (op == TestOp::kSend && rng() % 2 == 0) ? Transport::kUD : Transport::kRC;
     Params base = cord_params(op, tr, sizes[rng() % 4]);
-    base.shards = shard_opts[rng() % 3];
     const auto ref = run_latency(core::system_l(), base);
     for (std::uint32_t b : {4u, 16u, 64u}) {
       Params bp = base;
@@ -68,24 +66,20 @@ TEST(Batch, BatchedLatencyMatchesPerOpRandomized) {
   }
 }
 
-TEST(Batch, BatchedBandwidthBitIdenticalAcrossShards) {
+TEST(Batch, BatchedBandwidthBitIdenticalRunToRun) {
   // A deep-pipeline bandwidth run actually exercises multi-WR flushes
   // (the latency ping-pong above only ever gathers one WR). The result
-  // must be bit-identical at every shard count.
+  // must be bit-identical from run to run.
   Params p = cord_params(TestOp::kSend, Transport::kRC, 64);
   p.iterations = 300;
   p.tx_depth = 64;
   p.tx_batch = 16;
-  const auto single = run_bandwidth(core::system_l(), p);
-  ASSERT_EQ(single.messages, 300u);
-  for (std::size_t shards : {2u, 4u}) {
-    Params v = p;
-    v.shards = shards;
-    const auto r = run_bandwidth(core::system_l(), v);
-    ASSERT_EQ(r.messages, 300u);
-    EXPECT_EQ(r.gbps, single.gbps) << "shards=" << shards;
-    EXPECT_EQ(r.elapsed, single.elapsed) << "shards=" << shards;
-  }
+  const auto first = run_bandwidth(core::system_l(), p);
+  ASSERT_EQ(first.messages, 300u);
+  const auto r = run_bandwidth(core::system_l(), p);
+  ASSERT_EQ(r.messages, 300u);
+  EXPECT_EQ(r.gbps, first.gbps);
+  EXPECT_EQ(r.elapsed, first.elapsed);
 }
 
 // --- Crossing amortization and the counter split -------------------------

@@ -1,5 +1,5 @@
-// Tests for cord::trace::causal — waterfall conservation (bit-exact, at
-// every shard count), critical-path extraction, the
+// Tests for cord::trace::causal — waterfall conservation (bit-exact, for
+// every perftest op), critical-path extraction, the
 // bounded aggregation layer, the tail-latency watchdog, and the kernel /
 // System surfaces they feed.
 #include <gtest/gtest.h>
@@ -11,18 +11,15 @@
 
 #include "core/system.hpp"
 #include "perftest/perftest.hpp"
-#include "sim/sharded.hpp"
 #include "trace/causal/aggregate.hpp"
 #include "trace/causal/causal.hpp"
-#include "trace/export.hpp"
 
 namespace {
 
 using namespace cord;
 namespace causal = trace::causal;
 
-perftest::Params traced(perftest::TestOp op, std::size_t shards,
-                        int iters = 15) {
+perftest::Params traced(perftest::TestOp op, int iters = 15) {
   perftest::Params p;
   p.op = op;
   p.msg_size = 4096;
@@ -32,7 +29,6 @@ perftest::Params traced(perftest::TestOp op, std::size_t shards,
   p.client = verbs::ContextOptions{.mode = verbs::DataplaneMode::kCord};
   p.server = verbs::ContextOptions{.mode = verbs::DataplaneMode::kCord};
   p.capture_trace = true;
-  p.shards = shards;
   return p;
 }
 
@@ -168,64 +164,56 @@ TEST(BuildWaterfall, OutOfOrderMilestonesAreClampedNotNegative) {
 }
 
 // ---------------------------------------------------------------------------
-// Conservation on real traces: bit-exact at 1/2/4 shards, all perftest ops
+// Conservation on real traces: bit-exact for all perftest ops
 // ---------------------------------------------------------------------------
 
-TEST(Conservation, BitExactAcrossShardsAndOps) {
+TEST(Conservation, BitExactAcrossOps) {
   const auto cfg = core::system_l();
   for (perftest::TestOp op : {perftest::TestOp::kSend, perftest::TestOp::kWrite,
                               perftest::TestOp::kRead}) {
-    for (std::size_t shards : {1u, 2u, 4u}) {
-      const auto r = perftest::run_latency(cfg, traced(op, shards));
-      ASSERT_EQ(r.trace_dropped, 0u);
-      const auto falls = causal::build_waterfalls(r.trace);
-      ASSERT_FALSE(falls.empty())
-          << "op=" << static_cast<int>(op) << " shards=" << shards;
-      // Independent end-to-end per span, straight from the raw records.
-      std::map<std::uint32_t, sim::Time> post, done;
-      for (const trace::Record& rc : r.trace) {
-        if (rc.span == 0) continue;
-        if (rc.point == trace::Point::kVerbsPostSend &&
-            (!post.count(rc.span) || rc.t < post[rc.span])) {
-          post[rc.span] = rc.t;
-        }
-        if (rc.point == trace::Point::kCompletion && rc.aux == 0 &&
-            (!done.count(rc.span) || rc.t > done[rc.span])) {
-          done[rc.span] = rc.t;
-        }
+    const auto r = perftest::run_latency(cfg, traced(op));
+    ASSERT_EQ(r.trace_dropped, 0u);
+    const auto falls = causal::build_waterfalls(r.trace);
+    ASSERT_FALSE(falls.empty()) << "op=" << static_cast<int>(op);
+    // Independent end-to-end per span, straight from the raw records.
+    std::map<std::uint32_t, sim::Time> post, done;
+    for (const trace::Record& rc : r.trace) {
+      if (rc.span == 0) continue;
+      if (rc.point == trace::Point::kVerbsPostSend &&
+          (!post.count(rc.span) || rc.t < post[rc.span])) {
+        post[rc.span] = rc.t;
       }
-      for (const causal::Waterfall& w : falls) {
-        // The conservation invariant: stage widths sum to the span's
-        // end-to-end latency, bit-exact in integer picoseconds.
-        ASSERT_EQ(w.stage_sum(), w.e2e())
-            << "op=" << static_cast<int>(op) << " shards=" << shards
-            << " qpn=" << w.qpn;
-        ASSERT_TRUE(post.count(w.span) && done.count(w.span));
-        ASSERT_EQ(w.e2e(), done[w.span] - post[w.span]);
-        for (const causal::StageSlice& s : w.stages) {
-          ASSERT_EQ(s.span, s.service + s.queue);
-          ASSERT_GE(s.service, 0);
-          ASSERT_GE(s.queue, 0);
-        }
+      if (rc.point == trace::Point::kCompletion && rc.aux == 0 &&
+          (!done.count(rc.span) || rc.t > done[rc.span])) {
+        done[rc.span] = rc.t;
+      }
+    }
+    for (const causal::Waterfall& w : falls) {
+      // The conservation invariant: stage widths sum to the span's
+      // end-to-end latency, bit-exact in integer picoseconds.
+      ASSERT_EQ(w.stage_sum(), w.e2e())
+          << "op=" << static_cast<int>(op) << " qpn=" << w.qpn;
+      ASSERT_TRUE(post.count(w.span) && done.count(w.span));
+      ASSERT_EQ(w.e2e(), done[w.span] - post[w.span]);
+      for (const causal::StageSlice& s : w.stages) {
+        ASSERT_EQ(s.span, s.service + s.queue);
+        ASSERT_GE(s.service, 0);
+        ASSERT_GE(s.queue, 0);
       }
     }
   }
 }
 
-TEST(Conservation, ReportsIdenticalAcrossShardCounts) {
+TEST(Conservation, ReportsIdenticalRunToRun) {
   const auto cfg = core::system_l();
-  auto reports = [&](std::size_t shards) {
-    const auto r =
-        perftest::run_latency(cfg, traced(perftest::TestOp::kSend, shards));
+  auto reports = [&] {
+    const auto r = perftest::run_latency(cfg, traced(perftest::TestOp::kSend));
     causal::Aggregator agg;
     agg.ingest(r.trace);
     EXPECT_GT(agg.spans(), 0u);
     return agg.latency_report() + "\n---\n" + agg.critpath_report();
   };
-  const std::string golden = reports(1);
-  for (std::size_t shards : {2u, 4u}) {
-    EXPECT_EQ(reports(shards), golden) << "shards=" << shards;
-  }
+  EXPECT_EQ(reports(), reports());
 }
 
 // ---------------------------------------------------------------------------
@@ -252,25 +240,6 @@ TEST(CriticalPath, AccumulatesAndPicksDominantStage) {
   const std::string report = causal::critical_path_report(cp);
   EXPECT_NE(report.find("dominant stage wire"), std::string::npos);
   EXPECT_NE(report.find("nic-sched"), std::string::npos);
-}
-
-TEST(CriticalPath, ShardSyncSectionUsesBarrierWaits) {
-  causal::CriticalPath cp;
-  const auto w = causal::build_waterfall(golden_chain());
-  ASSERT_TRUE(w.has_value());
-  cp.add(*w);
-  sim::ShardStats stats;
-  stats.windows = 12;
-  stats.barrier_wait_ns = {1'000'000, 500'000};
-  stats.barrier_waits = {24, 24};
-  const std::string report = causal::critical_path_report(cp, &stats);
-  EXPECT_NE(report.find("shard-sync (wall clock)"), std::string::npos);
-  EXPECT_NE(report.find("1.500 ms barrier idle across 2 shards"),
-            std::string::npos);
-  EXPECT_NE(report.find("48 waits, 12 windows"), std::string::npos);
-  // And without stats the report stays shard-invariant (no sync section).
-  EXPECT_EQ(causal::critical_path_report(cp).find("shard-sync"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 // Tests for the allocation-free simulator fast path: event-queue
 // determinism (same-timestamp insertion order, past-time clamping),
 // InlineFn semantics (move-only captures, over-capacity heap fallback),
-// MrTable slot recycling, WrPool recycling, and a perftest-shaped smoke
+// MrTable slot recycling, WrPool recycling, the coroutine frame arena,
+// and a perftest-shaped smoke
 // test pinned to exact pre-optimisation outputs (bit-for-bit: any change
 // in event ordering would shift these values).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "nic/wr_pool.hpp"
 #include "perftest/perftest.hpp"
 #include "sim/engine.hpp"
+#include "sim/frame_arena.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/units.hpp"
 
@@ -234,6 +237,53 @@ TEST(WrPool, InlinePayloadReleasedOnRecycle) {
   // The recycled node must not pin the payload buffer.
   nic::WrRef next = pool.acquire(nic::SendWr{});
   EXPECT_TRUE(next->inline_payload.empty());
+}
+
+// --- Coroutine frame arena --------------------------------------------
+
+TEST(FrameArena, RecyclesBlocksLifo) {
+  using namespace sim::detail;
+  const auto s0 = frame_arena_stats();
+  void* a = frame_alloc(256);
+  ASSERT_NE(a, nullptr);
+  frame_free(a, 256);
+  void* b = frame_alloc(256);
+  EXPECT_EQ(a, b);  // same size class comes straight off the freelist
+  frame_free(b, 256);
+  const auto s1 = frame_arena_stats();
+  EXPECT_EQ(s1.allocs, s0.allocs + 2);
+  EXPECT_EQ(s1.fallback_allocs, s0.fallback_allocs);
+}
+
+TEST(FrameArena, OversizedFramesFallBackToHeap) {
+  using namespace sim::detail;
+  const auto s0 = frame_arena_stats();
+  void* big = frame_alloc(1 << 16);
+  ASSERT_NE(big, nullptr);
+  std::memset(big, 0xCD, 1 << 16);
+  frame_free(big, 1 << 16);
+  EXPECT_EQ(frame_arena_stats().fallback_allocs, s0.fallback_allocs + 1);
+}
+
+sim::Task<> trivial_task(int& counter) {
+  ++counter;
+  co_return;
+}
+
+TEST(FrameArena, SpawnHeavyWorkloadReusesSlabSpace) {
+  using namespace sim::detail;
+  sim::Engine e;
+  int ran = 0;
+  for (int i = 0; i < 64; ++i) e.spawn(trivial_task(ran));
+  e.run();
+  ASSERT_EQ(ran, 64);
+  const std::size_t warm_bytes = frame_arena_stats().slab_bytes;
+  for (int i = 0; i < 512; ++i) {
+    e.spawn(trivial_task(ran));
+    e.run();  // frame freed before the next spawn: steady-state recycling
+  }
+  EXPECT_EQ(frame_arena_stats().slab_bytes, warm_bytes);
+  EXPECT_EQ(ran, 64 + 512);
 }
 
 // --- Determinism smoke test -------------------------------------------

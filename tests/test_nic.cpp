@@ -6,6 +6,7 @@
 #include <array>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "fabric/link.hpp"
@@ -853,6 +854,119 @@ TEST(Segmentation, BoundarySizeDeliveryTimesAreReproducible) {
   const auto first = run();
   ASSERT_EQ(first.size(), 5u) << "4 completions + final engine time";
   EXPECT_EQ(run(), first);
+}
+
+// --- Doorbell and completion batching --------------------------------------
+
+TEST(NicBatching, BurstOfPostsRingsOneDoorbell) {
+  TwoNodeFixture f;
+  auto pd0 = f.nic0->alloc_pd();
+  auto pd1 = f.nic1->alloc_pd();
+  auto* scq0 = f.nic0->create_cq(64);
+  auto* rcq0 = f.nic0->create_cq(64);
+  auto* scq1 = f.nic1->create_cq(64);
+  auto* rcq1 = f.nic1->create_cq(64);
+  auto* qp0 = f.nic0->create_qp({QpType::kRC, pd0, scq0, rcq0, 64, 64, 0});
+  auto* qp1 = f.nic1->create_qp({QpType::kRC, pd1, scq1, rcq1, 64, 64, 0});
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, QpState::kInit), kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, QpState::kRtr, {1, qp1->qpn()}), kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, QpState::kRts), kOk);
+  ASSERT_EQ(f.nic1->modify_qp(*qp1, QpState::kInit), kOk);
+  ASSERT_EQ(f.nic1->modify_qp(*qp1, QpState::kRtr, {0, qp0->qpn()}), kOk);
+  ASSERT_EQ(f.nic1->modify_qp(*qp1, QpState::kRts), kOk);
+
+  std::vector<std::byte> src(64, std::byte{0x5A}), dst(4 * 64);
+  const auto& mr_src = f.nic0->register_mr(pd0, src.data(), src.size(), 0);
+  const auto& mr_dst =
+      f.nic1->register_mr(pd1, dst.data(), dst.size(), kAccessLocalWrite);
+  const auto uptr = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p);
+  };
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(f.nic1->post_recv(
+                  *qp1, {std::uint64_t(i),
+                         {uptr(dst.data()) + 64u * i, 64, mr_dst.lkey}}),
+              kOk);
+  }
+  // Four posts back-to-back, no engine progress in between: the first
+  // rings the doorbell and wakes the SQ worker, the rest ride the burst.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(f.nic0->post_send(
+                  *qp0, SendWr{.wr_id = std::uint64_t(i),
+                               .sge = {uptr(src.data()), 64, mr_src.lkey}}),
+              kOk);
+  }
+  const auto& c = f.nic0->counters();
+  EXPECT_EQ(c.doorbells, 1u);
+  EXPECT_EQ(c.doorbells_coalesced, 3u);
+  f.engine.run();
+  EXPECT_EQ(c.sq_bursts, 1u);
+  EXPECT_EQ(c.sq_burst_wrs, 4u);
+  std::array<Cqe, 8> wc;
+  EXPECT_EQ(scq0->poll(wc), 4u);
+  EXPECT_EQ(rcq1->poll(wc), 4u);
+}
+
+TEST(NicBatching, ErrorFlushCoalescesIntoOneBatch) {
+  TwoNodeFixture f;
+  auto pd0 = f.nic0->alloc_pd();
+  auto* scq0 = f.nic0->create_cq(64);
+  auto* rcq0 = f.nic0->create_cq(64);
+  auto* qp0 = f.nic0->create_qp({QpType::kRC, pd0, scq0, rcq0, 64, 64, 0});
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, QpState::kInit), kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, QpState::kRtr, {1, 99}), kOk);
+  ASSERT_EQ(f.nic0->modify_qp(*qp0, QpState::kRts), kOk);
+  std::vector<std::byte> buf(256);
+  const auto& mr =
+      f.nic0->register_mr(pd0, buf.data(), buf.size(), kAccessLocalWrite);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(f.nic0->post_recv(
+                  *qp0, {std::uint64_t(i),
+                         {reinterpret_cast<std::uintptr_t>(buf.data()), 64,
+                          mr.lkey}}),
+              kOk);
+  }
+  f.nic0->qp_set_error(*qp0);
+  f.engine.run();
+  const auto& c = f.nic0->counters();
+  EXPECT_EQ(c.cqe_flush_batches, 1u);
+  EXPECT_EQ(c.cqe_flushed, 3u);
+  std::array<Cqe, 8> wc;
+  ASSERT_EQ(rcq0->poll(wc), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(wc[i].status, WcStatus::kWorkRequestFlushed);
+  }
+}
+
+// --- Fabric wiring errors ---------------------------------------------------
+
+TEST(Network, PathErrorsThrow) {
+  sim::Engine e;
+  fabric::Network net(e);
+  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  // No wiring at all: an unknown loopback and a missing link both throw.
+  EXPECT_THROW(net.path(7, 7), std::invalid_argument);
+  EXPECT_THROW(net.path(0, 1), std::invalid_argument);
+}
+
+// Network::connect used to replace a Link silently, destroying the
+// Resources inside it while Paths handed to NICs still pointed at them.
+TEST(Network, DuplicateConnectThrows) {
+  sim::Engine e;
+  fabric::Network net(e);
+  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  net.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
+  EXPECT_THROW(
+      net.connect(0, 1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(50)),
+      std::invalid_argument);
+  // The pair key is unordered: reconnecting in reverse is the same link.
+  EXPECT_THROW(
+      net.connect(1, 0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(50)),
+      std::invalid_argument);
+  // The original link (and any Path resource taken from it) is untouched.
+  EXPECT_EQ(net.path(0, 1).propagation, sim::ns(150));
 }
 
 }  // namespace

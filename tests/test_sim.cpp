@@ -18,7 +18,6 @@
 #include "sim/event.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sim/units.hpp"
@@ -134,11 +133,10 @@ TEST(Engine, DestructorReclaimsStuckRoots) {
 // --- Event queue against a reference total order ----------------------------
 // A seeded program schedules through call_at from outside and inside
 // dispatch. Its times mix duplicate timestamps, clamped past scheduling
-// and far-future times next to ShardedEngine::kUnboundedLookahead (where
-// the shard coordinator's window arithmetic ends). The clock steps in
-// run_until windows with a next_event_time() peek at each edge, as the
-// coordinator drives it. Every dispatch must pop the minimum of a std::set
-// on (t, seq) that mirrors the queue.
+// and far-future times near Engine::kNoEvent / 2. The clock steps in
+// run_until windows with a next_event_time() peek at each edge. Every
+// dispatch must pop the minimum of a std::set on (t, seq) that mirrors
+// the queue.
 
 struct RefQueue {
   Engine engine;
@@ -169,8 +167,8 @@ struct RefQueue {
         return now + ns(1 + r % 2000);
       case 6:  // milliseconds out
         return now + ms(1 + r % 50);
-      default:  // next to the coordinator's unbounded-window sentinel
-        return ShardedEngine::kUnboundedLookahead - r % 4;
+      default:  // far future, half-way to the kNoEvent sentinel
+        return Engine::kNoEvent / 2 - r % 4;
     }
   }
 
@@ -216,7 +214,7 @@ TEST(Engine, RandomizedOrderMatchesReference) {
     EXPECT_EQ(q.engine.queue_peak_depth(), q.peak);
     // The stream must have exercised the clamp and the far-future band.
     EXPECT_GT(q.clamped, 0u);
-    EXPECT_GE(q.engine.now(), ShardedEngine::kUnboundedLookahead - 3);
+    EXPECT_GE(q.engine.now(), Engine::kNoEvent / 2 - 3);
   }
 }
 
@@ -386,28 +384,9 @@ TEST(Poller, RunUntilSlicesMatchRun) {
   }
 }
 
-TEST(Poller, ParkOnMultiShardEngineThrows) {
-  ShardedEngine sharded(2);
-  Engine& e = sharded.shard(0);
-  PollWorld w;
-  bool threw = false;
-  e.spawn([](Engine& e, PollWorld& w, bool& threw) -> Task<> {
-    int idle = 0;
-    ParkedLoop p(w, 0, idle);
-    try {
-      co_await e.park(p, ns(1));
-    } catch (const std::logic_error&) {
-      threw = true;
-    }
-  }(e, w, threw));
-  e.run();
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(e.live_roots(), 0u);
-}
-
-TEST(Poller, OneShardCoordinatorReplaysParkedStepsInEitherRunMode) {
-  // A one-shard coordinator has nothing to merge, so run_sequential()
-  // must drain like run() and Engine::run(), parked pollers included.
+TEST(Poller, RunReplaysParkedStepsUntilTheWake) {
+  // run() drains parked pollers like events: it returns only once the
+  // parked loop has woken and finished.
   struct Wait final : Poller {
     bool ready = false;
     int steps = 0;
@@ -416,27 +395,23 @@ TEST(Poller, OneShardCoordinatorReplaysParkedStepsInEitherRunMode) {
       return ready ? kWake : ns(10);
     }
   };
-  for (const bool sequential : {false, true}) {
-    SCOPED_TRACE(sequential ? "run_sequential" : "run");
-    ShardedEngine sharded(1);
-    Engine& e = sharded.shard(0);
-    Wait wait;
-    Time woke = -1;
-    e.call_at(us(1), [&wait] { wait.ready = true; });
-    e.spawn([](Engine& e, Wait& w, Time& woke) -> Task<> {
-      co_await e.park(w, ns(10));
-      woke = e.now();
-    }(e, wait, woke));
-    const Time end = sequential ? sharded.run_sequential() : sharded.run();
-    // Steps at 10, 20, ..., 1000 ns; the callback due at 1 us was
-    // scheduled first, so it runs before the step that wakes.
-    EXPECT_EQ(wait.steps, 100);
-    EXPECT_EQ(e.polls_elided(), 99u);
-    EXPECT_EQ(e.poll_wakes(), 1u);
-    EXPECT_EQ(woke, us(1));
-    EXPECT_EQ(end, us(1));
-    EXPECT_EQ(sharded.live_roots(), 0u);
-  }
+  Engine e;
+  Wait wait;
+  Time woke = -1;
+  e.call_at(us(1), [&wait] { wait.ready = true; });
+  e.spawn([](Engine& e, Wait& w, Time& woke) -> Task<> {
+    co_await e.park(w, ns(10));
+    woke = e.now();
+  }(e, wait, woke));
+  const Time end = e.run();
+  // Steps at 10, 20, ..., 1000 ns; the callback due at 1 us was
+  // scheduled first, so it runs before the step that wakes.
+  EXPECT_EQ(wait.steps, 100);
+  EXPECT_EQ(e.polls_elided(), 99u);
+  EXPECT_EQ(e.poll_wakes(), 1u);
+  EXPECT_EQ(woke, us(1));
+  EXPECT_EQ(end, us(1));
+  EXPECT_EQ(e.live_roots(), 0u);
 }
 
 Task<int> add_later(Engine& e, int a, int b) {

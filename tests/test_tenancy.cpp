@@ -1,8 +1,8 @@
 // Massive-tenancy scaling and isolation: the ICM context cache (unit +
 // charged-latency integration), shared-connection memory boundedness, the
-// exclusive-mode connection-count latency cliff, determinism of the
-// tenancy scenarios across shard counts, and the noisy-neighbor isolation
-// story (policies restore victim tail).
+// exclusive-mode connection-count latency cliff, run-to-run determinism of
+// the tenancy scenarios, and the noisy-neighbor isolation story (policies
+// restore victim tail).
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
@@ -88,9 +88,9 @@ TEST(IcmCache, MissLatencyIsChargedPerDoorbell) {
       << "every op pays exactly one QP-context fetch";
 }
 
-// --- Determinism across shards --------------------------------------------
+// --- Run-to-run determinism -----------------------------------------------
 
-TEST(ConnScale, BitIdenticalAcrossShards) {
+TEST(ConnScale, BitIdenticalRunToRun) {
   ScaleParams base;
   base.connections = 128;
   base.window = 8;
@@ -101,17 +101,15 @@ TEST(ConnScale, BitIdenticalAcrossShards) {
   const ScaleResult golden = perftest::run_conn_scale(cfg, base);
   EXPECT_GT(golden.icm_qp_misses, 0u) << "working set must outgrow the cache";
 
-  ScaleParams p = base;
-  p.shards = 2;
-  const ScaleResult r = perftest::run_conn_scale(cfg, p);
+  const ScaleResult r = perftest::run_conn_scale(cfg, base);
   EXPECT_EQ(r.latency_us.values(), golden.latency_us.values())
-      << "latency samples diverged at 2 shards";
+      << "latency samples diverged between two identical runs";
   EXPECT_EQ(r.icm_qp_misses, golden.icm_qp_misses);
   EXPECT_EQ(r.icm_mr_misses, golden.icm_mr_misses);
   EXPECT_EQ(r.clamped_events, 0u);
 }
 
-TEST(NoisyNeighbor, ShapingIsDeterministicAcrossShards) {
+TEST(NoisyNeighbor, ShapingIsDeterministicRunToRun) {
   NoisyParams base;
   base.victims = 2;
   base.victim_pings = 80;
@@ -123,17 +121,13 @@ TEST(NoisyNeighbor, ShapingIsDeterministicAcrossShards) {
   base.policies = true;
   const core::SystemConfig cfg = core::system_l();
   const NoisyResult golden = perftest::run_noisy_neighbor(cfg, base);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    NoisyParams p = base;
-    p.shards = shards;
-    const NoisyResult r = perftest::run_noisy_neighbor(cfg, p);
-    EXPECT_EQ(r.victim_us.values(), golden.victim_us.values())
-        << "victim samples diverged at " << shards << " shards";
-    EXPECT_EQ(r.attacker_ops, golden.attacker_ops) << shards << " shards";
-    EXPECT_EQ(r.attacker_denied, golden.attacker_denied) << shards << " shards";
-    EXPECT_EQ(r.attacker_regs, golden.attacker_regs) << shards << " shards";
-    EXPECT_EQ(r.clamped_events, 0u);
-  }
+  const NoisyResult r = perftest::run_noisy_neighbor(cfg, base);
+  EXPECT_EQ(r.victim_us.values(), golden.victim_us.values())
+      << "victim samples diverged between two identical runs";
+  EXPECT_EQ(r.attacker_ops, golden.attacker_ops);
+  EXPECT_EQ(r.attacker_denied, golden.attacker_denied);
+  EXPECT_EQ(r.attacker_regs, golden.attacker_regs);
+  EXPECT_EQ(r.clamped_events, 0u);
 }
 
 // --- Shared-connection boundedness and the exclusive-mode cliff ---------

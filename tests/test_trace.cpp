@@ -483,7 +483,7 @@ TEST(SystemMetrics, QueueGaugesMirrorEngineStats) {
   for (int i = 0; i < 5000; ++i) {
     sys.engine().call_at(sim::ns(10 + i * 5), [&fired] { ++fired; });
   }
-  sys.sharded().run();
+  sys.engine().run();
   EXPECT_EQ(fired, 5000);
   EXPECT_EQ(sys.metrics().gauge_value("engine.queue_peak_depth"), 5000);
   // The same stats surface per host through the kernel's /proc-style
