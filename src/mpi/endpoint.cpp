@@ -74,10 +74,12 @@ sim::Time Endpoint::IdleLoop::step() {
         return ep_.core().charge(backoff(idle), os::Work::kSpin);
       }
       [[fallthrough]];
-    case At::kHead:
+    case At::kHead: {
       if (ep_.core().engine().now() > deadline_) return kWake;
-      at_ = At::kRecvPoll;
-      return ep_.charge_poll_miss();
+      const sim::Time d = ep_.charge_poll_miss();
+      if (d != kWake) at_ = after_head_;
+      return d;
+    }
   }
   return kWake;
 }

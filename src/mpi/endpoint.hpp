@@ -51,8 +51,9 @@ class Endpoint {
   ///
   /// Where can_park() allows, the empty iterations are not simulated as
   /// events: the loop parks beside the event queue (IdleLoop) and resumes
-  /// at the step that sees a pushed CQE or a self-send, with every charge,
-  /// counter and instant as if it had kept polling (DESIGN.md §20).
+  /// at the step that sees an arrival (a pushed CQE, a ready socket) or a
+  /// self-send, with every charge, counter and instant as if it had kept
+  /// polling (DESIGN.md §20).
   template <typename Pred>
   sim::Task<> progress_until(Pred&& done, const char* what) {
     IdleLoop loop(*this, core().engine().now() + kProgressTimeout);
@@ -81,29 +82,33 @@ class Endpoint {
 
  protected:
   /// One progress_until loop's idle state, and its stand-in while parked:
-  /// each step() replays one step of an empty iteration — the send-CQ
-  /// read, the receive-CQ read, the idle count and backoff, the deadline
-  /// check — and wakes the loop at the first step after this endpoint's
-  /// activity counter moves (or when the deadline check would throw).
+  /// each step() replays one step of an empty iteration — its polls (the
+  /// send-CQ and receive-CQ reads, or one socket spin), the idle count and
+  /// backoff, the deadline check — and wakes the loop at the first step
+  /// after this endpoint's activity counter moves, when the deadline check
+  /// would throw, or when the next poll would do more than miss.
   class IdleLoop final : public sim::Poller {
    public:
     /// Where a parked loop stands: the step the engine replays next.
     enum class At {
       kRecvPoll,  // the receive-CQ read (the send-CQ read just charged)
       kSettle,    // the end of an empty progress_once: idle count, backoff
-      kHead,      // the deadline check, done() and the send-CQ read
+      kHead,      // the deadline check, done() and the first poll
     };
     static constexpr int kSpins = 64;  // empty iterations before backoff
     static sim::Time backoff(int idle) {
       return std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
     }
 
-    IdleLoop(Endpoint& ep, sim::Time deadline) : ep_(ep), deadline_(deadline) {}
+    IdleLoop(Endpoint& ep, sim::Time deadline)
+        : ep_(ep),
+          deadline_(deadline),
+          after_head_(ep.polls_twice() ? At::kRecvPoll : At::kSettle) {}
     At at() const { return at_; }
-    /// Park at the loop head: charge the send-CQ read due now and suspend
+    /// Park at the loop head: charge the first poll due now and suspend
     /// until a step wakes the loop.
     auto park() {
-      at_ = At::kRecvPoll;
+      at_ = after_head_;
       seen_ = ep_.activity_;
       return ep_.core().engine().park(*this, ep_.charge_poll_miss());
     }
@@ -119,17 +124,23 @@ class Endpoint {
    private:
     Endpoint& ep_;
     sim::Time deadline_;
+    At after_head_;  // the step after the first poll
     At at_ = At::kHead;
     std::uint64_t seen_ = 0;  // ep_.activity_ when the loop parked
   };
 
-  /// Whether an empty progress_once starting now would do nothing but two
-  /// user-space CQ reads (send CQ, then receive CQ), each costing
-  /// charge_poll_miss(), and nothing can change that without moving
-  /// activity_. Transports that cannot promise this never park.
+  /// Whether an empty progress_once starting now would do nothing but its
+  /// polls, each costing charge_poll_miss(), and nothing but those polls
+  /// can change that without moving activity_. Transports that cannot
+  /// promise this never park.
   virtual bool can_park() const { return false; }
-  /// Replay one empty CQ read: count the verb, charge its spin, and return
-  /// the charged time.
+  /// Whether an empty progress_once polls twice (verbs: the send CQ, then
+  /// the receive CQ) rather than once (sockets: one spin).
+  virtual bool polls_twice() const { return true; }
+  /// Replay one empty poll: count it, charge its spin, and return the
+  /// charged time — or return sim::Poller::kWake, charging nothing, when
+  /// the poll due now would do more than miss. At a loop head that
+  /// can_park() allowed, it never does.
   virtual sim::Time charge_poll_miss() { return 0; }
   /// Finish a progress_once that a parked loop woke in the middle of: from
   /// its receive-CQ read (`poll_recv`) or from just after it. Returns what
@@ -182,8 +193,9 @@ class Endpoint {
   /// by the progress loop.
   sim::Time pending_copy_cost_ = 0;
   /// Moves on every CQE pushed into this endpoint's CQs, again when a loop
-  /// processes it, and on every eager delivery: a parked progress loop
-  /// wakes when it differs from the value it parked with.
+  /// processes it, on every socket readiness, and on every eager delivery:
+  /// a parked progress loop wakes when it differs from the value it parked
+  /// with.
   std::uint64_t activity_ = 0;
 };
 

@@ -16,6 +16,7 @@ void SocketEndpoint::attach(int peer, sock::Socket* socket) {
 }
 
 void SocketEndpoint::mark_ready(int peer) {
+  ++activity_;
   if (in_ready_[static_cast<std::size_t>(peer)] == 0) {
     in_ready_[static_cast<std::size_t>(peer)] = 1;
     ready_.push_back(peer);
@@ -105,8 +106,8 @@ sim::Task<bool> SocketEndpoint::progress_once() {
     // idle stretch falls back to epoll_wait + interrupt wakeup. This also
     // keeps the DVFS profile comparable to the verbs transports (spinning
     // counts as spin).
-    if (++idle_streak_ < 256) {
-      co_await core().work(sim::ns(300), os::Work::kSpin);
+    if (++idle_streak_ < kBlockAfter) {
+      co_await core().work(kPollSpin, os::Work::kSpin);
     } else {
       co_await core().work(core().syscall_cost(), os::Work::kKernel);
       if (ready_.empty()) {
@@ -121,6 +122,14 @@ sim::Task<bool> SocketEndpoint::progress_once() {
     idle_streak_ = 0;
   }
   co_return any;
+}
+
+sim::Time SocketEndpoint::charge_poll_miss() {
+  // The replayed spin of an empty progress_once; the poll that would block
+  // in epoll_wait instead wakes the loop to run it.
+  if (idle_streak_ + 1 >= kBlockAfter) return sim::Poller::kWake;
+  ++idle_streak_;
+  return core().charge(kPollSpin, os::Work::kSpin);
 }
 
 }  // namespace cord::mpi

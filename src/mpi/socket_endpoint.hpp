@@ -2,6 +2,12 @@
 // socket per peer, length-prefixed frames, epoll-style progress. All
 // messages are effectively "eager" — the kernel stream handles any size
 // with its own flow control; matching still happens at the MPI layer.
+//
+// Progress spins on non-blocking polls (kPollSpin each) and falls back to
+// an epoll wait on the kBlockAfter-th empty poll in a row. The spins park
+// beside the event queue like the verbs CQ reads (DESIGN.md §20): while
+// no peer is ready and no copy cost is pending, each is replayed by
+// charge_poll_miss(); the poll that blocks runs for real.
 #pragma once
 
 #include <vector>
@@ -11,7 +17,7 @@
 
 namespace cord::mpi {
 
-class SocketEndpoint final : public Endpoint {
+class SocketEndpoint : public Endpoint {
  public:
   SocketEndpoint(int rank, int world_size, os::Core& core,
                  sock::SocketStack& stack)
@@ -32,6 +38,11 @@ class SocketEndpoint final : public Endpoint {
   sim::Task<bool> progress_once() override;
 
  private:
+  /// The CPU one empty non-blocking poll spins for.
+  static constexpr sim::Time kPollSpin = sim::ns(300);
+  /// Empty polls in a row after which progress blocks in epoll_wait.
+  static constexpr int kBlockAfter = 256;
+
   struct FrameHeader {
     std::int32_t tag = 0;
     std::uint32_t pad = 0;
@@ -48,6 +59,12 @@ class SocketEndpoint final : public Endpoint {
   sim::Task<> start_pull(PostedRecv&, std::uint64_t) override {
     throw std::runtime_error("sockets have no rendezvous path");
   }
+  bool can_park() const override {
+    return ready_.empty() && pending_copy_cost_ == 0 &&
+           idle_streak_ + 1 < kBlockAfter;
+  }
+  bool polls_twice() const override { return false; }
+  sim::Time charge_poll_miss() override;
 
   /// Drain whatever is buffered on one socket into frames.
   sim::Task<bool> pump(int peer);

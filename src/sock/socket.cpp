@@ -1,6 +1,7 @@
 #include "sock/socket.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace cord::sock {
 
@@ -61,7 +62,8 @@ sim::Task<int> Socket::send(os::Core& core, std::span<const std::byte> data) {
                                    data.begin() + offset + seg);
     engine.call_at(rx_done, [this, payload = std::move(payload)]() mutable {
       Socket* p = peer_;
-      for (std::byte b : payload) p->rx_.push_back(b);
+      p->rx_bytes_ += payload.size();
+      p->rx_.push_back({std::move(payload)});
       // The window opens when the receiver *consumes* (TCP rwnd
       // semantics), not when bytes arrive — see Socket::recv.
       p->rx_signal_.trigger();
@@ -73,22 +75,25 @@ sim::Task<int> Socket::send(os::Core& core, std::span<const std::byte> data) {
 }
 
 sim::Task<std::size_t> Socket::recv(os::Core& core, std::span<std::byte> out) {
-  SocketStack& stack = *local_stack_;
-  const SocketConfig& cfg = stack.cfg_;
   // recv()/epoll syscall entry.
   co_await core.work(core.syscall_cost(), os::Work::kKernel);
-  if (rx_.empty()) {
+  if (rx_bytes_ == 0) {
     // Sleep until data arrives; pay the interrupt + wakeup on arrival.
     co_await rx_signal_.wait();
     co_await core.work(core.model().interrupt_handling +
                            core.model().wakeup_latency,
                        os::Work::kKernel);
   }
-  const std::size_t n = std::min(out.size(), rx_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = rx_.front();
-    rx_.pop_front();
+  const std::size_t n = std::min(out.size(), rx_bytes_);
+  for (std::size_t got = 0; got < n;) {
+    Segment& seg = rx_.front();
+    const std::size_t k = std::min(n - got, seg.bytes.size() - seg.off);
+    std::memcpy(out.data() + got, seg.bytes.data() + seg.off, k);
+    got += k;
+    seg.off += k;
+    if (seg.off == seg.bytes.size()) rx_.pop_front();
   }
+  rx_bytes_ -= n;
   // Consuming opens the peer's send window (TCP flow control).
   peer_->inflight_ -= std::min<std::uint64_t>(peer_->inflight_, n);
   peer_->window_signal_.trigger();

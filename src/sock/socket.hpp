@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "os/kernel.hpp"
 #include "sim/event.hpp"
@@ -74,7 +75,7 @@ class Socket {
   /// Receive exactly out.size() bytes (loops over recv).
   sim::Task<> recv_exact(os::Core& core, std::span<std::byte> out);
 
-  std::size_t available() const { return rx_.size(); }
+  std::size_t available() const { return rx_bytes_; }
 
   /// Epoll-style readiness callback: invoked whenever bytes are delivered
   /// into this socket's receive queue.
@@ -88,7 +89,13 @@ class Socket {
   SocketStack* local_stack_ = nullptr;
   Socket* peer_ = nullptr;
 
-  std::deque<std::byte> rx_;        // received, not yet consumed
+  /// One delivered segment, consumed from `off`.
+  struct Segment {
+    std::vector<std::byte> bytes;
+    std::size_t off = 0;
+  };
+  std::deque<Segment> rx_;          // received, not yet consumed
+  std::size_t rx_bytes_ = 0;        // unconsumed bytes across rx_
   sim::Signal rx_signal_;
   std::uint64_t inflight_ = 0;      // bytes sent but not yet delivered
   sim::Signal window_signal_;

@@ -1,18 +1,21 @@
-// Idle-poll elision at the MPI layer (DESIGN.md §20). One VerbsEndpoint
-// pair on two System A hosts (Turbo on, so the DVFS spin load makes every
-// charge order-dependent) runs each scenario twice: with progress loops
-// that park, and as a reference that never parks, whose top-level waits
-// run a test-local copy of the progress loop as it was before parking
-// existed. Both must agree on every observation instant, each core's spin
-// and compute time, the bits of its spin load, and its verb count.
+// Idle-poll elision at the MPI layer (DESIGN.md §20). One endpoint pair of
+// each transport — VerbsEndpoint and SocketEndpoint — on two System A hosts
+// (Turbo on, so the DVFS spin load makes every charge order-dependent) runs
+// each scenario twice: with progress loops that park, and as a reference
+// that never parks, whose top-level waits run a test-local copy of the
+// progress loop as it was before parking existed. Both must agree on every
+// observation instant, each core's spin, compute and kernel time, the bits
+// of its spin load, and (verbs) its verb count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "mpi/socket_endpoint.hpp"
 #include "mpi/verbs_endpoint.hpp"
 #include "mpi/world.hpp"
 #include "npb/npb.hpp"
@@ -25,38 +28,41 @@ namespace {
 using Bytes = std::vector<std::byte>;
 
 /// The endpoint under test: library waits park wherever they can.
-class ParkingEndpoint : public VerbsEndpoint {
+template <typename Transport>
+class Parking : public Transport {
  public:
-  using VerbsEndpoint::VerbsEndpoint;
+  using Transport::Transport;
 
   /// An eager message from (src, tag) waits in the unexpected queue.
   bool arrived(int src, int tag) const {
-    return std::any_of(unexpected_.begin(), unexpected_.end(),
-                       [&](const UnexpectedMsg& m) {
+    return std::any_of(this->unexpected_.begin(), this->unexpected_.end(),
+                       [&](const Endpoint::UnexpectedMsg& m) {
                          return m.src == src && m.tag == tag;
                        });
   }
   /// The in-memory delivery a self-send performs before charging its copy.
   void deliver_self(int tag, const Bytes& data) {
-    deliver_eager(rank(), tag, data);
+    this->deliver_eager(this->rank(), tag, data);
   }
   template <typename Pred>
   sim::Task<> wait(Pred done, const char* what) {
-    co_await progress_until(done, what);
+    co_await this->progress_until(done, what);
   }
 };
 
 /// The reference: never parks, and waits with the pre-parking loop.
-class RefEndpoint final : public ParkingEndpoint {
+template <typename Transport>
+class Ref final : public Parking<Transport> {
  public:
-  using ParkingEndpoint::ParkingEndpoint;
+  using Parking<Transport>::Parking;
 
   template <typename Pred>
   sim::Task<> wait(Pred done, const char* what) {
     int idle = 0;
-    const sim::Time deadline = core().engine().now() + kProgressTimeout;
+    const sim::Time deadline =
+        this->core().engine().now() + Endpoint::kProgressTimeout;
     while (!done()) {
-      const bool any = co_await progress_once();
+      const bool any = co_await this->progress_once();
       if (any) {
         idle = 0;
         continue;
@@ -64,9 +70,9 @@ class RefEndpoint final : public ParkingEndpoint {
       if (++idle > 64) {
         const sim::Time backoff =
             std::min<sim::Time>(sim::ns(25) * idle, sim::us(20));
-        co_await core().work(backoff, os::Work::kSpin);
+        co_await this->core().work(backoff, os::Work::kSpin);
       }
-      if (core().engine().now() > deadline) {
+      if (this->core().engine().now() > deadline) {
         throw std::runtime_error(std::string("MPI progress timed out: ") + what);
       }
     }
@@ -76,9 +82,18 @@ class RefEndpoint final : public ParkingEndpoint {
   bool can_park() const override { return false; }
 };
 
+using ParkingEndpoint = Parking<VerbsEndpoint>;
+using RefEndpoint = Ref<VerbsEndpoint>;
+using ParkingSocketEndpoint = Parking<SocketEndpoint>;
+using RefSocketEndpoint = Ref<SocketEndpoint>;
+
+template <typename Ep>
+constexpr bool kIsSocket = std::is_base_of_v<SocketEndpoint, Ep>;
+
 struct CoreState {
   sim::Time spin = 0;
   sim::Time compute = 0;
+  sim::Time kernel = 0;
   std::uint64_t load_bits = 0;
   std::uint64_t ops = 0;
   bool operator==(const CoreState&) const = default;
@@ -103,23 +118,36 @@ std::ostream& operator<<(std::ostream& os, const Observation& o) {
   return os;
 }
 
-/// Two connected endpoints of type Ep, rank r on host r.
+/// Two connected endpoints of type Ep, rank r on core 0 of host r. Socket
+/// pairs build their own stacks with `scfg`; verbs pairs ignore it.
 template <typename Ep>
 class Pair {
  public:
-  Pair() : sys_(core::system_a(), 2) {
-    for (int r = 0; r < 2; ++r) {
-      ep_[r] = std::make_unique<Ep>(
-          r, 2,
-          verbs::Context(sys_.host(static_cast<std::size_t>(r)), 0,
-                         sys_.options(verbs::DataplaneMode::kBypass)),
-          VerbsEndpoint::Config{4096, 16, 128});
+  explicit Pair(const sock::SocketConfig& scfg = {}) : sys_(core::system_a(), 2) {
+    if constexpr (kIsSocket<Ep>) {
+      for (int r = 0; r < 2; ++r) {
+        os::Host& host = sys_.host(static_cast<std::size_t>(r));
+        stacks_[r] = std::make_unique<sock::SocketStack>(
+            host, *sys_.network_ptr(), scfg);
+        ep_[r] = std::make_unique<Ep>(r, 2, host.core(0), *stacks_[r]);
+      }
+      const auto [s0, s1] = sock::SocketStack::connect(*stacks_[0], *stacks_[1]);
+      ep_[0]->attach(1, s0);
+      ep_[1]->attach(0, s1);
+    } else {
+      for (int r = 0; r < 2; ++r) {
+        ep_[r] = std::make_unique<Ep>(
+            r, 2,
+            verbs::Context(sys_.host(static_cast<std::size_t>(r)), 0,
+                           sys_.options(verbs::DataplaneMode::kBypass)),
+            VerbsEndpoint::Config{4096, 16, 128});
+      }
+      testing::run_task(sys_.engine(), [](Ep& a, Ep& b) -> sim::Task<> {
+        co_await a.setup();
+        co_await b.setup();
+        co_await VerbsEndpoint::wire(a, b);
+      }(*ep_[0], *ep_[1]));
     }
-    testing::run_task(sys_.engine(), [](Ep& a, Ep& b) -> sim::Task<> {
-      co_await a.setup();
-      co_await b.setup();
-      co_await VerbsEndpoint::wire(a, b);
-    }(*ep_[0], *ep_[1]));
   }
 
   core::System& system() { return sys_; }
@@ -139,8 +167,11 @@ class Pair {
       const double load = c.spin_load();
       obs.cores[r].spin = c.time_spin();
       obs.cores[r].compute = c.time_compute();
+      obs.cores[r].kernel = c.time_kernel();
       std::memcpy(&obs.cores[r].load_bits, &load, sizeof load);
-      obs.cores[r].ops = ep_[r]->context().dataplane_ops();
+      if constexpr (!kIsSocket<Ep>) {
+        obs.cores[r].ops = ep_[r]->context().dataplane_ops();
+      }
     }
     return obs;
   }
@@ -149,12 +180,13 @@ class Pair {
 
  private:
   core::System sys_;
+  std::unique_ptr<sock::SocketStack> stacks_[2];  // socket pairs only
   std::unique_ptr<Ep> ep_[2];
 };
 
 sim::Task<> idle_rank() { co_return; }
 
-sim::Time now_of(VerbsEndpoint& ep) { return ep.core().engine().now(); }
+sim::Time now_of(Endpoint& ep) { return ep.core().engine().now(); }
 
 // --- Scenario: eager arrivals -------------------------------------------
 // Rank 1 sleeps `d` (no CPU charge, so the push instant moves 1:1 with d)
@@ -162,8 +194,9 @@ sim::Time now_of(VerbsEndpoint& ep) { return ep.core().engine().now(); }
 // receives the second through the library's posted-receive path.
 
 template <typename Ep>
-Observation arrivals(sim::Time d, bool second = true) {
-  Pair<Ep> p;
+Observation arrivals(sim::Time d, bool second = true,
+                     const sock::SocketConfig& scfg = {}) {
+  Pair<Ep> p(scfg);
   auto rank0 = [](Ep& ep, Observation& obs, bool second) -> sim::Task<> {
     co_await ep.wait([&] { return ep.arrived(1, 1); }, "arrival");
     obs.instants.push_back(now_of(ep));
@@ -378,26 +411,204 @@ TEST(Elision, NeverCompletingReceiveTimesOutAtSameInstant) {
   }
 }
 
+// --- Socket scenarios -----------------------------------------------------
+// The same pair over SocketEndpoint. An empty socket poll is one spin (the
+// head step) followed by the idle count and backoff (the settle step); the
+// 256th empty poll in a row blocks in epoll_wait and runs for real.
+
+TEST(Elision, SocketArrivalsAtEveryStepMatchReference) {
+  // A 64 B message is seen ~8 us after its send. Steps not commensurate
+  // with the spin (~190 ns at Turbo) sweep the arrival across the spin and
+  // the settle/head steps, before the backoff starts (idle 64, ~12.5 us)
+  // and early in its ramp; then deep in the ramp.
+  for (sim::Time d = 0; d < sim::us(24); d += 47'317) {
+    const Observation ref = arrivals<RefSocketEndpoint>(d);
+    const Observation got = arrivals<ParkingSocketEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+  for (const sim::Time d : {sim::us(40), sim::us(250), sim::us(600)}) {
+    EXPECT_EQ(arrivals<ParkingSocketEndpoint>(d), arrivals<RefSocketEndpoint>(d))
+        << "d = " << d;
+  }
+}
+
+TEST(Elision, SocketSegmentAtExactlyAStepInstantMatchesReferenceInBothOrders) {
+  // As PushAtExactlyAPollInstantMatchesReference: at the edge of the first
+  // arrival's step function one segment lands exactly on the instant of
+  // the head step that polls it. With the kernel stack's latencies zeroed
+  // the segment is scheduled ~620 ns (the wire) before it lands. Before the
+  // backoff, steps are one spin (~190 ns) apart, so the segment was
+  // scheduled before the step's slot was taken and comes first (edge at
+  // `lo`); in the backoff ramp (~1.5 us from settle to head) it was
+  // scheduled after, and the step comes first (edge at `hi`).
+  sock::SocketConfig fast;
+  fast.stack_tx = 0;
+  fast.stack_rx = 0;
+  fast.nic_overhead = 0;
+  for (const sim::Time d0 : {sim::ns(400), sim::us(30)}) {
+    const auto seen = [&fast](sim::Time d) {
+      return arrivals<RefSocketEndpoint>(d, false, fast).instants.front();
+    };
+    const sim::Time r = seen(d0);
+    sim::Time lo = d0, hi = d0 + sim::us(25);
+    ASSERT_GT(seen(hi), r);
+    while (hi - lo > 1) {
+      const sim::Time mid = lo + (hi - lo) / 2;
+      (seen(mid) == r ? lo : hi) = mid;
+    }
+    for (const sim::Time d : {lo - 1, lo, hi, hi + 1}) {
+      EXPECT_EQ(arrivals<ParkingSocketEndpoint>(d, false, fast),
+                arrivals<RefSocketEndpoint>(d, false, fast))
+          << "d = " << d;
+    }
+  }
+}
+
+TEST(Elision, SocketDeliveryAtExactlyAStepInstantMatchesReferenceInBothOrders) {
+  // DeliveryAtExactlyAPollInstantMatchesReferenceInBothOrders on the socket
+  // loop's steps: an in-memory delivery at a head step's instant, scheduled
+  // before and after it.
+  for (const sim::Time at0 : {sim::ns(400), sim::us(30)}) {
+    const auto seen = [](sim::Time at) {
+      return delivery_at<RefSocketEndpoint>(at, false).instants.front();
+    };
+    const sim::Time r = seen(at0);
+    sim::Time lo = at0, hi = at0 + sim::us(25);
+    ASSERT_GT(seen(hi), r);
+    while (hi - lo > 1) {
+      const sim::Time mid = lo + (hi - lo) / 2;
+      (seen(mid) == r ? lo : hi) = mid;
+    }
+    const Observation first = delivery_at<RefSocketEndpoint>(lo, false);
+    const Observation second = delivery_at<RefSocketEndpoint>(lo, true);
+    EXPECT_LT(first.instants.front(), second.instants.front());
+    EXPECT_EQ(delivery_at<ParkingSocketEndpoint>(lo, false), first) << "at = " << lo;
+    EXPECT_EQ(delivery_at<ParkingSocketEndpoint>(lo, true), second) << "at = " << lo;
+  }
+}
+
+TEST(Elision, SocketSelfSendCompletesParkedReceive) {
+  for (const sim::Time d : {sim::ns(700), sim::us(7), sim::us(300)}) {
+    const Observation ref = self_send<RefSocketEndpoint>(d);
+    const Observation got = self_send<ParkingSocketEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+}
+
+TEST(Elision, SocketWaitThroughEpollHandOffMatchesReference) {
+  // 255 spins and their backoff take ~0.82 ms; the 256th empty poll makes
+  // the syscall (a jitter draw on System A) and blocks in epoll_wait until
+  // the segment's readiness, then pays the interrupt and the wakeup. The
+  // first wait ends before that poll, the others after it.
+  const Observation before = arrivals<ParkingSocketEndpoint>(sim::us(700), false);
+  for (const sim::Time d : {sim::us(700), sim::ms(1), sim::us(1300)}) {
+    const Observation ref = arrivals<RefSocketEndpoint>(d);
+    const Observation got = arrivals<ParkingSocketEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+  const os::CpuModel& cpu = core::system_a().cpu;
+  const Observation after = arrivals<ParkingSocketEndpoint>(sim::ms(1), false);
+  EXPECT_GE(after.cores[0].kernel - before.cores[0].kernel,
+            cpu.interrupt_handling + cpu.wakeup_latency);
+}
+
+template <typename Ep>
+Observation socket_times_out(bool library) {
+  // Rank 0's wait blocks in epoll_wait until an unmatched message arrives
+  // ~0.1 ms before its 5 s deadline; it then spins, parked, past the
+  // deadline, and must throw at the reference's instant.
+  Pair<Ep> p;
+  auto rank0 = [](Ep& ep, Observation& obs, bool library) -> sim::Task<> {
+    try {
+      if (library) {
+        Bytes in(64);
+        (void)co_await ep.recv(1, 99, in);
+      } else {
+        co_await ep.wait([&] { return ep.arrived(1, 99); }, "recv (posted)");
+      }
+    } catch (const std::runtime_error& e) {
+      obs.error = e.what();
+    }
+    obs.instants.push_back(now_of(ep));
+  };
+  auto rank1 = [](Ep& ep) -> sim::Task<> {
+    co_await ep.core().engine().delay(sim::sec(5) - sim::us(100));
+    co_await ep.send(0, 98, Bytes(64, std::byte{4}));
+  };
+  return p.run(rank0(p.ep(0), p.obs, library), rank1(p.ep(1)));
+}
+
+TEST(Elision, SocketReceiveTimesOutAtSameInstant) {
+  for (const bool library : {true, false}) {
+    const Observation ref = socket_times_out<RefSocketEndpoint>(library);
+    const Observation got = socket_times_out<ParkingSocketEndpoint>(library);
+    EXPECT_EQ(got, ref);
+    EXPECT_EQ(got.error, "MPI progress timed out: recv (posted)");
+    ASSERT_EQ(got.instants.size(), 1u);
+    EXPECT_GT(got.instants[0], sim::sec(5));
+    EXPECT_GT(got.elided, 0u);
+  }
+}
+
 // --- Gauges -----------------------------------------------------------------
 
 TEST(Elision, GaugesCountElidedPollsAndWakes) {
-  core::System sys(core::system_a(), 2);
-  WorldConfig cfg;
-  cfg.srq_slots = 512;
-  World world(sys, 16, cfg);
-  (void)npb::run(world, npb::RunConfig{npb::Kernel::kCG, npb::Class::kB,
-                                       /*verify=*/false, 1});
-  const std::int64_t elided = sys.metrics().gauge_value("sim.polls_elided");
-  const std::int64_t wakes = sys.metrics().gauge_value("sim.poll_wakes");
-  EXPECT_GT(elided, 0);
-  EXPECT_GT(wakes, 0);
-  EXPECT_EQ(elided, static_cast<std::int64_t>(sys.engine().polls_elided()));
-  const trace::MetricsRegistry& host = sys.host(0).kernel().metrics();
-  EXPECT_EQ(host.gauge_value("sim.polls_elided"), elided);
-  EXPECT_EQ(host.gauge_value("sim.poll_wakes"), wakes);
-  const std::string dump = sys.host(0).kernel().proc_read("metrics");
-  EXPECT_NE(dump.find("sim.polls_elided"), std::string::npos);
-  EXPECT_NE(dump.find("sim.poll_wakes"), std::string::npos);
+  for (const NetMode net : {NetMode::kBypass, NetMode::kIpoib}) {
+    core::System sys(core::system_a(), 2);
+    WorldConfig cfg;
+    cfg.net = net;
+    cfg.srq_slots = 512;
+    World world(sys, 16, cfg);
+    (void)npb::run(world, npb::RunConfig{npb::Kernel::kCG, npb::Class::kB,
+                                         /*verify=*/false, 1});
+    const std::int64_t elided = sys.metrics().gauge_value("sim.polls_elided");
+    const std::int64_t wakes = sys.metrics().gauge_value("sim.poll_wakes");
+    EXPECT_GT(elided, 0);
+    EXPECT_GT(wakes, 0);
+    EXPECT_EQ(elided, static_cast<std::int64_t>(sys.engine().polls_elided()));
+    const trace::MetricsRegistry& host = sys.host(0).kernel().metrics();
+    EXPECT_EQ(host.gauge_value("sim.polls_elided"), elided);
+    EXPECT_EQ(host.gauge_value("sim.poll_wakes"), wakes);
+    const std::string dump = sys.host(0).kernel().proc_read("metrics");
+    EXPECT_NE(dump.find("sim.polls_elided"), std::string::npos);
+    EXPECT_NE(dump.find("sim.poll_wakes"), std::string::npos);
+  }
+}
+
+TEST(Elision, EventsPlusReplayedStepsArePinned) {
+  // Engine events plus replayed poll steps of the perfbench smoke points
+  // (16 ranks, one iteration). Elision moves work between the two terms
+  // but never changes their sum; a change that moves a sum changes the
+  // simulated program and must update it here on purpose.
+  struct Pin {
+    npb::Kernel kernel;
+    NetMode net;
+    std::uint64_t steps;
+  };
+  const Pin pins[] = {
+      {npb::Kernel::kCG, NetMode::kBypass, 1'136'256},
+      {npb::Kernel::kCG, NetMode::kCord, 1'270'830},
+      {npb::Kernel::kCG, NetMode::kIpoib, 281'965},
+      {npb::Kernel::kIS, NetMode::kBypass, 311'567},
+      {npb::Kernel::kIS, NetMode::kCord, 320'280},
+      {npb::Kernel::kIS, NetMode::kIpoib, 81'516},
+  };
+  for (const Pin& pin : pins) {
+    core::System sys(core::system_a(), 2);
+    WorldConfig cfg;
+    cfg.net = pin.net;
+    cfg.srq_slots = 512;
+    World world(sys, 16, cfg);
+    (void)npb::run(world, npb::RunConfig{pin.kernel, npb::Class::kB,
+                                         /*verify=*/false, 1});
+    const sim::Engine& e = sys.engine();
+    EXPECT_EQ(e.events_processed() + e.polls_elided(), pin.steps)
+        << npb::to_string(pin.kernel) << " net " << static_cast<int>(pin.net);
+    EXPECT_GT(e.polls_elided(), 0u);
+  }
 }
 
 TEST(Elision, PerftestPollingIsNeverElided) {

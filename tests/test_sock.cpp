@@ -39,6 +39,43 @@ TEST(Socket, BytesArriveInOrderAndIntact) {
   EXPECT_EQ(sent, got);
 }
 
+TEST(Socket, OddSizedReadsCrossSegmentBoundaries) {
+  // One message of three full MSS segments plus a tail, read back once it
+  // has all arrived: 7 B, then 65,479 B (crossing into the second
+  // segment), then 65,481 B (into the third), then a read that asks for
+  // more than is queued and gets only the rest.
+  SockFixture f;
+  auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
+  const std::size_t mss = f.stack0.config().mss;
+  std::vector<std::byte> sent(3 * mss + 1234);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<std::byte>(i * 13 + 5);
+  }
+  std::vector<std::size_t> got_sizes, left;
+  std::vector<std::byte> got;
+  run_task(f.engine, [](SockFixture& f, Socket* a, Socket* b,
+                        std::vector<std::byte>& sent, std::vector<std::byte>& got,
+                        std::vector<std::size_t>& got_sizes,
+                        std::vector<std::size_t>& left) -> sim::Task<> {
+    (void)co_await a->send(f.host0->core(0), sent);
+    while (b->available() < sent.size()) co_await f.engine.delay(sim::us(1));
+    for (const std::size_t ask : {std::size_t{7}, std::size_t{65'479},
+                                  std::size_t{65'481}, sent.size()}) {
+      std::vector<std::byte> buf(ask);
+      const std::size_t n = co_await b->recv(f.host1->core(0), buf);
+      got.insert(got.end(), buf.begin(), buf.begin() + static_cast<long>(n));
+      got_sizes.push_back(n);
+      left.push_back(b->available());
+    }
+  }(f, a, b, sent, got, got_sizes, left));
+  const std::size_t total = sent.size();
+  EXPECT_EQ(got_sizes, (std::vector<std::size_t>{7, 65'479, 65'481,
+                                                  total - 130'967}));
+  EXPECT_EQ(left, (std::vector<std::size_t>{total - 7, total - 65'486,
+                                            total - 130'967, 0}));
+  EXPECT_EQ(got, sent);
+}
+
 TEST(Socket, SmallMessageLatencyIsKernelStackBound) {
   SockFixture f;
   auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
