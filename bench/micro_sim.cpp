@@ -227,7 +227,7 @@ BENCHMARK(BM_NicEndToEndMessage);
 // Deep-queue bandwidth: `depth` signaled RDMA writes per iteration, posted
 // in doorbell bursts of `burst` (the engine drains between bursts, so
 // `burst` is exactly the SQ depth each drain sees). This is the scenario
-// the SoA burst drain targets: one fused per-burst event amortizes WQE
+// the burst drain targets: one per-burst event amortizes WQE
 // fetch/protect/segment across the whole burst instead of paying one
 // engine event per WQE stage.
 void BM_NicBurst(benchmark::State& state) {

@@ -110,7 +110,7 @@ foreach(_name ${BASE_NAMES})
 endforeach()
 
 # --- 1c. NIC hot-loop gate --------------------------------------------------
-# The fused SoA burst pipeline (DESIGN.md §15) is gated through the
+# The NIC send-queue burst drain (DESIGN.md §15) is gated through the
 # BM_NicEndToEndMessage + BM_NicBurst entries of the committed baseline.
 # Section 1 already fails on >TOLERANCE% cpu_time regression for every
 # baseline entry; this block additionally fails if the NIC family is

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "fabric/link.hpp"
-#include "os/conn.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
 #include "trace/causal/aggregate.hpp"
@@ -45,14 +44,6 @@ struct SystemConfig {
   bool cord_inline_support = true;
   /// Default for routing poll_cq through the kernel in CoRD mode.
   bool cord_poll_via_kernel = true;
-  /// Connection-endpoint mode (the runtime conn=exclusive|shared knob,
-  /// os::parse_conn_mode). Exclusive gives every logical connection its
-  /// own physical QP; shared multiplexes logical connections over a
-  /// bounded pool of `shared_qp_pool` physical QPs per destination
-  /// (DCT/RDMAvisor-style, os/conn.hpp), keeping the NIC context working
-  /// set and host memory bounded at millions of logical connections.
-  os::ConnMode conn_mode = os::ConnMode::kExclusive;
-  std::uint32_t shared_qp_pool = 64;
 };
 
 /// The paper's local testbed (defaults as benchmarked: Turbo disabled).

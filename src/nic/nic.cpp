@@ -235,14 +235,14 @@ int Nic::post_recv(QueuePair& qp, RecvWr wr) {
 }
 
 void Nic::kick(QueuePair& qp, std::uint32_t trace_span) {
-  if (qp.sq_worker_active_) {
-    // The SQ worker is already draining this queue: the post rides the
+  if (qp.sq_drain_active_) {
+    // The SQ drain is already active on this queue: the post rides the
     // in-flight burst and no doorbell write (or engine event) is modeled.
     counters_.doorbells_coalesced++;
     return;
   }
   counters_.doorbells++;
-  qp.sq_worker_active_ = true;
+  qp.sq_drain_active_ = true;
   // The doorbell makes the device look up the QP context; if it is not
   // resident in the on-NIC ICM cache, the device stalls for a host-memory
   // fetch before it can schedule the SQ (the connection-count cliff).
@@ -264,72 +264,30 @@ void Nic::sq_resume(std::uint32_t qpn) {
   QueuePair* qp = find_qp(qpn);
   if (qp == nullptr) return;
   if (qp->state_ != QpState::kRts || qp->sq_.empty()) {
-    qp->sq_worker_active_ = false;
+    qp->sq_drain_active_ = false;
     return;
   }
-  if (engine_->tracer() != nullptr) [[unlikely]] {
-    // Trace-fidelity drain: the per-WQE coroutine reserves and records at
-    // the same virtual times, in the same event order, as the pre-fusion
-    // worker (the trace buffer is the raw emission order, so fused
-    // future-dated emission would break its time-sortedness).
-    engine_->spawn(sq_worker(qpn));
-  } else {
-    sq_drain_burst(*qp);
-  }
+  sq_drain_burst(*qp);
 }
 
 void Nic::sq_drain_burst(QueuePair& qp) {
-  // Gather pass: SoA descriptor columns for every WQE queued right now.
-  // WQEs stay in sq_ until their processing iteration so that a
-  // mid-burst error flush (qp_set_error walks sq_) still sees them.
-  burst_.clear();
-  for (const SendWr& wr : qp.sq_) {
-    burst_.opcode.push_back(static_cast<std::uint8_t>(wr.opcode));
-    burst_.len.push_back(static_cast<std::uint32_t>(payload_len(wr)));
-    burst_.addr.push_back(wr.sge.addr);
-    burst_.sge_len.push_back(wr.sge.length);
-    burst_.lkey.push_back(wr.sge.lkey);
-    burst_.inline_or_empty.push_back(
-        wr.inline_data || payload_len(wr) == 0 ? 1 : 0);
-  }
-  // Batched protection pass over the contiguous columns (one MR-table
-  // probe per non-inline WQE, no WQE-sized strides).
-  const std::size_t n = burst_.size();
-  burst_.mr_ok.resize(n);
-  const ProtectionDomainId pd = qp.pd();
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool needs_local_write =
-        burst_.opcode[i] == static_cast<std::uint8_t>(Opcode::kRdmaRead) ||
-        burst_.opcode[i] == static_cast<std::uint8_t>(Opcode::kFetchAdd) ||
-        burst_.opcode[i] == static_cast<std::uint8_t>(Opcode::kCompareSwap);
-    burst_.mr_ok[i] =
-        burst_.inline_or_empty[i] != 0 ||
-        mrs_.check_local(Sge{burst_.addr[i], burst_.sge_len[i],
-                             burst_.lkey[i]},
-                         pd, needs_local_write) != nullptr;
-  }
-  // Processing pass, one event for the whole burst: WQE i's pipeline slot
-  // is reserved when WQE i-1's is known, so slot k ends at the same
-  // f_k = max(now, next_free) + k * wqe_processing the per-WQE worker
-  // computed by waking at f_{k-1} — reserve_at's start is max(now,
-  // earliest, next_free), and no foreign event can interleave inside this
-  // event. Each WQE's downstream chain is reserved with earliest = f_k,
-  // which equals the reservation the worker made at engine-time f_k
-  // whenever the downstream resource has a single active writer (start =
-  // max(now, earliest, next_free), and now <= f_k).
+  // One event for the whole burst: WQE k's pipeline slot is reserved once
+  // WQE k-1's is known, so slot k ends at f_k = max(now, next_free) +
+  // the widths of slots 1..k. Each WQE's downstream chain is reserved with
+  // earliest = f_k. WQEs stay in sq_ until popped, so an error surfaced by
+  // an earlier WQE (qp_set_error walks sq_) flushes every later one and
+  // ends the loop. Nothing in this event posts to sq_ or changes the MR
+  // table, so each WQE's protection verdict is the one it would get at the
+  // doorbell, and wqe_fetch_cost runs in pop order.
   counters_.sq_fused_batches++;
   const std::uint32_t qpn = qp.qpn();
   sim::Time last = engine_->now();
-  for (std::size_t i = 0; i < n; ++i) {
-    // An error surfaced by WQE i-1 flushed the rest of the queue; the
-    // continuation below deactivates the worker at the same virtual time
-    // the per-WQE worker's loop check would have.
-    if (qp.state_ != QpState::kRts || qp.sq_.empty()) break;
+  while (qp.state_ == QpState::kRts && !qp.sq_.empty()) {
     SendWr wr = std::move(qp.sq_.front());
     qp.sq_.pop_front();
     qp.sq_inflight_++;
     counters_.sq_burst_wrs++;
-    const bool mr_ok = burst_.mr_ok[i] != 0;
+    const bool mr_ok = wqe_mr_ok(wr, qp.pd());
     // An ICM MR-context miss widens this WQE's pipeline slot: the fetch
     // stalls on the host-memory context read before parsing can start.
     const sim::Time fetch = wqe_fetch_cost(wr, mr_ok);
@@ -337,31 +295,8 @@ void Nic::sq_drain_burst(QueuePair& qp) {
     process_one(qp, std::move(wr), 0, last, mr_ok, fetch);
   }
   // One continuation event at the burst's end: drains WQEs posted while
-  // this burst was (virtually) processing, or deactivates — at exactly
-  // the time the per-WQE worker would have woken to find the queue empty.
+  // this burst was (virtually) processing, or deactivates the drain.
   engine_->call_at(last, [this, qpn] { sq_resume(qpn); });
-}
-
-sim::Task<> Nic::sq_worker(std::uint32_t qpn) {
-  for (;;) {
-    QueuePair* qp = find_qp(qpn);
-    if (qp == nullptr) co_return;
-    if (qp->state_ != QpState::kRts || qp->sq_.empty()) break;
-    SendWr wr = std::move(qp->sq_.front());
-    qp->sq_.pop_front();
-    qp->sq_inflight_++;
-    counters_.sq_burst_wrs++;
-    // Protection verdict and ICM touch happen at fetch initiation, before
-    // the pipeline slot — the same order (and therefore the same hit/miss
-    // replay) as the fused drain's batched pass.
-    const bool mr_ok = wqe_mr_ok(wr, qp->pd());
-    const sim::Time fetch = wqe_fetch_cost(wr, mr_ok);
-    const sim::Time at = co_await processing_.use(fetch);
-    qp = find_qp(qpn);  // revalidate after suspension
-    if (qp == nullptr) co_return;
-    process_one(*qp, std::move(wr), 0, at, mr_ok, fetch);
-  }
-  if (QueuePair* qp = find_qp(qpn)) qp->sq_worker_active_ = false;
 }
 
 bool Nic::wqe_mr_ok(const SendWr& wr, ProtectionDomainId pd) const {
@@ -408,9 +343,9 @@ Nic::SenderMeta Nic::meta_of(const SendWr& wr) {
                     wr.signaled};
 }
 
-// One record per pipeline stage of a WQE's execution, future-dated from
-// the reservation times schedule_chain computed. Only called with an
-// active tracer.
+// One record per pipeline stage of a WQE's execution, stamped with the
+// reservation times the drain and schedule_chain computed (ahead of the
+// drain event). Only called with an active tracer.
 void Nic::trace_chain(std::uint32_t qpn, const SendWr& wr, const TxTimes& t,
                       NodeId dst_node, std::uint64_t len, sim::Time at,
                       sim::Time fetch_cost) {

@@ -73,14 +73,13 @@ struct NicCounters {
   std::uint64_t tx_bytes = 0;
   std::uint64_t rx_msgs = 0;
   std::uint64_t rx_bytes = 0;
-  // Doorbell/completion batching (see kick/sq_worker/qp_set_error):
+  // Doorbell/completion batching (see kick/sq_drain_burst/qp_set_error):
   std::uint64_t doorbells = 0;  ///< modeled MMIO doorbell writes
-  std::uint64_t doorbells_coalesced = 0;  ///< posts absorbed by an active SQ worker
-  std::uint64_t sq_bursts = 0;      ///< SQ worker activations (one per doorbell)
+  std::uint64_t doorbells_coalesced = 0;  ///< posts absorbed by an active SQ drain
+  std::uint64_t sq_bursts = 0;      ///< SQ drain activations (one per doorbell)
   std::uint64_t sq_burst_wrs = 0;   ///< WRs drained across all activations
-  /// Fused SoA drain events: each processed a whole burst of WQEs
-  /// (gather → batched MR check → per-WQE segmentation) in one engine
-  /// event. Stays 0 when a tracer forces the per-WQE drain path.
+  /// Drain events: each processed every WQE queued at its instant in one
+  /// engine event, traced or not.
   std::uint64_t sq_fused_batches = 0;
   std::uint64_t seg_msgs = 0;    ///< messages run through MTU segmentation
   std::uint64_t seg_chunks = 0;  ///< MTU chunks those messages produced
@@ -129,8 +128,8 @@ class Nic {
   /// (used by the kernel to revoke a connection — an OS-control feature).
   void qp_set_error(QueuePair& qp);
   /// As above, with the error surfacing at virtual time `at` (>= now):
-  /// the fused burst drain detects errors at a WQE's computed processing
-  /// time, which may lie ahead of the event that computed it.
+  /// the burst drain detects errors at a WQE's computed processing time,
+  /// which may lie ahead of the event that computed it.
   void qp_set_error(QueuePair& qp, sim::Time at);
 
   // --- Data plane (reached directly in bypass mode, via syscall in CoRD)
@@ -170,35 +169,33 @@ class Nic {
 
   /// Reserve the pipelined resource chain for `bytes` towards `dst`. `at`
   /// is the WQE's processing-done time: >= now, and ahead of now when the
-  /// fused burst drain reserves a whole burst from one event.
+  /// burst drain reserves a whole burst from one event.
   TxTimes schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
                          bool include_dst_dma, sim::Time at);
 
   void kick(QueuePair& qp, std::uint32_t trace_span = 0);
-  /// One drain round: dispatches to the fused SoA burst drain, or (with a
-  /// tracer attached) to the per-WQE coroutine worker whose event-per-WQE
-  /// structure the canonical traces were recorded against.
+  /// One drain round, traced or not: deactivates the SQ when it is empty
+  /// or the QP has left RTS, else runs sq_drain_burst.
   void sq_resume(std::uint32_t qpn);
-  /// Fused drain: gathers the queued WQE descriptors into the SoA burst
-  /// scratch, batch-checks MRs, then processes every WQE from this one
-  /// event — each WQE's chain reserved at its computed processing-done
-  /// time. Schedules one continuation event at the burst's end.
+  /// The only send-queue drain: pops every queued WQE from this one event,
+  /// checks its protection as it pops it, and reserves its chain at its
+  /// computed processing-done time. Schedules one continuation event at
+  /// the burst's end.
   void sq_drain_burst(QueuePair& qp);
-  sim::Task<> sq_worker(std::uint32_t qpn);
   /// Local protection check a WQE must pass before transmission (inline
   /// and zero-length payloads skip the MR lookup).
   bool wqe_mr_ok(const SendWr& wr, ProtectionDomainId pd) const;
   /// ICM charge for one WQE fetch: base wqe_processing plus the MR-context
   /// miss penalty when the WQE references a memory region (non-inline,
   /// non-empty, protection-checked). Mutates icm_mr_ — call exactly once
-  /// per fetch, in queue order, so fused and per-WQE drains replay the
-  /// same hit/miss sequence.
+  /// per fetch, in the order the fetches happen (pop order in the burst
+  /// drain), so the cache sees the device's hit/miss sequence.
   sim::Time wqe_fetch_cost(const SendWr& wr, bool mr_ok);
-  /// Execute one WQE whose processing pipeline slot ends at `at` (== now
-  /// on the per-WQE paths; ahead of now from the fused drain). `mr_ok` is
-  /// the (possibly batch-computed) wqe_mr_ok verdict; `fetch_cost` the
-  /// reserved slot width (wqe_fetch_cost), plumbed through so the trace
-  /// records carry the true reservation.
+  /// Execute one WQE whose processing pipeline slot ends at `at` (ahead of
+  /// now from the burst drain; == now on an RNR retry). `mr_ok` is its
+  /// wqe_mr_ok verdict; `fetch_cost` the reserved slot width
+  /// (wqe_fetch_cost), plumbed through so the trace records carry the
+  /// true reservation.
   void process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
                    sim::Time at, bool mr_ok, sim::Time fetch_cost);
   void retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts);
@@ -228,7 +225,8 @@ class Nic {
 
   /// Emit the WQE-lifecycle trace records (fetch → DMA → wire → delivery)
   /// for one processed WR. Only called when a tracer is attached; `at` is
-  /// the WQE's processing time (== now on the traced path).
+  /// the end of the WQE's computed processing slot, so each record carries
+  /// the time it stands for, not the time of the drain event.
   void trace_chain(std::uint32_t qpn, const SendWr& wr, const TxTimes& t,
                    NodeId dst_node, std::uint64_t len, sim::Time at,
                    sim::Time fetch_cost);
@@ -281,32 +279,6 @@ class Nic {
   std::vector<sim::SlabPtr<SharedReceiveQueue>> srqs_;
   WrPool wr_pool_;
   ProtectionDomainId next_pd_ = 1;
-
-  /// Struct-of-arrays view of the WQEs at the head of one SQ, rebuilt by
-  /// each fused drain event and dead outside it. The gather pass fills
-  /// the descriptor columns; the batched protection pass fills mr_ok;
-  /// the processing loop then consumes both. Member (not stack) so the
-  /// columns' capacity is reused across bursts.
-  struct SqBurst {
-    std::vector<std::uint8_t> opcode;    // static_cast<uint8_t>(Opcode)
-    std::vector<std::uint32_t> len;      // payload bytes
-    std::vector<std::uintptr_t> addr;    // sge.addr
-    std::vector<std::uint32_t> sge_len;  // sge.length
-    std::vector<std::uint32_t> lkey;
-    std::vector<std::uint8_t> inline_or_empty;  // skips the MR lookup
-    std::vector<std::uint8_t> mr_ok;
-    void clear() {
-      opcode.clear();
-      len.clear();
-      addr.clear();
-      sge_len.clear();
-      lkey.clear();
-      inline_or_empty.clear();
-      mr_ok.clear();
-    }
-    std::size_t size() const { return opcode.size(); }
-  };
-  SqBurst burst_;
 
   /// On-NIC context caches (ICM model). QP contexts are touched on every
   /// doorbell ring, MR contexts on every MR-referencing WQE fetch; misses

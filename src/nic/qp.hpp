@@ -66,7 +66,7 @@ class QueuePair {
   /// Send WQEs handed to the device but not yet completed (occupies SQ
   /// credits until the CQE is generated).
   std::uint32_t sq_inflight_ = 0;
-  bool sq_worker_active_ = false;
+  bool sq_drain_active_ = false;
 
   QpCounters counters_;
 };

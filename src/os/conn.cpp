@@ -2,19 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace cord::os {
-
-ConnMode parse_conn_mode(std::string_view name) {
-  if (name == "exclusive") return ConnMode::kExclusive;
-  if (name == "shared") return ConnMode::kShared;
-  throw std::invalid_argument("unknown conn mode: " + std::string(name));
-}
-
-std::string_view to_string(ConnMode mode) {
-  return mode == ConnMode::kExclusive ? "exclusive" : "shared";
-}
 
 ConnectionService::ConnectionService(Host& host, ConnMode mode,
                                      std::uint32_t pool_size)

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "nic/cq.hpp"
@@ -24,11 +23,6 @@
 namespace cord::os {
 
 enum class ConnMode : std::uint8_t { kExclusive, kShared };
-
-/// Parse the runtime knob value: "exclusive" | "shared". Throws
-/// std::invalid_argument on anything else.
-ConnMode parse_conn_mode(std::string_view name);
-std::string_view to_string(ConnMode mode);
 
 /// Per-host connection multiplexer. Owns the physical QPs (and one
 /// completion queue they share) plus the logical-connection table; the

@@ -66,8 +66,8 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     return static_cast<std::int64_t>(engine_->poll_wakes());
   });
   // This host's NIC doorbell/burst pipeline, mirrored the same way: how
-  // many doorbells rang, how many posts they absorbed, and how the fused
-  // SoA drain is batching WQE work (see nic::NicCounters).
+  // many doorbells rang, how many posts they absorbed, and how many WQEs
+  // each drain event processed (see nic::NicCounters).
   metrics_.callback_gauge("nic.doorbells", [this] {
     return static_cast<std::int64_t>(nic_->counters().doorbells);
   });

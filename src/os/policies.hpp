@@ -34,7 +34,7 @@ class QosTokenBucket final : public Policy {
 
   QosTokenBucket(double bytes_per_sec, std::uint64_t burst_bytes,
                  Mode mode = Mode::kShape)
-      : rate_(bytes_per_sec), burst_(burst_bytes), mode_(mode) {}
+      : rate_(bytes_per_sec), burst_bytes_(burst_bytes), mode_(mode) {}
 
   std::string_view name() const override { return "qos-token-bucket"; }
 
@@ -52,14 +52,14 @@ class QosTokenBucket final : public Policy {
     // police mode denies its very first op with EAGAIN under zero
     // contention.
     if (!b.primed) {
-      b.tokens = static_cast<double>(burst_);
+      b.tokens = static_cast<double>(burst_bytes_);
       b.last_refill = now;
       b.primed = true;
     }
     const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
     // Refill.
     const double elapsed_sec = sim::to_sec(now - b.last_refill);
-    b.tokens = std::min<double>(static_cast<double>(burst_),
+    b.tokens = std::min<double>(static_cast<double>(burst_bytes_),
                                 b.tokens + elapsed_sec * rate);
     b.last_refill = now;
     const auto bytes = static_cast<double>(op.bytes);
@@ -91,9 +91,9 @@ class QosTokenBucket final : public Policy {
     Bucket& b = slot(op.tenant);
     const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
     const double balance =
-        b.primed ? std::min<double>(static_cast<double>(burst_),
+        b.primed ? std::min<double>(static_cast<double>(burst_bytes_),
                                     b.tokens + sim::to_sec(now - b.last_refill) * rate)
-                 : static_cast<double>(burst_);
+                 : static_cast<double>(burst_bytes_);
     const auto bytes = static_cast<double>(op.bytes);
     if (mode_ == Mode::kPolice && balance < bytes) return false;
     if (phase == FastPhase::kProbe) return true;
@@ -121,7 +121,7 @@ class QosTokenBucket final : public Policy {
     return buckets_[t];
   }
   double rate_;
-  std::uint64_t burst_;
+  std::uint64_t burst_bytes_;
   Mode mode_;
   std::vector<Bucket> buckets_;
 };
@@ -245,13 +245,13 @@ class OpRateQuota final : public Policy {
   /// `kinds` is a bitmask of kind_bit(...) values; ops of other kinds
   /// pass through untouched (still paying the check cost).
   OpRateQuota(double ops_per_sec, std::uint64_t burst_ops, std::uint32_t kinds)
-      : rate_(ops_per_sec), burst_(burst_ops), kinds_(kinds) {}
+      : rate_(ops_per_sec), burst_ops_(burst_ops), kinds_(kinds) {}
   /// Mirror per-tenant denial counts into `registry` (counter
   /// `policy.oprate.denied`, label = tenant) so isolation violations
   /// surface through Kernel::proc_read alongside the kernel's metrics.
   OpRateQuota(double ops_per_sec, std::uint64_t burst_ops, std::uint32_t kinds,
               trace::MetricsRegistry& registry)
-      : rate_(ops_per_sec), burst_(burst_ops), kinds_(kinds),
+      : rate_(ops_per_sec), burst_ops_(burst_ops), kinds_(kinds),
         registry_(&registry) {}
 
   std::string_view name() const override { return "op-rate-quota"; }
@@ -266,12 +266,12 @@ class OpRateQuota final : public Policy {
     if ((kinds_ & kind_bit(op.kind)) == 0) return {.cpu_cost = kCheckCost};
     Bucket& b = slot(op.tenant);
     if (!b.primed) {  // fresh buckets start full (same fix as QoS bucket)
-      b.tokens = static_cast<double>(burst_);
+      b.tokens = static_cast<double>(burst_ops_);
       b.last_refill = now;
       b.primed = true;
     }
     const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
-    b.tokens = std::min<double>(static_cast<double>(burst_),
+    b.tokens = std::min<double>(static_cast<double>(burst_ops_),
                                 b.tokens + sim::to_sec(now - b.last_refill) * rate);
     b.last_refill = now;
     if (b.tokens < 1.0) {
@@ -297,9 +297,9 @@ class OpRateQuota final : public Policy {
     Bucket& b = slot(op.tenant);
     const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
     const double balance =
-        b.primed ? std::min<double>(static_cast<double>(burst_),
+        b.primed ? std::min<double>(static_cast<double>(burst_ops_),
                                     b.tokens + sim::to_sec(now - b.last_refill) * rate)
-                 : static_cast<double>(burst_);
+                 : static_cast<double>(burst_ops_);
     if (balance < 1.0) return false;
     if (phase == FastPhase::kProbe) return true;
     b.tokens = balance - 1.0;
@@ -325,7 +325,7 @@ class OpRateQuota final : public Policy {
     return buckets_[t];
   }
   double rate_;
-  std::uint64_t burst_;
+  std::uint64_t burst_ops_;
   std::uint32_t kinds_;
   std::uint64_t denied_ = 0;
   std::vector<Bucket> buckets_;
@@ -342,10 +342,10 @@ class RegistrationQuota final : public Policy {
  public:
   RegistrationQuota(std::uint32_t max_live_mrs, double regs_per_sec,
                     std::uint64_t burst_regs)
-      : max_live_(max_live_mrs), rate_(regs_per_sec), burst_(burst_regs) {}
+      : max_live_(max_live_mrs), rate_(regs_per_sec), burst_regs_(burst_regs) {}
   RegistrationQuota(std::uint32_t max_live_mrs, double regs_per_sec,
                     std::uint64_t burst_regs, trace::MetricsRegistry& registry)
-      : max_live_(max_live_mrs), rate_(regs_per_sec), burst_(burst_regs),
+      : max_live_(max_live_mrs), rate_(regs_per_sec), burst_regs_(burst_regs),
         registry_(&registry) {}
 
   std::string_view name() const override { return "registration-quota"; }
@@ -373,11 +373,11 @@ class RegistrationQuota final : public Policy {
       return {.allow = false, .error = -12 /*ENOMEM*/, .cpu_cost = kCheckCost};
     }
     if (!b.primed) {
-      b.tokens = static_cast<double>(burst_);
+      b.tokens = static_cast<double>(burst_regs_);
       b.last_refill = now;
       b.primed = true;
     }
-    b.tokens = std::min<double>(static_cast<double>(burst_),
+    b.tokens = std::min<double>(static_cast<double>(burst_regs_),
                                 b.tokens + sim::to_sec(now - b.last_refill) * rate_);
     b.last_refill = now;
     if (b.tokens < 1.0) {
@@ -425,7 +425,7 @@ class RegistrationQuota final : public Policy {
   }
   std::uint32_t max_live_;
   double rate_;
-  std::uint64_t burst_;
+  std::uint64_t burst_regs_;
   std::uint64_t denied_ = 0;
   std::vector<Bucket> buckets_;
   trace::MetricsRegistry* registry_ = nullptr;

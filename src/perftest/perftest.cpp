@@ -397,13 +397,6 @@ void validate(const Params& p) {
   }
 }
 
-/// The SystemConfig with the Params' connection-endpoint mode applied.
-core::SystemConfig conn_config(core::SystemConfig cfg, const Params& p) {
-  cfg.conn_mode = p.conn_mode;
-  cfg.shared_qp_pool = p.shared_qp_pool;
-  return cfg;
-}
-
 void arm_tracing(core::System& sys, const Params& p) {
   if (!p.capture_trace) return;
   sys.tracer().set_capacity(p.trace_capacity);
@@ -414,7 +407,7 @@ void arm_tracing(core::System& sys, const Params& p) {
 
 LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
   validate(p);
-  core::System sys(conn_config(cfg, p));
+  core::System sys(cfg);
   LatencyResult result;
   // Lives outside the workload coroutine: straggler NIC events (in-flight
   // deliveries past the last harvested completion) still reference these
@@ -465,7 +458,7 @@ LatencyResult run_latency(const core::SystemConfig& cfg, const Params& p) {
 
 BandwidthResult run_bandwidth(const core::SystemConfig& cfg, const Params& p) {
   validate(p);
-  core::System sys(conn_config(cfg, p));
+  core::System sys(cfg);
   BandwidthResult result;
   // Outlives the coroutine frame; see run_latency.
   Setup s;

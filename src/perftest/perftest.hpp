@@ -48,12 +48,6 @@ struct Params {
   verbs::ContextOptions client{};
   verbs::ContextOptions server{};
   Knobs knobs{};
-  /// Connection-endpoint mode (the conn=exclusive|shared knob, forwarded
-  /// to SystemConfig::conn_mode; see os/conn.hpp). Only the tenancy
-  /// scenarios (perftest/tenancy.hpp) multiplex connections — the classic
-  /// ping-pong/bandwidth tests use a single QP either way.
-  os::ConnMode conn_mode = os::ConnMode::kExclusive;
-  std::uint32_t shared_qp_pool = 64;
   /// Arm the system tracer for the run and return the captured records in
   /// the result (off by default: tracing must never tax a benchmark run).
   bool capture_trace = false;

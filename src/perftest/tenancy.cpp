@@ -60,8 +60,6 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
     throw std::invalid_argument("window must be in [1, connections]");
   }
   core::SystemConfig cfg = base;
-  cfg.conn_mode = p.conn_mode;
-  cfg.shared_qp_pool = p.shared_qp_pool;
   cfg.nic.icm_qp_capacity = p.icm_qp_capacity;
   cfg.nic.icm_mr_capacity = p.icm_mr_capacity;
   core::System sys(cfg);

@@ -36,7 +36,7 @@ void Engine::sift_down_root() {
   parked_[i] = x;
 }
 
-void Engine::run_parked(const Item* next, Time limit) {
+void Engine::run_parked(const Item* next) {
   Parked& top = parked_[0];
   for (;;) {
     now_ = top.t;
@@ -57,7 +57,7 @@ void Engine::run_parked(const Item* next, Time limit) {
     top.seq = next_seq_;
     top.order = next_order_++;
     const std::size_t n = parked_.size();
-    if (top.t > limit || (next != nullptr && !top.before(*next)) ||
+    if ((next != nullptr && !top.before(*next)) ||
         (n > 1 && parked_[1].before(top)) ||
         (n > 2 && parked_[2].before(top))) {
       sift_down_root();

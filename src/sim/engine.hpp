@@ -29,7 +29,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -145,22 +144,6 @@ class Engine {
   Time run() {
     if (pending_ != 0 || !parked_.empty()) run_drain();
     return now_;
-  }
-  /// Run until the queue drains or virtual time would pass `deadline`.
-  /// Events and poller steps after `deadline` stay queued; now() is
-  /// clamped to `deadline`.
-  Time run_until(Time deadline) {
-    if (pending_ != 0 || !parked_.empty()) run_until_drain(deadline);
-    if (now_ < deadline) now_ = deadline;
-    return now_;
-  }
-
-  /// Sentinel for "no queued event" (see next_event_time()).
-  static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
-  /// Timestamp of the earliest queued event, or kNoEvent when idle. Never
-  /// read on the hot loop. Parked pollers are not counted.
-  Time next_event_time() const {
-    return pending_ == 0 ? kNoEvent : heap_.top().t;
   }
 
   /// Number of detached roots that have not finished yet.
@@ -379,39 +362,9 @@ class Engine {
   [[gnu::noinline]] void drain_parked() {
     while (!parked_.empty()) {
       if (pending_ == 0) {
-        run_parked(nullptr, kNoEvent);
+        run_parked(nullptr);
       } else if (parked_.front().before(heap_.top())) {
-        run_parked(&heap_.top(), kNoEvent);
-      } else {
-        step_one();
-      }
-    }
-  }
-
-  [[gnu::always_inline]] void run_until_drain(Time deadline) {
-    if (!parked_.empty()) {
-      drain_parked_until(deadline);
-      return;
-    }
-    // Events only, in the loop's original shape (see run_drain).
-    if (heap_.top().t > deadline) return;
-    do {
-      step_one();
-    } while (pending_ != 0 && heap_.top().t <= deadline && parked_.empty());
-    if (!parked_.empty()) drain_parked_until(deadline);
-  }
-
-  /// run_until_drain with parked pollers (it also drains plain events if
-  /// the last poller wakes).
-  [[gnu::noinline]] void drain_parked_until(Time deadline) {
-    for (;;) {
-      const Item* next =
-          pending_ != 0 && heap_.top().t <= deadline ? &heap_.top() : nullptr;
-      if (!parked_.empty() && parked_.front().t <= deadline &&
-          (next == nullptr || parked_.front().before(*next))) {
-        run_parked(next, deadline);
-      } else if (next == nullptr) {
-        return;
+        run_parked(&heap_.top());
       } else {
         step_one();
       }
@@ -443,11 +396,10 @@ class Engine {
   /// Restore the heap below a root whose key grew (or that was replaced).
   void sift_down_root();
   /// Replay the earliest poller's steps while each stays before `next`
-  /// (the earliest queued event, or nullptr), before every other poller
-  /// and at or before `limit`; then re-sift it, or resume it when a step
-  /// wakes it. Out of line: the drain loops stay small for runs that never
-  /// park.
-  void run_parked(const Item* next, Time limit);
+  /// (the earliest queued event, or nullptr) and before every other
+  /// poller; then re-sift it, or resume it when a step wakes it. Out of
+  /// line: the drain loops stay small for runs that never park.
+  void run_parked(const Item* next);
 
   Time clamp_to_now(Time t) {
     if (t < now_) [[unlikely]] {

@@ -1,5 +1,6 @@
 #include "trace/metrics.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 
 namespace cord::trace {
@@ -95,43 +96,6 @@ void label_suffix(char* buf, std::size_t n, std::uint32_t label) {
 }
 
 }  // namespace
-
-void MetricsRegistry::write_csv(std::FILE* f) const {
-  std::fprintf(f, "name,label,kind,count,value,mean,p50,p99,max\n");
-  for (const auto& [key, e] : entries_) {
-    const char* label = key.label == kNoLabel ? "" : nullptr;
-    char labelbuf[16];
-    if (label == nullptr) {
-      std::snprintf(labelbuf, sizeof(labelbuf), "%u", key.label);
-      label = labelbuf;
-    }
-    switch (e.kind) {
-      case Kind::kCounter:
-        std::fprintf(f, "%s,%s,counter,,%llu,,,,\n", key.name.c_str(), label,
-                     static_cast<unsigned long long>(e.counter.value));
-        break;
-      case Kind::kGauge:
-      case Kind::kCallbackGauge: {
-        const std::int64_t v = e.kind == Kind::kGauge
-                                   ? e.gauge.value
-                                   : (e.callback ? e.callback() : 0);
-        std::fprintf(f, "%s,%s,gauge,,%lld,,,,\n", key.name.c_str(), label,
-                     static_cast<long long>(v));
-        break;
-      }
-      case Kind::kHistogram: {
-        const sim::LogHistogram& h = e.histogram;
-        std::fprintf(f, "%s,%s,histogram,%llu,%llu,%.1f,%.1f,%.1f,%llu\n",
-                     key.name.c_str(), label,
-                     static_cast<unsigned long long>(h.count()),
-                     static_cast<unsigned long long>(h.sum()), h.mean(),
-                     h.percentile(50.0), h.percentile(99.0),
-                     static_cast<unsigned long long>(h.max()));
-        break;
-      }
-    }
-  }
-}
 
 std::string MetricsRegistry::text() const {
   std::string out;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <string>
@@ -71,9 +70,6 @@ class MetricsRegistry {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// `name,label,kind,count,sum/value,mean,p50,p99,max` per row,
-  /// deterministic order. The metrics dump consumed by benches/examples.
-  void write_csv(std::FILE* f) const;
   /// /proc-style human-readable dump, one metric per line.
   std::string text() const;
 

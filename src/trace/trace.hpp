@@ -47,7 +47,7 @@ enum class Point : std::uint8_t {
   // NIC WQE lifecycle
   kWqePost,     // WQE accepted into the SQ
   kDoorbell,    // doorbell rung (MMIO reaches the device)
-  kWqeFetch,    // SQ worker picked the WQE up for processing
+  kWqeFetch,    // SQ drain picked the WQE up for processing
   kDmaFetch,    // source-side PCIe DMA of the payload
   kWireTx,      // serialization onto the wire (dur = wire occupancy)
   kDmaDeliver,  // destination-side PCIe DMA into the user buffer

@@ -76,21 +76,6 @@ TEST(EngineOrder, PastTimeClampsToNowInsteadOfReordering) {
   EXPECT_EQ(engine.clamped_events(), 1u);
 }
 
-TEST(EngineOrder, RunUntilLeavesLaterEventsQueued) {
-  sim::Engine engine;
-  int fired = 0;
-  engine.call_at(sim::ns(10), [&] { ++fired; });
-  engine.call_at(sim::ns(20), [&] { ++fired; });
-  engine.call_at(sim::ns(30), [&] { ++fired; });
-  EXPECT_EQ(engine.pending_events(), 3u);
-  EXPECT_EQ(engine.run_until(sim::ns(20)), sim::ns(20));
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(engine.pending_events(), 1u);
-  engine.run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(engine.pending_events(), 0u);
-}
-
 // Parked callbacks that never fire must still be destroyed (captures own
 // resources — here a shared_ptr whose use_count observes destruction).
 TEST(EngineOrder, UnfiredCallbacksDestroyedAtTeardown) {

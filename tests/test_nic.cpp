@@ -889,7 +889,7 @@ TEST(NicBatching, BurstOfPostsRingsOneDoorbell) {
               kOk);
   }
   // Four posts back-to-back, no engine progress in between: the first
-  // rings the doorbell and wakes the SQ worker, the rest ride the burst.
+  // rings the doorbell and wakes the SQ drain, the rest ride the burst.
   for (int i = 0; i < 4; ++i) {
     ASSERT_EQ(f.nic0->post_send(
                   *qp0, SendWr{.wr_id = std::uint64_t(i),

@@ -1,7 +1,7 @@
 // Unit tests for the discrete-event simulation core: engine ordering
 // (including a randomized differential against a reference order), parked
-// pollers, coroutine task composition, latches/signals/channels, FIFO
-// resources, RNG determinism, and statistics.
+// pollers, coroutine task composition, latches/signals, FIFO resources,
+// RNG determinism, and statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "sim/resource.hpp"
@@ -106,19 +105,6 @@ TEST(Engine, CallAtRunsCallback) {
   EXPECT_EQ(fired, ns(42));
 }
 
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine e;
-  int fired = 0;
-  e.call_at(ns(10), [&] { ++fired; });
-  e.call_at(ns(100), [&] { ++fired; });
-  e.run_until(ns(50));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(e.now(), ns(50));
-  e.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(e.now(), ns(100));
-}
-
 TEST(Engine, DestructorReclaimsStuckRoots) {
   // A root waiting on a latch that never triggers must not leak.
   auto latch_owner = std::make_unique<Engine>();
@@ -131,12 +117,14 @@ TEST(Engine, DestructorReclaimsStuckRoots) {
 }
 
 // --- Event queue against a reference total order ----------------------------
-// A seeded program schedules through call_at from outside and inside
-// dispatch. Its times mix duplicate timestamps, clamped past scheduling
-// and far-future times near Engine::kNoEvent / 2. The clock steps in
-// run_until windows with a next_event_time() peek at each edge. Every
-// dispatch must pop the minimum of a std::set on (t, seq) that mirrors
-// the queue.
+// A seeded program schedules through call_at from a ticker event that
+// reschedules itself every 137 ns and from inside dispatch. Its times mix
+// duplicate timestamps, clamped past scheduling and far-future times.
+// Every dispatch, the ticker's included, must pop the minimum of a
+// std::set on (t, seq) that mirrors the queue.
+
+/// Far beyond every other band, and far below Time's overflow.
+constexpr Time kFarFuture = 1'000'000'000'000'000'000;
 
 struct RefQueue {
   Engine engine;
@@ -167,31 +155,55 @@ struct RefQueue {
         return now + ns(1 + r % 2000);
       case 6:  // milliseconds out
         return now + ms(1 + r % 50);
-      default:  // far future, half-way to the kNoEvent sentinel
-        return Engine::kNoEvent / 2 - r % 4;
+      default:  // far future
+        return kFarFuture - r % 4;
     }
   }
 
-  void push() {
-    --budget;
-    const Time want = draw_time();
-    last_push = want;
+  /// Mirror a call_at(want) in the reference; returns its seq.
+  std::uint64_t mirror(Time want) {
     if (want < engine.now()) ++clamped;
     const std::uint64_t seq = next_seq++;
     ref.emplace(std::max(want, engine.now()), seq);
     peak = std::max(peak, ref.size());
-    engine.call_at(want, [this, seq] { fire(seq); });
+    return seq;
   }
 
-  void fire(std::uint64_t seq) {
+  /// Event `seq` is dispatching: it must be the reference's minimum.
+  void pop(std::uint64_t seq) {
     ASSERT_FALSE(ref.empty());
     const auto [t, expect_seq] = *ref.begin();
     ASSERT_EQ(engine.now(), t);
     ASSERT_EQ(seq, expect_seq);
     ref.erase(ref.begin());
     ++fired;
+  }
+
+  void push() {
+    --budget;
+    const Time want = draw_time();
+    last_push = want;
+    const std::uint64_t seq = mirror(want);
+    engine.call_at(want, [this, seq] { fire(seq); });
+  }
+
+  void fire(std::uint64_t seq) {
+    pop(seq);
     const std::uint64_t kids = rng.next_u64() % 3;
     for (std::uint64_t k = 0; k < kids && budget > 0; ++k) push();
+  }
+
+  /// The ticker: four pushes per tick until the budget is spent.
+  void tick_at(Time t) {
+    const std::uint64_t seq = mirror(t);
+    engine.call_at(t, [this, seq] { tick(seq); });
+  }
+
+  void tick(std::uint64_t seq) {
+    pop(seq);
+    ASSERT_EQ(engine.pending_events(), ref.size());
+    for (int i = 0; i < 4 && budget > 0; ++i) push();
+    if (budget > 0) tick_at(engine.now() + ns(137));
   }
 };
 
@@ -199,22 +211,17 @@ TEST(Engine, RandomizedOrderMatchesReference) {
   for (const std::uint64_t seed : {1ull, 7ull, 0xC0FFEEull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     RefQueue q(seed);
-    for (Time edge = ns(100); q.budget > 0; edge += ns(137)) {
-      for (int i = 0; i < 4 && q.budget > 0; ++i) q.push();
-      ASSERT_EQ(q.engine.next_event_time(),
-                q.ref.empty() ? Engine::kNoEvent : q.ref.begin()->first);
-      q.engine.run_until(edge);
-      ASSERT_EQ(q.engine.pending_events(), q.ref.size());
-    }
+    q.tick_at(ns(100));
     q.engine.run();
+    EXPECT_EQ(q.budget, 0);
     EXPECT_TRUE(q.ref.empty());
-    EXPECT_EQ(q.engine.next_event_time(), Engine::kNoEvent);
+    EXPECT_EQ(q.engine.pending_events(), 0u);
     EXPECT_EQ(q.engine.events_processed(), q.fired);
     EXPECT_EQ(q.engine.clamped_events(), q.clamped);
     EXPECT_EQ(q.engine.queue_peak_depth(), q.peak);
     // The stream must have exercised the clamp and the far-future band.
     EXPECT_GT(q.clamped, 0u);
-    EXPECT_GE(q.engine.now(), Engine::kNoEvent / 2 - 3);
+    EXPECT_GE(q.engine.now(), kFarFuture - 3);
   }
 }
 
@@ -312,10 +319,8 @@ struct Post {
   bool late;
 };
 
-/// Run two loops on one world with the given posts. `window` > 0 drives the
-/// engine through run_until() slices instead of run().
-PollOutcome run_polls(bool parked, const std::vector<Post>& posts,
-                      Time window = 0) {
+/// Run two loops on one world with the given posts.
+PollOutcome run_polls(bool parked, const std::vector<Post>& posts) {
   PollWorld w;
   w.remaining = static_cast<int>(posts.size());
   for (const Post& p : posts) {
@@ -330,11 +335,7 @@ PollOutcome run_polls(bool parked, const std::vector<Post>& posts,
   for (int id = 0; id < 2; ++id) {
     w.engine.spawn(parked ? park_loop(w, id) : spin_loop(w, id));
   }
-  if (window > 0) {
-    while (w.engine.live_roots() > 0) w.engine.run_until(w.engine.now() + window);
-  } else {
-    w.engine.run();
-  }
+  w.engine.run();
   EXPECT_EQ(w.engine.live_roots(), 0u);
   PollOutcome out;
   out.taken = w.taken;
@@ -368,19 +369,6 @@ TEST(Poller, ParkedStepsKeepExactOrderAtTiedInstants) {
       EXPECT_GT(got.wakes, 0u);
       EXPECT_EQ(ref.elided + ref.wakes, 0u);
     }
-  }
-}
-
-TEST(Poller, RunUntilSlicesMatchRun) {
-  const std::vector<Post> posts{{ns(95), false}, {ns(95), true},
-                                {ns(700), false}, {ns(3210), true}};
-  const PollOutcome ref = run_polls(false, posts);
-  EXPECT_EQ(run_polls(true, posts), ref);
-  // run_until() leaves now() at the last slice edge, so compare the rest.
-  for (const Time window : {ns(1), ns(7), ns(64)}) {
-    const PollOutcome got = run_polls(true, posts, window);
-    EXPECT_EQ(got.taken, ref.taken) << "window " << window;
-    EXPECT_EQ(got.acc_bits, ref.acc_bits) << "window " << window;
   }
 }
 
@@ -522,22 +510,6 @@ TEST(Signal, EachTriggerReleasesCurrentWaiters) {
   e.call_at(ns(20), [&] { sig.trigger(); });
   e.run();
   EXPECT_EQ(wakes, 2);
-}
-
-TEST(Channel, FifoDeliveryAndSuspendingRecv) {
-  Engine e;
-  Channel<int> ch(e);
-  std::vector<int> got;
-  e.spawn([](Channel<int>& ch, std::vector<int>& got) -> Task<> {
-    for (int i = 0; i < 3; ++i) got.push_back(co_await ch.recv());
-  }(ch, got));
-  e.call_at(ns(10), [&] { ch.send(1); });
-  e.call_at(ns(20), [&] {
-    ch.send(2);
-    ch.send(3);
-  });
-  e.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Resource, SerializesOverlappingRequests) {

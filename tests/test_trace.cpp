@@ -1,15 +1,19 @@
 // Tests for cord::trace: record layout, tracer bounds, metrics registry,
-// log histogram, trace determinism, the golden span chain of one RC send
-// in CoRD mode, Chrome-trace export, and the kernel's proc_read surface.
+// log histogram, trace determinism, tracing leaving every fig6_npb --quick
+// row unchanged, the golden span chain of one RC send in CoRD mode,
+// Chrome-trace export, and the kernel's proc_read surface.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.hpp"
+#include "mpi/world.hpp"
+#include "npb/npb.hpp"
 #include "perftest/perftest.hpp"
 #include "sim/stats.hpp"
 #include "trace/export.hpp"
@@ -204,6 +208,84 @@ TEST(TraceCapture, TracingAddsNoVirtualTime) {
   // The observer must not distort the measurement.
   EXPECT_DOUBLE_EQ(traced.avg_us, plain.avg_us);
   EXPECT_DOUBLE_EQ(traced.p99_us, plain.p99_us);
+}
+
+/// What one NPB run leaves behind: its runtime, the engine's work and the
+/// NIC counters summed over hosts.
+struct NpbRun {
+  sim::Time elapsed = 0;
+  std::uint64_t events = 0;
+  std::uint64_t polls_elided = 0;
+  std::uint64_t doorbells = 0;
+  std::uint64_t sq_bursts = 0;
+  std::uint64_t sq_burst_wrs = 0;
+  std::uint64_t sq_fused_batches = 0;
+  std::uint64_t tx_msgs = 0;
+  std::size_t records = 0;
+  std::uint64_t dropped = 0;
+};
+
+/// One `fig6_npb --quick` cell: System A, 16 ranks, one iteration.
+NpbRun run_quick_cell(npb::Kernel kernel, npb::Class cls, mpi::NetMode net,
+                      bool traced) {
+  core::System sys(core::system_a(), 2);
+  sys.set_tracing(traced);
+  mpi::WorldConfig cfg;
+  cfg.net = net;
+  cfg.srq_slots = 512;
+  mpi::World world(sys, 16, cfg);
+  NpbRun r;
+  r.elapsed = npb::run(world, npb::RunConfig{kernel, cls, /*verify=*/false, 1})
+                  .elapsed;
+  r.events = sys.engine().events_processed();
+  r.polls_elided = sys.engine().polls_elided();
+  for (std::size_t h = 0; h < sys.host_count(); ++h) {
+    const nic::NicCounters& c = sys.host(h).nic().counters();
+    r.doorbells += c.doorbells;
+    r.sq_bursts += c.sq_bursts;
+    r.sq_burst_wrs += c.sq_burst_wrs;
+    r.sq_fused_batches += c.sq_fused_batches;
+    r.tx_msgs += c.tx_msgs;
+  }
+  r.records = sys.tracer().size();
+  r.dropped = sys.trace_dropped();
+  return r;
+}
+
+TEST(TraceCapture, TracingLeavesEveryNpbQuickRowUnchanged) {
+  // The observer only adds records: every row of fig6_npb --quick runs the
+  // same picoseconds, engine work and NIC drain traced as untraced.
+  const std::pair<npb::Kernel, npb::Class> rows[] = {
+      {npb::Kernel::kBT, npb::Class::kB}, {npb::Kernel::kCG, npb::Class::kB},
+      {npb::Kernel::kEP, npb::Class::kB}, {npb::Kernel::kFT, npb::Class::kA},
+      {npb::Kernel::kIS, npb::Class::kB}, {npb::Kernel::kLU, npb::Class::kB},
+      {npb::Kernel::kMG, npb::Class::kB}, {npb::Kernel::kSP, npb::Class::kB},
+  };
+  const std::pair<mpi::NetMode, const char*> nets[] = {
+      {mpi::NetMode::kBypass, "bypass"},
+      {mpi::NetMode::kCord, "cord"},
+      {mpi::NetMode::kIpoib, "ipoib"},
+  };
+  for (const auto& [kernel, cls] : rows) {
+    for (const auto& [net, net_name] : nets) {
+      SCOPED_TRACE(std::string(npb::to_string(kernel)) + " " + net_name);
+      const NpbRun plain = run_quick_cell(kernel, cls, net, false);
+      const NpbRun traced = run_quick_cell(kernel, cls, net, true);
+      EXPECT_EQ(traced.elapsed, plain.elapsed);
+      EXPECT_EQ(traced.events, plain.events);
+      EXPECT_EQ(traced.polls_elided, plain.polls_elided);
+      EXPECT_EQ(traced.doorbells, plain.doorbells);
+      EXPECT_EQ(traced.sq_bursts, plain.sq_bursts);
+      EXPECT_EQ(traced.sq_burst_wrs, plain.sq_burst_wrs);
+      EXPECT_EQ(traced.sq_fused_batches, plain.sq_fused_batches);
+      EXPECT_EQ(traced.tx_msgs, plain.tx_msgs);
+      EXPECT_EQ(plain.records, 0u);
+      if (net != mpi::NetMode::kIpoib) {
+        EXPECT_GT(traced.records, 0u);
+        EXPECT_EQ(traced.dropped, 0u);
+      }
+    }
+  }
 }
 
 /// Golden span-chain test: one RC send in CoRD mode must produce the
@@ -500,8 +582,8 @@ TEST(SystemMetrics, QueueGaugesMirrorEngineStats) {
 
 TEST(SystemMetrics, NicGaugesMirrorDoorbellAndBurstCounters) {
   // Ten sequential RC sends (each waits for its completion): every post
-  // rings its own doorbell, activates one burst of one WR, and the fused
-  // drain (no tracer attached) segments one 64-byte chunk per message.
+  // rings its own doorbell, activates one burst of one WR, and the drain
+  // segments one 64-byte chunk per message.
   core::System sys(core::system_l(), 2);
   std::uint32_t qpn = 0;
   int failures = 0;
