@@ -27,9 +27,10 @@
 #                over tx_batch=1 on the CoRD deep-pipeline bandwidth run
 #                (default 1.5; virtual-time, so this is a hard floor)
 #
-# Note: this host is a single noisy core; the tolerance is deliberately
-# generous and the gate runs each binary once. Treat a failure as "rerun
-# and investigate", not proof by itself.
+# Note: the dev host is a 4-vCPU KVM guest shared with other jobs, so wall
+# times are noisy; the tolerance is deliberately generous and the gate runs
+# each binary once. Treat a failure as "rerun and investigate", not proof
+# by itself.
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 foreach(var BASELINE MICRO_SIM TRACE_BENCH TENANCY_BENCH OUT_DIR TOLERANCE)

@@ -96,12 +96,16 @@ System::System(SystemConfig cfg, std::size_t host_count)
     return static_cast<std::int64_t>(engine_.queue_peak_depth());
   });
   // Idle-poll elision (DESIGN.md §20): empty poll-loop steps replayed
-  // without an event, and parked loops resumed as events.
+  // without an event, parked loops resumed as events, and the catch-up
+  // passes that replayed the steps.
   metrics_.callback_gauge("sim.polls_elided", [this] {
     return static_cast<std::int64_t>(engine_.polls_elided());
   });
   metrics_.callback_gauge("sim.poll_wakes", [this] {
     return static_cast<std::int64_t>(engine_.poll_wakes());
+  });
+  metrics_.callback_gauge("sim.poll_catchups", [this] {
+    return static_cast<std::int64_t>(engine_.poll_catchups());
   });
   // System-wide NIC doorbell/burst totals, summed over hosts at read
   // time. Mirrors the per-host gauges each Kernel exposes through

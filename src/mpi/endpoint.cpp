@@ -43,7 +43,7 @@ sim::Task<std::size_t> Endpoint::recv(int src, int tag, std::span<std::byte> out
 }
 
 void Endpoint::deliver_eager(int src, int tag, std::span<const std::byte> payload) {
-  ++activity_;
+  move_activity();
   for (PostedRecv* pr : posted_) {
     if (!pr->matched && pr->src == src && pr->tag == tag) {
       if (payload.size() > pr->out.size()) {

@@ -110,7 +110,8 @@ class Endpoint {
     auto park() {
       at_ = after_head_;
       seen_ = ep_.activity_;
-      return ep_.core().engine().park(*this, ep_.charge_poll_miss());
+      return ep_.core().engine().park(*this, ep_.core().poll_group(),
+                                      ep_.charge_poll_miss());
     }
     void check_deadline(const char* what) const {
       if (ep_.core().engine().now() > deadline_) {
@@ -118,6 +119,11 @@ class Endpoint {
       }
     }
     sim::Time step() override;
+    /// The first instant the deadline check can throw, or the transport's
+    /// own bound (poll_wake_bound).
+    sim::Time wake_bound(sim::Time next) const override {
+      return std::min(deadline_ + 1, ep_.poll_wake_bound(next));
+    }
 
     int idle = 0;
 
@@ -142,6 +148,11 @@ class Endpoint {
   /// the poll due now would do more than miss. At a loop head that
   /// can_park() allowed, it never does.
   virtual sim::Time charge_poll_miss() { return 0; }
+  /// A lower bound on the instant of the first poll charge_poll_miss()
+  /// would refuse, for a parked loop whose next step falls at `next`.
+  virtual sim::Time poll_wake_bound(sim::Time /*next*/) const {
+    return sim::Poller::kNever;
+  }
   /// Finish a progress_once that a parked loop woke in the middle of: from
   /// its receive-CQ read (`poll_recv`) or from just after it. Returns what
   /// the whole progress_once would have returned.
@@ -195,8 +206,13 @@ class Endpoint {
   /// Moves on every CQE pushed into this endpoint's CQs, again when a loop
   /// processes it, on every socket readiness, and on every eager delivery:
   /// a parked progress loop wakes when it differs from the value it parked
-  /// with.
+  /// with. Moved only through move_activity() (or a watched CQ's push),
+  /// which first notifies the loops parked on this endpoint's core.
   std::uint64_t activity_ = 0;
+  void move_activity() {
+    core().poll_group().notify();
+    ++activity_;
+  }
 };
 
 }  // namespace cord::mpi

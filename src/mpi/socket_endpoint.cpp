@@ -16,7 +16,7 @@ void SocketEndpoint::attach(int peer, sock::Socket* socket) {
 }
 
 void SocketEndpoint::mark_ready(int peer) {
-  ++activity_;
+  move_activity();
   if (in_ready_[static_cast<std::size_t>(peer)] == 0) {
     in_ready_[static_cast<std::size_t>(peer)] = 1;
     ready_.push_back(peer);
@@ -100,6 +100,8 @@ sim::Task<bool> SocketEndpoint::progress_once() {
     co_await core().work(cost, os::Work::kCompute);
     any = true;
   }
+  // The spin-then-block streak is also what a parked loop's steps count.
+  core().poll_group().notify();
   if (!any) {
     // Real MPI-over-sockets progress engines spin on non-blocking polls
     // for a while before blocking (sched_yield loops); only a sustained
@@ -116,6 +118,7 @@ sim::Task<bool> SocketEndpoint::progress_once() {
                                  core().model().wakeup_latency,
                              os::Work::kKernel);
       }
+      core().poll_group().notify();
       idle_streak_ = 0;
     }
   } else {
@@ -126,7 +129,9 @@ sim::Task<bool> SocketEndpoint::progress_once() {
 
 sim::Time SocketEndpoint::charge_poll_miss() {
   // The replayed spin of an empty progress_once; the poll that would block
-  // in epoll_wait instead wakes the loop to run it.
+  // in epoll_wait instead wakes the loop to run it. A loop parking here
+  // moves the streak another parked loop's steps count.
+  core().poll_group().notify();
   if (idle_streak_ + 1 >= kBlockAfter) return sim::Poller::kWake;
   ++idle_streak_;
   return core().charge(kPollSpin, os::Work::kSpin);

@@ -65,6 +65,11 @@ class SocketEndpoint : public Endpoint {
   }
   bool polls_twice() const override { return false; }
   sim::Time charge_poll_miss() override;
+  /// The kBlockAfter-th empty poll comes after the spins left before it,
+  /// each at least one kPollSpin at the fastest clock.
+  sim::Time poll_wake_bound(sim::Time next) const override {
+    return next + (kBlockAfter - 1 - idle_streak_) * core_->fastest(kPollSpin);
+  }
 
   /// Drain whatever is buffered on one socket into frames.
   sim::Task<bool> pump(int peer);

@@ -19,8 +19,8 @@ sim::Task<> VerbsEndpoint::setup() {
   const std::uint32_t cq_cap = 4 * (cfg_.srq_slots + cfg_.send_slots) + 1024;
   scq_ = co_await ctx_.create_cq(cq_cap);
   rcq_ = co_await ctx_.create_cq(cq_cap);
-  scq_->watch_pushes(&activity_);
-  rcq_->watch_pushes(&activity_);
+  scq_->watch_pushes(&activity_, core().poll_group());
+  rcq_->watch_pushes(&activity_, core().poll_group());
   srq_ = co_await ctx_.create_srq(pd_, cfg_.srq_slots);
 
   send_arena_.resize(cfg_.send_slots * slot_size());
@@ -162,7 +162,7 @@ sim::Task<bool> VerbsEndpoint::progress_once() {
     // A harvested CQE changes this endpoint's state only now, a poll
     // charge after its push moved activity_: move it again so a loop that
     // parked in between re-checks.
-    ++activity_;
+    move_activity();
     const nic::Cqe& c = wc[i];
     if (c.status != nic::WcStatus::kSuccess) {
       throw std::runtime_error(std::string("MPI send completion error: ") +
@@ -199,7 +199,7 @@ sim::Task<bool> VerbsEndpoint::finish_progress(bool poll_recv) {
   // Receive-side completions: parse eager/RTS/FIN, repost SRQ slots.
   const std::size_t m = poll_recv ? co_await ctx_.poll_cq(*rcq_, wc) : 0;
   for (std::size_t i = 0; i < m; ++i) {
-    ++activity_;  // as for send completions
+    move_activity();  // as for send completions
     const nic::Cqe& c = wc[i];
     if (c.status != nic::WcStatus::kSuccess) {
       throw std::runtime_error(std::string("MPI recv completion error: ") +

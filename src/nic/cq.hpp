@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "nic/types.hpp"
+#include "sim/engine.hpp"
 
 namespace cord::nic {
 
@@ -39,7 +40,10 @@ class CompletionQueue {
     if (count_ == ring_.size()) grow();
     ring_[(head_ + count_) & (ring_.size() - 1)] = cqe;
     ++count_;
-    if (push_counter_ != nullptr) ++*push_counter_;
+    if (push_counter_ != nullptr) {
+      push_group_->notify();
+      ++*push_counter_;
+    }
     if (armed_) {
       armed_ = false;
       if (on_event_) on_event_(*this);
@@ -69,10 +73,13 @@ class CompletionQueue {
   }
 
   /// Installed by a consumer that parks its empty poll loop beside the
-  /// event queue (mpi::Endpoint::progress_until): every pushed CQE bumps
-  /// `*counter`, which wakes the parked loop. Independent of arm() and the
-  /// interrupt path.
-  void watch_pushes(std::uint64_t* counter) { push_counter_ = counter; }
+  /// event queue (mpi::Endpoint::progress_until): every pushed CQE notifies
+  /// the loop's `group` and bumps `*counter`, which wakes the parked loop.
+  /// Independent of arm() and the interrupt path.
+  void watch_pushes(std::uint64_t* counter, const sim::PollGroup& group) {
+    push_counter_ = counter;
+    push_group_ = &group;
+  }
 
  private:
   void grow() {
@@ -100,6 +107,7 @@ class CompletionQueue {
   bool armed_ = false;
   bool overflowed_ = false;
   std::uint64_t* push_counter_ = nullptr;
+  const sim::PollGroup* push_group_ = nullptr;
   std::function<void(CompletionQueue&)> on_event_;
 };
 

@@ -57,33 +57,40 @@ struct CpuModel {
 /// per-core time accounting reported by the observability tools.
 enum class Work : std::uint8_t { kCompute, kSpin, kKernel };
 
+/// Every charge, accounting read and RNG draw first catches up the loops
+/// parked on this core (poll_group()), whose replayed steps charge it too.
 class Core {
  public:
   Core(sim::Engine& engine, const CpuModel& model, std::uint64_t rng_seed)
-      : engine_(&engine), model_(model), rng_(rng_seed) {}
+      : engine_(&engine), model_(model), rng_(rng_seed), polls_(engine) {}
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
 
   const CpuModel& model() const { return model_; }
   sim::Engine& engine() { return *engine_; }
+  /// The loops parked on this core: one group, whose steps share its DVFS
+  /// state (DESIGN.md §20).
+  sim::PollGroup& poll_group() { return polls_; }
 
   /// Current effective frequency under the DVFS model.
   double frequency_ghz() const {
-    if (!model_.turbo_enabled) return model_.base_ghz;
-    // Frequency degrades continuously with busy-poll residency: a core
-    // that spends most of its window spinning draws its power budget and
-    // settles at base clock.
-    const double penalty = std::min(1.0, spin_load_ / 0.8);
-    return model_.turbo_ghz - (model_.turbo_ghz - model_.base_ghz) * penalty;
+    polls_.catch_up();
+    return frequency();
   }
 
   /// Scale a base-frequency cost to the current frequency and update the
   /// DVFS residency without suspending (for cost composition).
   sim::Time charge(sim::Time cost_at_base, Work kind) {
-    const sim::Time scaled = static_cast<sim::Time>(
-        static_cast<double>(cost_at_base) * model_.base_ghz / frequency_ghz());
+    polls_.catch_up();
+    const sim::Time scaled = scale(cost_at_base, frequency());
     account(scaled, kind);
     return scaled;
+  }
+  /// The least charge(cost_at_base, ...) can return: the cost at the
+  /// highest frequency the DVFS model reaches.
+  sim::Time fastest(sim::Time cost_at_base) const {
+    return scale(cost_at_base,
+                 model_.turbo_enabled ? model_.turbo_ghz : model_.base_ghz);
   }
 
   /// Execute `cost_at_base` worth of work of the given kind.
@@ -95,12 +102,14 @@ class Core {
   /// Block without consuming CPU (sleeping on an event). Resets the spin
   /// residency towards idle.
   sim::Task<> idle(sim::Time duration) {
+    polls_.catch_up();
     account(duration, Work::kCompute);  // idle cools the core like compute
     co_await engine_->delay(duration);
   }
 
   /// One sampled user<->kernel crossing (KPTI/virtualization/jitter aware).
   sim::Time syscall_cost() {
+    polls_.catch_up();
     double cost = static_cast<double>(model_.syscall_crossing);
     if (model_.kpti) cost *= model_.kpti_multiplier;
     cost *= 1.0 + model_.virt_overhead;
@@ -125,12 +134,36 @@ class Core {
   }
 
   // Accounting (virtual time spent per work kind).
-  sim::Time time_compute() const { return time_compute_; }
-  sim::Time time_spin() const { return time_spin_; }
-  sim::Time time_kernel() const { return time_kernel_; }
-  double spin_load() const { return spin_load_; }
+  sim::Time time_compute() const {
+    polls_.catch_up();
+    return time_compute_;
+  }
+  sim::Time time_spin() const {
+    polls_.catch_up();
+    return time_spin_;
+  }
+  sim::Time time_kernel() const {
+    polls_.catch_up();
+    return time_kernel_;
+  }
+  double spin_load() const {
+    polls_.catch_up();
+    return spin_load_;
+  }
 
  private:
+  double frequency() const {
+    if (!model_.turbo_enabled) return model_.base_ghz;
+    // Frequency degrades continuously with busy-poll residency: a core
+    // that spends most of its window spinning draws its power budget and
+    // settles at base clock.
+    const double penalty = std::min(1.0, spin_load_ / 0.8);
+    return model_.turbo_ghz - (model_.turbo_ghz - model_.base_ghz) * penalty;
+  }
+  sim::Time scale(sim::Time cost_at_base, double ghz) const {
+    return static_cast<sim::Time>(static_cast<double>(cost_at_base) *
+                                  model_.base_ghz / ghz);
+  }
   void account(sim::Time dur, Work kind) {
     switch (kind) {
       case Work::kCompute: time_compute_ += dur; break;
@@ -153,6 +186,7 @@ class Core {
   sim::Time time_compute_ = 0;
   sim::Time time_spin_ = 0;
   sim::Time time_kernel_ = 0;
+  sim::PollGroup polls_;
 };
 
 }  // namespace cord::os

@@ -65,6 +65,9 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
   metrics_.callback_gauge("sim.poll_wakes", [this] {
     return static_cast<std::int64_t>(engine_->poll_wakes());
   });
+  metrics_.callback_gauge("sim.poll_catchups", [this] {
+    return static_cast<std::int64_t>(engine_->poll_catchups());
+  });
   // This host's NIC doorbell/burst pipeline, mirrored the same way: how
   // many doorbells rang, how many posts they absorbed, and how many WQEs
   // each drain event processed (see nic::NicCounters).

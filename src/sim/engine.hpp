@@ -22,13 +22,15 @@
 //    old `assert` vanished under NDEBUG and silently corrupted event
 //    order); `clamped_events()` counts occurrences for tests/debugging.
 //  * Busy-poll loops that keep finding nothing park beside the queue
-//    (Poller, DESIGN.md §20): the run loops replay their empty steps
-//    arithmetically in the exact (t, seq) slots their events would have
-//    taken, and dispatch only the step that finds work.
+//    (Poller, DESIGN.md §20). A parked loop stays lazy: its empty steps
+//    are replayed in one pass only when something they depend on is read
+//    or changed, each in the exact (t, seq) slot its event would have
+//    taken, and only the step that finds work is dispatched.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -58,6 +60,33 @@ struct QueueItem {
 };
 static_assert(std::is_trivially_copyable_v<QueueItem>);
 
+class Engine;
+class Poller;
+
+/// Parked loops whose steps share state, such as the loops of one
+/// os::Core: the DVFS spin load depends on the order of their charges, so
+/// they are replayed together, in key order (DESIGN.md §20).
+class PollGroup {
+ public:
+  explicit PollGroup(Engine& engine) : engine_(&engine) {}
+  PollGroup(const PollGroup&) = delete;
+  PollGroup& operator=(const PollGroup&) = delete;
+
+  /// Replay this group's lazy loops up to the dispatch in progress. Call
+  /// before anything but their steps reads or changes what those steps
+  /// read or change (a charge to the shared core, a read of its counters).
+  void catch_up() const;
+  /// catch_up(), then queue each lazy loop's next step in its own slot, so
+  /// that a step that now wakes runs as an event. Call before changing what
+  /// decides a wake (a parked loop's activity counter).
+  void notify() const;
+
+ private:
+  friend class Engine;
+  Engine* engine_;
+  mutable Poller* lazy_ = nullptr;  // this group's lazy loops, linked
+};
+
 /// A busy-poll loop parked beside the event queue (DESIGN.md §20). While
 /// parked, the loop's coroutine stays suspended and the engine replays its
 /// steps without events: at each step's instant it calls step(), which
@@ -70,10 +99,16 @@ class Poller {
  public:
   /// step() result: resume the loop's coroutine at this step.
   static constexpr Time kWake = -1;
+  /// wake_bound() result: only a PollGroup::notify() can wake the loop.
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
 
   /// Replay the loop's step due at Engine::now(). Must not schedule
-  /// events, resume coroutines or park.
+  /// events, resume coroutines, park, or touch another group's state.
   virtual Time step() = 0;
+  /// A lower bound on the instant of the first step that can wake while
+  /// nothing outside the loop's group changes (a deadline, the last of a
+  /// bounded run of spins); `next` is the instant of the next step.
+  virtual Time wake_bound(Time /*next*/) const { return kNever; }
 
  protected:
   ~Poller() = default;
@@ -81,11 +116,25 @@ class Poller {
  private:
   friend class Engine;
   std::coroutine_handle<> h_;  // the parked loop
+  PollGroup* group_ = nullptr;
+  Poller* lazy_prev_ = nullptr;  // PollGroup::lazy_ links
+  Poller* lazy_next_ = nullptr;
+  bool lazy_ = false;          // else queued in Engine::armed_
+  Time t_ = 0;                 // instant of the next step
+  std::uint64_t seq_ = 0;      // its seq: next_seq_ at the previous step
+  std::uint32_t prev_ = 0;     // the previous step's Engine::Node
+  std::uint64_t known_ = 0;    // dispatches known to precede the next step
+  Time bound_ = kNever;        // wake_bound() while lazy
+  std::size_t bound_at_ = 0;   // index in Engine::bounds_
+  std::size_t lane_at_ = 0;    // index in Engine::lanes_
 };
 
 class Engine {
  public:
-  Engine() { heap_.reserve(1024); }
+  Engine() {
+    heap_.reserve(1024);
+    take_poll_storage();
+  }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -142,7 +191,7 @@ class Engine {
   /// visible to callers lets the compiler collapse a schedule→dispatch
   /// ping-pong into register traffic.
   Time run() {
-    if (pending_ != 0 || !parked_.empty()) run_drain();
+    if (pending_ != 0 || !lanes_.empty()) run_drain();
     return now_;
   }
 
@@ -158,10 +207,18 @@ class Engine {
   /// High-water mark of the queue depth (events simultaneously queued).
   std::size_t queue_peak_depth() const { return peak_pending_; }
   /// Parked-poller steps replayed without an event (Poller::step calls
-  /// that did not wake).
-  std::uint64_t polls_elided() const { return polls_elided_; }
+  /// that did not wake). Inside a run it first catches every lazy loop up
+  /// to the dispatch in progress, so it counts exactly the steps due by now.
+  std::uint64_t polls_elided() const {
+    if (!lanes_.empty() && !replaying_) {
+      const_cast<Engine*>(this)->catch_up_all(current());
+    }
+    return polls_elided_;
+  }
   /// Parked pollers resumed as events (counted in events_processed too).
   std::uint64_t poll_wakes() const { return poll_wakes_; }
+  /// Catch-up passes that replayed at least one lazy step.
+  std::uint64_t poll_catchups() const { return poll_catchups_; }
 
   /// The active tracer, or nullptr when tracing is off. Every trace point
   /// in the stack guards on this single pointer, so disabled tracing costs
@@ -194,26 +251,28 @@ class Engine {
     return Awaiter{*this, t};
   }
 
-  /// Awaitable: suspend the calling coroutine as the parked poller `p`.
-  /// Its first step falls after `delay`, in the slot schedule_in(delay)
-  /// would have taken; the coroutine resumes when a step returns
-  /// Poller::kWake.
-  auto park(Poller& p, Time delay) {
+  /// Awaitable: suspend the calling coroutine as the parked poller `p` of
+  /// `group`. Its first step falls after `delay`, in the slot
+  /// schedule_in(delay) would have taken; the coroutine resumes when a step
+  /// returns Poller::kWake.
+  auto park(Poller& p, PollGroup& group, Time delay) {
     struct Awaiter {
       Engine& engine;
       Poller& p;
+      PollGroup& group;
       Time delay;
       bool await_ready() const { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        engine.park_at(p, h, engine.now_ + delay);
+        engine.park_at(p, group, h, engine.now_ + delay);
       }
       void await_resume() const {}
     };
-    return Awaiter{*this, p, delay};
+    return Awaiter{*this, p, group, delay};
   }
 
  private:
   friend void detail::notify_root_done(Engine&, std::uint64_t) noexcept;
+  friend class PollGroup;
 
   /// Pop and dispatch exactly one event (requires pending_ != 0): the
   /// drain loops' body.
@@ -221,6 +280,7 @@ class Engine {
     --pending_;
     const Item item = heap_.pop();
     now_ = item.t;
+    cur_seq_ = item.seq;
     dispatch(item.payload);
   }
 
@@ -345,7 +405,7 @@ class Engine {
 
   [[gnu::always_inline]] void run_drain() {
     for (;;) {
-      if (!parked_.empty()) {
+      if (!lanes_.empty()) {
         drain_parked();
         if (pending_ == 0) return;
       }
@@ -353,53 +413,107 @@ class Engine {
       // pay one check per event.
       do {
         step_one();
-      } while (pending_ != 0 && parked_.empty());
-      if (pending_ == 0 && parked_.empty()) return;
-    }
-  }
-
-  /// run_drain while some poller is parked; returns once none is.
-  [[gnu::noinline]] void drain_parked() {
-    while (!parked_.empty()) {
-      if (pending_ == 0) {
-        run_parked(nullptr);
-      } else if (parked_.front().before(heap_.top())) {
-        run_parked(&heap_.top());
-      } else {
-        step_one();
-      }
+      } while (pending_ != 0 && lanes_.empty());
+      if (pending_ == 0 && lanes_.empty()) return;
     }
   }
 
   // --- Parked pollers (DESIGN.md §20) -----------------------------------
-  // A binary min-heap beside the event queue, keys inline. Among
-  // themselves pollers order by (t, order); against a queued event a
-  // poller goes first at equal t iff its seq <= the event's seq, because
-  // its step would have been scheduled when next_seq_ was seq — after
-  // every event with a smaller seq and before every later one.
+  // A parked loop is a *lane*. A lazy lane sits in its PollGroup, untouched
+  // until a catch-up replays its steps in one pass; an armed lane's next
+  // step waits in armed_, a binary min-heap beside the event queue, to run
+  // in its own slot. Against a queued event a step goes first at equal t
+  // iff its seq <= the event's seq: it would have been scheduled when
+  // next_seq_ was seq. Among steps, ties at one instant fall to the order
+  // of their previous steps, which the engine keeps as Nodes.
 
-  struct Parked {
-    Time t;               // instant of the poller's next step
-    std::uint64_t seq;    // next_seq_ when that step was scheduled
-    std::uint64_t order;  // engine-wide park order: ties among pollers
-    Poller* p;
-    bool before(const Item& e) const {
-      return t < e.t || (t == e.t && seq <= e.seq);
-    }
-    bool before(const Parked& o) const {
-      return t < o.t || (t == o.t && order < o.order);
-    }
+  /// One position in the global order: a replayed step, a park, or the
+  /// base a rebase left. At one instant positions order by `dpos` (twice
+  /// the dispatches before them; a park inside dispatch k has 2k - 1);
+  /// steps in one gap between dispatches order by their previous nodes,
+  /// and bases at one (t, dpos) by `tie`.
+  struct Node {
+    Time t;
+    std::uint64_t dpos;
+    std::uint32_t prev;  // the loop's previous node, or kBase
+    std::uint32_t tie;   // bases only
   };
+  static constexpr std::uint32_t kBase = 0xffffffffu;
 
-  void park_at(Poller& p, std::coroutine_handle<> h, Time t);
+  /// One completed dispatch, logged while any loop is parked: where a
+  /// replayed step falls among dispatches, and the next_seq_ it saw.
+  struct Done {
+    Time t;
+    std::uint64_t seq;    // the event's, or the woken step's
+    std::uint64_t after;  // next_seq_ when it returned
+    std::uint32_t prev;   // a woken step's previous node; kEvent for events
+  };
+  static constexpr std::uint32_t kEvent = 0xfffffffeu;
 
-  /// Restore the heap below a root whose key grew (or that was replaced).
-  void sift_down_root();
-  /// Replay the earliest poller's steps while each stays before `next`
-  /// (the earliest queued event, or nullptr) and before every other
-  /// poller; then re-sift it, or resume it when a step wakes it. Out of
-  /// line: the drain loops stay small for runs that never park.
-  void run_parked(const Item* next);
+  /// Where a catch-up stops: a dispatch (`prev` as in Done), or the start
+  /// of instant t (`prev` == kInstant).
+  struct Point {
+    Time t;
+    std::uint64_t seq;
+    std::uint32_t prev;
+  };
+  static constexpr std::uint32_t kInstant = 0xfffffffdu;
+
+  // History and log bounds: past either, the drain loop catches every lane
+  // up to the next event and rebases it there.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxDone = std::size_t{1} << 16;
+
+  /// The lanes' vectors, reserved once per thread and recycled across
+  /// engines like the FnSlot slabs. They never grow mid-run, so parking
+  /// leaves the malloc heap the rest of the model sees untouched: the MPI
+  /// registration cache keys on buffer addresses, and buffers that land
+  /// elsewhere can hit or miss it differently.
+  struct PollStorage {
+    std::vector<Poller*> lanes, armed, bounds, order;
+    std::vector<Node> nodes, spare;
+    std::vector<Done> done;
+  };
+  static std::vector<PollStorage>& poll_storage_cache();
+  void take_poll_storage();
+  void return_poll_storage();
+
+  void park_at(Poller& p, PollGroup& group, std::coroutine_handle<> h, Time t);
+  /// run_drain while any lane exists; returns once none does.
+  [[gnu::noinline]] void drain_parked();
+  /// Run the earliest armed step in its slot: dispatch it if it wakes,
+  /// else send its lane back to lazy.
+  void run_parked();
+  /// Catch `g` up to the dispatch in progress; with `arm`, then arm its
+  /// lazy lanes (PollGroup::catch_up/notify).
+  void sync(const PollGroup& g, bool arm);
+  void catch_up_all(const Point& to);
+  /// Replay `g`'s lazy lanes, merged in key order, while before `to`.
+  void replay(const PollGroup& g, const Point& to);
+  void replay_one(Poller& p);
+  /// Dispatches that precede `p`'s next step, which is being replayed.
+  std::uint64_t locate(const Poller& p) const;
+  void rebase(const Point& to);
+
+  bool node_less(std::uint32_t a, std::uint32_t b) const;
+  bool step_before(const Poller& p, const Point& to) const;
+  bool lane_less(const Poller& a, const Poller& b) const;
+  bool armed_before(const Poller& p, const Item& e) const {
+    return p.t_ < e.t || (p.t_ == e.t && p.seq_ <= e.seq);
+  }
+  Point current() const { return Point{now_, cur_seq_, cur_prev_}; }
+
+  void make_lazy(Poller& p);
+  void arm(Poller& p);
+  /// armed_ is a std heap whose front is the earliest step.
+  auto armed_later() const {
+    return [this](const Poller* a, const Poller* b) { return lane_less(*b, *a); };
+  }
+  void armed_push(Poller& p);
+  void armed_pop();
+  void bound_push(Poller& p);
+  void bound_erase(Poller& p);
+  void bound_place(std::size_t i);
 
   Time clamp_to_now(Time t) {
     if (t < now_) [[unlikely]] {
@@ -481,11 +595,30 @@ class Engine {
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_events_ = 0;
-  std::vector<Parked> parked_;  // min-heap by Parked::before
-  std::uint64_t next_order_ = 0;
+  std::uint64_t cur_seq_ = 0;       // the dispatch in progress (Point)
+  std::uint32_t cur_prev_ = kEvent;
+  bool replaying_ = false;         // inside a step: hooks do nothing
+  std::vector<Poller*> lanes_;     // every parked poller
+  std::vector<Poller*> armed_;     // heap by armed_later()
+  std::vector<Poller*> bounds_;    // lazy lanes, min-heap by bound_
+  std::vector<Poller*> order_;     // reused by rebase()
+  std::vector<Node> nodes_;
+  std::vector<Node> spare_;        // reused by rebase()
+  std::vector<Done> done_;
+  std::uint64_t done_base_ = 0;    // the dispatch done_[0] logs
+  std::uint64_t next_tie_ = 0;
   std::uint64_t polls_elided_ = 0;
   std::uint64_t poll_wakes_ = 0;
+  std::uint64_t poll_catchups_ = 0;
   trace::Tracer* tracer_ = nullptr;
 };
+
+inline void PollGroup::catch_up() const {
+  if (lazy_ != nullptr && !engine_->replaying_) engine_->sync(*this, false);
+}
+
+inline void PollGroup::notify() const {
+  if (lazy_ != nullptr && !engine_->replaying_) engine_->sync(*this, true);
+}
 
 }  // namespace cord::sim

@@ -126,8 +126,12 @@ class Context {
   sim::Task<nic::Cqe> wait_one_event(nic::CompletionQueue& cq,
                                      sim::Time timeout = sim::sec(30));
 
-  /// Number of data-plane verbs issued through this context.
-  std::uint64_t dataplane_ops() const { return dataplane_ops_; }
+  /// Number of data-plane verbs issued through this context (replayed poll
+  /// misses of loops parked on its core included).
+  std::uint64_t dataplane_ops() const {
+    core_->poll_group().catch_up();
+    return dataplane_ops_;
+  }
 
  private:
   /// One QP's gathered-but-unsubmitted sends (tx_batch > 1 only).

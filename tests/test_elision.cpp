@@ -347,6 +347,189 @@ TEST(Elision, SendrecvLoopsSharingOneCoreMatchReference) {
   }
 }
 
+// --- Scenario: loops in lock-step waking at one instant -------------------
+// Both ranks start waiting at the same instant on identical cores, so their
+// parked loops step in lock-step; one callback `at` later delivers to both
+// endpoints (before or after the steps due then), both loops wake at the
+// same instant, and each rank then exchanges a message with the other.
+
+template <typename Ep>
+Observation lock_step(sim::Time at, bool late) {
+  Pair<Ep> p;
+  sim::Engine& e = p.system().engine();
+  const sim::Time t = e.now() + at;
+  const auto deliver = [&p] {
+    p.ep(0).deliver_self(6, Bytes(32));
+    p.ep(1).deliver_self(6, Bytes(32));
+  };
+  if (late) {
+    e.call_at(t - 1, [&e, t, deliver] { e.call_at(t, deliver); });
+  } else {
+    e.call_at(t, deliver);
+  }
+  auto rank = [](Ep& ep, Observation& obs, int peer) -> sim::Task<> {
+    co_await ep.wait([&] { return ep.arrived(ep.rank(), 6); }, "delivery");
+    obs.instants.push_back(now_of(ep));
+    Bytes buf(64);
+    co_await ep.send(peer, 7, Bytes(64, std::byte{5}));
+    (void)co_await ep.recv(peer, 7, buf);
+    obs.instants.push_back(now_of(ep));
+  };
+  return p.run(rank(p.ep(0), p.obs, 1), rank(p.ep(1), p.obs, 0));
+}
+
+TEST(Elision, LockStepLoopsWakingAtOneInstantMatchReference) {
+  for (const sim::Time at0 : {sim::ns(400), sim::us(30)}) {
+    // As DeliveryAtExactlyAPollInstantMatchesReferenceInBothOrders: the
+    // edge of the first wake's step function puts the delivery exactly on
+    // a step instant of both loops.
+    const auto seen = [](sim::Time at) {
+      return lock_step<RefEndpoint>(at, false).instants.front();
+    };
+    const sim::Time r = seen(at0);
+    sim::Time lo = at0, hi = at0 + sim::us(25);
+    ASSERT_GT(seen(hi), r);
+    while (hi - lo > 1) {
+      const sim::Time mid = lo + (hi - lo) / 2;
+      (seen(mid) == r ? lo : hi) = mid;
+    }
+    for (const sim::Time at : {lo - 1, lo, hi, at0 + sim::ns(777)}) {
+      for (const bool late : {false, true}) {
+        const Observation ref = lock_step<RefEndpoint>(at, late);
+        const Observation got = lock_step<ParkingEndpoint>(at, late);
+        EXPECT_EQ(got, ref) << "at = " << at << (late ? " (late)" : "");
+        ASSERT_EQ(got.instants.size(), 4u);
+        EXPECT_EQ(got.instants[0], got.instants[1]);  // one wake instant
+        EXPECT_GT(got.elided, 0u);
+      }
+    }
+  }
+}
+
+// --- Scenario: the send side charges while the receive loop is parked ------
+// Rank 0 posts a receive in a sibling task, then `d` later sends (the bounce
+// copy, WQE build and doorbell charge its core) and computes, all between
+// the parked receive loop's steps on that same core.
+
+template <typename Ep>
+Observation charge_while_parked(sim::Time d) {
+  Pair<Ep> p;
+  auto rank0 = [](Ep& ep, Observation& obs, sim::Time d) -> sim::Task<> {
+    Bytes in(512);
+    sim::Joinable rx(ep.core().engine(), [](Ep& ep, Bytes& in) -> sim::Task<> {
+      (void)co_await ep.recv(1, 8, in);
+    }(ep, in));
+    co_await ep.core().engine().delay(d);
+    co_await ep.send(1, 9, Bytes(512, std::byte{6}));
+    obs.instants.push_back(now_of(ep));
+    co_await ep.core().work(sim::ns(333), os::Work::kCompute);
+    obs.instants.push_back(now_of(ep));
+    co_await rx.join();
+    obs.instants.push_back(now_of(ep));
+  };
+  auto rank1 = [](Ep& ep) -> sim::Task<> {
+    Bytes in(512);
+    (void)co_await ep.recv(0, 9, in);
+    co_await ep.core().engine().delay(sim::us(2));
+    co_await ep.send(0, 8, Bytes(512, std::byte{7}));
+  };
+  return p.run(rank0(p.ep(0), p.obs, d), rank1(p.ep(1)));
+}
+
+TEST(Elision, SendSideChargesBetweenParkedReceiveStepsMatchReference) {
+  std::vector<sim::Time> ds{sim::us(40), sim::us(250)};
+  for (sim::Time d = 0; d < sim::us(3); d += 13'337) ds.push_back(d);
+  for (const sim::Time d : ds) {
+    const Observation ref = charge_while_parked<RefEndpoint>(d);
+    const Observation got = charge_while_parked<ParkingEndpoint>(d);
+    EXPECT_EQ(got, ref) << "d = " << d;
+    EXPECT_GT(got.elided, 0u);
+  }
+}
+
+// --- Scenario: metrics read while loops are parked ---------------------------
+// A callback reads rank 0's verb count or its core first (alternately), then
+// the other, then System::metrics() and host 0's proc_read("metrics"), while
+// rank 0's receive loop is parked (the message comes 40 us later). Each
+// read catches the parked loop up on its own: the core and verb count equal
+// the reference's at that instant, and events plus replayed steps equal the
+// reference's events.
+
+struct Reading {
+  std::uint64_t work = 0;  // events + sim.polls_elided (the reference's events)
+  std::int64_t sys_elided = 0;
+  std::int64_t host_elided = 0;
+  CoreState core;
+  bool operator==(const Reading& o) const {
+    return work == o.work && core == o.core;
+  }
+};
+
+std::int64_t metric_line(const std::string& text, const std::string& name) {
+  const std::size_t at = text.find(name + " ");
+  return at == std::string::npos ? -1 : std::stoll(text.substr(at + name.size() + 1));
+}
+
+template <typename Ep>
+std::vector<Reading> read_while_parked(const std::vector<sim::Time>& reads,
+                                       bool late) {
+  Pair<Ep> p;
+  sim::Engine& e = p.system().engine();
+  std::vector<Reading> out;
+  const auto read = [&p, &e, &out] {
+    Reading r;
+    const bool ops_first = out.size() % 2 == 0;
+    if (ops_first) r.core.ops = p.ep(0).context().dataplane_ops();
+    os::Core& c = p.ep(0).core();
+    r.core.spin = c.time_spin();
+    r.core.compute = c.time_compute();
+    r.core.kernel = c.time_kernel();
+    const double load = c.spin_load();
+    std::memcpy(&r.core.load_bits, &load, sizeof load);
+    if (!ops_first) r.core.ops = p.ep(0).context().dataplane_ops();
+    r.sys_elided = p.system().metrics().gauge_value("sim.polls_elided");
+    r.work = e.events_processed() + static_cast<std::uint64_t>(r.sys_elided);
+    r.host_elided = metric_line(p.system().host(0).kernel().proc_read("metrics"),
+                                "sim.polls_elided");
+    out.push_back(r);
+  };
+  for (const sim::Time at : reads) {
+    const sim::Time t = e.now() + at;
+    if (late) {
+      e.call_at(t - 1, [&e, t, read] { e.call_at(t, read); });
+    } else {
+      e.call_at(t, read);
+    }
+  }
+  auto rank0 = [](Ep& ep) -> sim::Task<> {
+    Bytes in(64);
+    (void)co_await ep.recv(1, 3, in);
+  };
+  auto rank1 = [](Ep& ep) -> sim::Task<> {
+    co_await ep.core().engine().delay(sim::us(40));
+    co_await ep.send(0, 3, Bytes(64, std::byte{8}));
+  };
+  p.run(rank0(p.ep(0)), rank1(p.ep(1)));
+  return out;
+}
+
+TEST(Elision, MetricsReadWhileParkedMatchReference) {
+  const std::vector<sim::Time> reads{sim::ns(333), sim::us(1) + 7,
+                                     sim::us(12) + 500, sim::us(25)};
+  for (const bool late : {false, true}) {
+    const std::vector<Reading> ref = read_while_parked<RefEndpoint>(reads, late);
+    const std::vector<Reading> got = read_while_parked<ParkingEndpoint>(reads, late);
+    ASSERT_EQ(got.size(), reads.size());
+    EXPECT_EQ(got, ref);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(ref[i].sys_elided, 0) << i;
+      EXPECT_EQ(ref[i].host_elided, 0) << i;
+      EXPECT_GT(got[i].sys_elided, 0) << i;
+      EXPECT_EQ(got[i].host_elided, got[i].sys_elided) << i;
+    }
+  }
+}
+
 // --- Scenario: self-send --------------------------------------------------
 // Rank 0 posts a receive from itself and, `d` later, sends it the message:
 // the send's in-memory delivery must wake the parked receive.
@@ -566,15 +749,22 @@ TEST(Elision, GaugesCountElidedPollsAndWakes) {
                                          /*verify=*/false, 1});
     const std::int64_t elided = sys.metrics().gauge_value("sim.polls_elided");
     const std::int64_t wakes = sys.metrics().gauge_value("sim.poll_wakes");
+    const std::int64_t catchups = sys.metrics().gauge_value("sim.poll_catchups");
     EXPECT_GT(elided, 0);
     EXPECT_GT(wakes, 0);
+    // Most steps replay in passes of many, not one heap run each.
+    EXPECT_GT(catchups, 0);
+    EXPECT_GT(elided, 4 * catchups);
     EXPECT_EQ(elided, static_cast<std::int64_t>(sys.engine().polls_elided()));
+    EXPECT_EQ(catchups, static_cast<std::int64_t>(sys.engine().poll_catchups()));
     const trace::MetricsRegistry& host = sys.host(0).kernel().metrics();
     EXPECT_EQ(host.gauge_value("sim.polls_elided"), elided);
     EXPECT_EQ(host.gauge_value("sim.poll_wakes"), wakes);
+    EXPECT_EQ(host.gauge_value("sim.poll_catchups"), catchups);
     const std::string dump = sys.host(0).kernel().proc_read("metrics");
     EXPECT_NE(dump.find("sim.polls_elided"), std::string::npos);
     EXPECT_NE(dump.find("sim.poll_wakes"), std::string::npos);
+    EXPECT_NE(dump.find("sim.poll_catchups"), std::string::npos);
   }
 }
 
@@ -639,6 +829,7 @@ TEST(Elision, PerftestPollingIsNeverElided) {
   }(c0, c1, src, dst));
   EXPECT_EQ(sys.metrics().gauge_value("sim.polls_elided"), 0);
   EXPECT_EQ(sys.metrics().gauge_value("sim.poll_wakes"), 0);
+  EXPECT_EQ(sys.metrics().gauge_value("sim.poll_catchups"), 0);
   EXPECT_GT(sys.engine().events_processed(), 0u);
 }
 

@@ -1,12 +1,14 @@
 // Unit tests for the discrete-event simulation core: engine ordering
 // (including a randomized differential against a reference order), parked
-// pollers, coroutine task composition, latches/signals, FIFO resources,
-// RNG determinism, and statistics.
+// pollers and their lazy catch-up (a randomized differential against one
+// event per step), coroutine task composition, latches/signals, FIFO
+// resources, RNG determinism, and statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -230,10 +232,12 @@ TEST(Engine, RandomizedOrderMatchesReference) {
 // empty step (the reference), `park_loop` replays its empty steps through a
 // Poller. Every empty step folds the loop id into an order-dependent
 // accumulator (as Core's DVFS EWMA is), and every taken item records its
-// instant, so equal results mean equal step order.
+// instant, so equal results mean equal step order. The loops share one
+// PollGroup; whatever changes what a step reads calls its hooks first.
 
 struct PollWorld {
   Engine engine;
+  PollGroup group{engine};
   int work = 0;               // items posted and not yet taken
   int remaining = 0;          // items still to be taken in total
   std::uint64_t activity = 0;  // moves on every post and take
@@ -242,11 +246,13 @@ struct PollWorld {
   std::vector<std::pair<Time, int>> taken;
 
   void post() {
+    group.notify();
     ++work;
     ++activity;
   }
   /// One empty step of loop `id`: charge it, return the delay to the next.
   Time empty_step(int id, int& idle) {
+    group.catch_up();
     steps.push_back(engine.now());
     acc = acc * 0.75 + id + 1;
     ++idle;
@@ -255,6 +261,7 @@ struct PollWorld {
   /// Take an item if one waits; true when the loop should look again.
   bool take(int id, int& idle) {
     if (work == 0) return false;
+    group.notify();
     --work;
     --remaining;
     ++activity;
@@ -281,7 +288,7 @@ class ParkedLoop final : public Poller {
   }
   auto park() {
     seen_ = w_.activity;
-    return w_.engine.park(*this, w_.empty_step(id_, idle_));
+    return w_.engine.park(*this, w_.group, w_.empty_step(id_, idle_));
   }
 
  private:
@@ -384,13 +391,17 @@ TEST(Poller, RunReplaysParkedStepsUntilTheWake) {
     }
   };
   Engine e;
+  PollGroup group(e);
   Wait wait;
   Time woke = -1;
-  e.call_at(us(1), [&wait] { wait.ready = true; });
-  e.spawn([](Engine& e, Wait& w, Time& woke) -> Task<> {
-    co_await e.park(w, ns(10));
+  e.call_at(us(1), [&group, &wait] {
+    group.notify();
+    wait.ready = true;
+  });
+  e.spawn([](Engine& e, PollGroup& g, Wait& w, Time& woke) -> Task<> {
+    co_await e.park(w, g, ns(10));
     woke = e.now();
-  }(e, wait, woke));
+  }(e, group, wait, woke));
   const Time end = e.run();
   // Steps at 10, 20, ..., 1000 ns; the callback due at 1 us was
   // scheduled first, so it runs before the step that wakes.
@@ -401,6 +412,228 @@ TEST(Poller, RunReplaysParkedStepsUntilTheWake) {
   EXPECT_EQ(end, us(1));
   EXPECT_EQ(e.live_roots(), 0u);
 }
+
+// --- Lazy catch-up differential --------------------------------------------
+// Loops in groups that share order-dependent state, as the loops of one
+// os::Core share its DVFS EWMA. Every empty step records (t, loop, step),
+// folds the loop into its group's EWMA and draws its next delay from a small
+// commensurate set, partly by the EWMA, so steps tie with each other and
+// with outside events, and a misordered step moves every later instant.
+// Some loops also wake on their own after a run of empty steps and block
+// for real (a socket's epoll hand-off), with a wake_bound(). Outside events
+// on the 1 ns grid post work to one group (moving its activity) or charge
+// its EWMA, scheduled before or after the slot of a step at their instant;
+// many schedule a follow-up charge one step delay later, as does every
+// take, so events scheduled inside a tied dispatch tie with the next step.
+// The parked run must match an event-per-step reference record for record.
+
+struct LazyWorld {
+  struct Group {
+    explicit Group(Engine& e) : polls(e) {}
+    PollGroup polls;
+    double ewma = 0.0;
+    std::uint64_t activity = 0;
+    int work = 0;
+    int remaining = 0;
+    void charge() {
+      polls.catch_up();
+      ewma = ewma * 0.5 + 7;
+    }
+  };
+  struct Rec {
+    Time t;
+    int step;  // -1: took an item; -2: blocked
+    bool operator==(const Rec&) const = default;
+  };
+  Engine engine;
+  std::vector<std::unique_ptr<Group>> groups;
+};
+
+class LazyLoop final : public Poller {
+ public:
+  static constexpr Time kDelays[] = {ns(2), ns(3), ns(4), ns(6)};
+  LazyLoop(LazyWorld& w, LazyWorld::Group& g, int id, int budget)
+      : w_(w), g_(g), id_(id), budget_(budget) {}
+
+  /// One empty step: record it, feed the EWMA, return the next delay.
+  Time empty_step() {
+    g_.polls.catch_up();
+    recs.push_back({w_.engine.now(), steps_++});
+    g_.ewma = g_.ewma * 0.75 + (id_ + 1);
+    ++streak_;
+    return kDelays[(id_ + steps_ + static_cast<int>(g_.ewma)) % 4];
+  }
+  bool take() {
+    if (g_.work == 0) return false;
+    g_.polls.notify();
+    --g_.work;
+    --g_.remaining;
+    ++g_.activity;
+    streak_ = 0;
+    recs.push_back({w_.engine.now(), -1});
+    LazyWorld::Group& next = *w_.groups[(id_ + 1) % w_.groups.size()];
+    w_.engine.call_in(kDelays[steps_ % 4], [&next] { next.charge(); });
+    return true;
+  }
+  bool spent() const { return streak_ + 1 >= budget_; }
+  Task<> block() {
+    streak_ = 0;
+    recs.push_back({w_.engine.now(), -2});
+    co_await w_.engine.delay(ns(5));
+  }
+  bool running() const { return g_.remaining > 0; }
+
+  Time step() override {
+    if (g_.activity != seen_ || spent()) return kWake;
+    return empty_step();
+  }
+  Time wake_bound(Time next) const override {
+    return budget_ == kNoBudget ? kNever
+                                : next + (budget_ - 1 - streak_) * kDelays[0];
+  }
+  auto park() {
+    seen_ = g_.activity;
+    return w_.engine.park(*this, g_.polls, empty_step());
+  }
+
+  static constexpr int kNoBudget = 1 << 30;
+  std::vector<LazyWorld::Rec> recs;
+
+ private:
+  LazyWorld& w_;
+  LazyWorld::Group& g_;
+  int id_;
+  int budget_;
+  int steps_ = 0;
+  int streak_ = 0;
+  std::uint64_t seen_ = 0;
+};
+
+Task<> lazy_spin(LazyWorld& w, LazyLoop& l) {
+  while (l.running()) {
+    if (l.take()) continue;
+    if (l.spent()) {
+      co_await l.block();
+      continue;
+    }
+    co_await w.engine.delay(l.empty_step());
+  }
+}
+
+Task<> lazy_park(LazyLoop& l) {
+  while (l.running()) {
+    if (l.take()) continue;
+    if (l.spent()) {
+      co_await l.block();
+      continue;
+    }
+    co_await l.park();
+  }
+}
+
+struct LazyOutcome {
+  std::vector<std::vector<LazyWorld::Rec>> recs;  // per loop
+  std::vector<std::uint64_t> ewma_bits;           // per group
+  Time end = 0;
+  std::uint64_t events = 0;
+  std::uint64_t elided = 0;
+  std::uint64_t catchups = 0;
+};
+
+/// One seeded scenario, run event per step (`parked` false) or parked.
+LazyOutcome run_lazy(std::uint64_t seed, bool parked) {
+  Rng rng(seed);
+  const auto pick = [&rng](std::uint64_t n) {
+    return static_cast<int>(rng.next_u64() % n);
+  };
+  LazyWorld w;
+  const int groups = 1 + pick(4);
+  // One seed in eight runs long enough to rebase the engine's history.
+  const Time span = seed % 8 == 0 ? us(60) : ns(300 + 50 * pick(8));
+  std::vector<std::unique_ptr<LazyLoop>> loops;
+  for (int g = 0; g < groups; ++g) {
+    w.groups.push_back(std::make_unique<LazyWorld::Group>(w.engine));
+    const int n = 1 + pick(3);
+    for (int i = 0; i < n; ++i) {
+      const int budget = pick(3) == 0 ? 6 + pick(30) : LazyLoop::kNoBudget;
+      loops.push_back(std::make_unique<LazyLoop>(
+          w, *w.groups.back(), static_cast<int>(loops.size()), budget));
+    }
+  }
+  // Outside events, a few sharing one instant; every group gets posts.
+  const int events = 4 + pick(24);
+  std::vector<Time> instants;
+  for (int e = 0; e < events; ++e) {
+    const Time t = e > 0 && pick(4) == 0 ? instants[pick(instants.size())]
+                                         : ns(1 + pick(span / ns(1)));
+    instants.push_back(t);
+    const int g = e < groups ? e : pick(groups);
+    LazyWorld::Group& grp = *w.groups[g];
+    const bool post = e < groups || pick(2) == 0;
+    LazyWorld::Group* then = pick(2) == 0 ? w.groups[pick(groups)].get() : nullptr;
+    const Time after = LazyLoop::kDelays[pick(4)];
+    const auto fire = [&w, &grp, post, then, after] {
+      if (post) {
+        grp.polls.notify();
+        ++grp.work;
+        ++grp.activity;
+      } else {
+        grp.charge();
+      }
+      if (then != nullptr) w.engine.call_in(after, [then] { then->charge(); });
+    };
+    if (post) ++grp.remaining;
+    if (pick(2) == 0) {
+      w.engine.call_at(t, fire);
+    } else {
+      w.engine.call_at(t - 1, [&w, t, fire] { w.engine.call_at(t, fire); });
+    }
+  }
+  for (auto& l : loops) {
+    w.engine.spawn(parked ? lazy_park(*l) : lazy_spin(w, *l));
+  }
+  w.engine.run();
+  EXPECT_EQ(w.engine.live_roots(), 0u);
+  LazyOutcome out;
+  for (auto& l : loops) out.recs.push_back(l->recs);
+  for (auto& g : w.groups) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &g->ewma, sizeof bits);
+    out.ewma_bits.push_back(bits);
+  }
+  out.end = w.engine.now();
+  out.events = w.engine.events_processed();
+  out.elided = w.engine.polls_elided();
+  out.catchups = w.engine.poll_catchups();
+  return out;
+}
+
+void expect_lazy_matches(std::uint64_t first, std::uint64_t last) {
+  std::uint64_t elided = 0, catchups = 0;
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
+    const LazyOutcome ref = run_lazy(seed, false);
+    const LazyOutcome got = run_lazy(seed, true);
+    ASSERT_EQ(got.recs.size(), ref.recs.size());
+    for (std::size_t l = 0; l < ref.recs.size(); ++l) {
+      ASSERT_EQ(got.recs[l], ref.recs[l]) << "seed " << seed << " loop " << l;
+    }
+    ASSERT_EQ(got.ewma_bits, ref.ewma_bits) << "seed " << seed;
+    ASSERT_EQ(got.end, ref.end) << "seed " << seed;
+    ASSERT_EQ(got.events + got.elided, ref.events) << "seed " << seed;
+    ASSERT_EQ(ref.elided, 0u);
+    elided += got.elided;
+    catchups += got.catchups;
+  }
+  EXPECT_GT(catchups, 0u);
+  EXPECT_GT(elided, 2 * catchups);
+}
+
+TEST(LazyPoller, CatchUpsMatchEventPerStepOnRandomTies) {
+  expect_lazy_matches(1, 300);
+}
+
+// The long sweep: ctest -C perf runs it as lazy_poll_sweep.
+TEST(LazyPoller, DISABLED_LongSeedSweep) { expect_lazy_matches(1, 2000); }
 
 Task<int> add_later(Engine& e, int a, int b) {
   co_await e.delay(ns(7));
