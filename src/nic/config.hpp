@@ -1,5 +1,5 @@
 // Timing/capacity parameters of the simulated NIC. Defaults approximate a
-// ConnectX-6-class device; the per-system presets in src/core/systems.cpp
+// ConnectX-6-class device; the per-system presets in src/core/system.cpp
 // override them per testbed.
 #pragma once
 

@@ -20,9 +20,8 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     return static_cast<std::int64_t>(interrupts_);
   });
   // Crossing-vs-op split (batched submission makes them diverge: one
-  // crossing services a whole flushed ring) plus the flush shape and the
-  // policy-verdict fast-path cache health. kernel.crossings mirrors
-  // kernel.syscalls under its modern name.
+  // crossing services a whole flushed ring) plus the flush shape.
+  // kernel.crossings mirrors kernel.syscalls under its modern name.
   metrics_.callback_gauge("kernel.crossings", [this] {
     return static_cast<std::int64_t>(syscalls_);
   });
@@ -37,18 +36,6 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
   });
   metrics_.callback_gauge("kernel.batch.max_wrs", [this] {
     return static_cast<std::int64_t>(batch_max_wrs_);
-  });
-  metrics_.callback_gauge("kernel.verdict_cache.hits", [this] {
-    return static_cast<std::int64_t>(verdicts_.stats().hits);
-  });
-  metrics_.callback_gauge("kernel.verdict_cache.misses", [this] {
-    return static_cast<std::int64_t>(verdicts_.stats().misses);
-  });
-  metrics_.callback_gauge("kernel.verdict_cache.insertions", [this] {
-    return static_cast<std::int64_t>(verdicts_.stats().insertions);
-  });
-  metrics_.callback_gauge("kernel.policy_epoch", [this] {
-    return static_cast<std::int64_t>(policies_.epoch());
   });
   // This host's engine-queue health, surfaced through proc_read("metrics")
   // alongside the kernel counters: live depth and high-water mark.
@@ -241,112 +228,137 @@ sim::Task<int> Kernel::modify_qp(Core& core, nic::QueuePair& qp,
 sim::Task<> Kernel::destroy_qp(Core& core, std::uint32_t qpn) {
   co_await ioctl(core, cfg_.control_cmd);
   nic_->destroy_qp(qpn);
-  // The QPN can be recycled; verdicts cached against it must never apply
-  // to a successor QP.
-  policies_.invalidate();
 }
 
-sim::Task<int> Kernel::post_send(Core& core, TenantId tenant, nic::QueuePair& qp,
-                                 nic::SendWr wr) {
+sim::Task<int> Kernel::send_crossing(Core& core, TenantId tenant,
+                                     nic::QueuePair& qp,
+                                     std::span<nic::SendWr> wrs,
+                                     std::span<int> rcs) {
+  const std::size_t n = wrs.size();
   ++syscalls_;
-  ++ops_serviced_;
+  ops_serviced_ += n;
   const sim::Time t0 = engine_->now();
   const std::uint32_t qpn = qp.qpn();
-  const std::uint32_t span = wr.trace_span;
   const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
-  // The SGE describes the payload even for inline sends: the copy into
-  // the WQE (which fills inline_payload) happens below us, in the NIC.
-  const std::uint64_t bytes = wr.sge.length;
   // Copy of the handle struct: tenant_metrics_ may reallocate while this
   // coroutine is suspended, but the pointed-to registry entries are stable.
   const TenantMetrics tm = tenant_metrics(tenant);
   tm.crossings->add();
-  tm.post_sends->add();
-  tm.tx_bytes->add(bytes);
+  tm.post_sends->add(n);
   trace::Tracer* tr = engine_->tracer();
-  if (tr != nullptr) [[unlikely]] {
-    tr->record(trace::Point::kSyscallEnter, span, qpn, tenant, node, bytes);
+  // Every WR runs the full chain. A denied WR's errno goes straight into
+  // rcs; 0 marks an admitted one until the NIC's rc replaces it.
+  sim::Time cpu = static_cast<sim::Time>(n) * cfg_.cord_post_work;
+  sim::Time pace = 0;
+  bool admitted = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const nic::SendWr& wr = wrs[i];
+    // The SGE describes the payload even for inline sends: the copy into
+    // the WQE (which fills inline_payload) happens below us, in the NIC.
+    const std::uint64_t bytes = wr.sge.length;
+    tm.tx_bytes->add(bytes);
+    if (tr != nullptr) [[unlikely]] {
+      tr->record(trace::Point::kSyscallEnter, wr.trace_span, qpn, tenant, node,
+                 bytes);
+    }
+    const nic::NodeId dst =
+        qp.type() == nic::QpType::kUD ? wr.ud.node : qp.dest().node;
+    const DataplaneOp op{DataplaneOp::Kind::kPostSend, tenant, qpn, wr.opcode,
+                         bytes, dst};
+    const PolicyVerdict v = policies_.evaluate(op, t0, tr, wr.trace_span, node);
+    cpu += v.cpu_cost;
+    rcs[i] = v.allow ? 0 : v.error;
+    if (v.allow) {
+      admitted = true;
+      pace = std::max(pace, v.pace_delay);
+    }
   }
-  const nic::NodeId dst =
-      qp.type() == nic::QpType::kUD ? wr.ud.node : qp.dest().node;
-  const DataplaneOp op{DataplaneOp::Kind::kPostSend, tenant, qpn,
-                       wr.opcode, bytes, dst};
-  const PolicyVerdict v = policies_.evaluate(op, t0, tr, span, node);
-  co_await core.work(core.syscall_cost() + cfg_.cord_post_work + v.cpu_cost,
-                     Work::kKernel);
-  int rc;
-  if (!v.allow) {
-    rc = v.error;
-  } else {
-    if (v.pace_delay > 0) co_await core.idle(v.pace_delay);
+  co_await core.work(core.syscall_cost() + cpu, Work::kKernel);
+  if (admitted) {
+    // Shaped debts accumulate in the bucket, so the largest admitted delay
+    // already covers every other WR: one pacing idle, then one doorbell.
+    if (pace > 0) co_await core.idle(pace);
     co_await core.work(core.model().doorbell_mmio, Work::kKernel);
-    rc = nic_->post_send(qp, std::move(wr));
+  }
+  int first_err = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rcs[i] == 0) rcs[i] = nic_->post_send(qp, std::move(wrs[i]));
+    if (first_err == 0) first_err = rcs[i];
   }
   const sim::Time elapsed = engine_->now() - t0;
   tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
   if ((tr = engine_->tracer()) != nullptr) [[unlikely]] {
-    tr->record(trace::Point::kSyscallExit, span, qpn, tenant, node,
-               static_cast<std::uint64_t>(elapsed));
+    for (std::size_t i = 0; i < n; ++i) {
+      tr->record(trace::Point::kSyscallExit, wrs[i].trace_span, qpn, tenant,
+                 node, static_cast<std::uint64_t>(elapsed));
+    }
   }
-  co_return rc;
+  co_return first_err;
+}
+
+template <typename PostFn>
+sim::Task<int> Kernel::recv_crossing(Core& core, TenantId tenant,
+                                     std::uint32_t qpn,
+                                     std::span<const nic::RecvWr> wrs,
+                                     std::span<int> rcs, PostFn post) {
+  const std::size_t n = wrs.size();
+  ++syscalls_;
+  ops_serviced_ += n;
+  const sim::Time t0 = engine_->now();
+  const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
+  const TenantMetrics tm = tenant_metrics(tenant);
+  tm.crossings->add();
+  tm.post_recvs->add(n);
+  trace::Tracer* tr = engine_->tracer();
+  sim::Time cpu = static_cast<sim::Time>(n) * cfg_.cord_post_work;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bytes = wrs[i].sge.length;
+    if (tr != nullptr) [[unlikely]] {
+      tr->record(trace::Point::kSyscallEnter, 0, qpn, tenant, node, bytes);
+    }
+    const DataplaneOp op{DataplaneOp::Kind::kPostRecv, tenant, qpn,
+                         nic::Opcode::kSend, bytes, 0};
+    const PolicyVerdict v = policies_.evaluate(op, t0, tr, 0, node);
+    cpu += v.cpu_cost;
+    rcs[i] = v.allow ? 0 : v.error;
+  }
+  co_await core.work(core.syscall_cost() + cpu, Work::kKernel);
+  int first_err = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rcs[i] == 0) rcs[i] = post(wrs[i]);
+    if (first_err == 0) first_err = rcs[i];
+  }
+  const sim::Time elapsed = engine_->now() - t0;
+  tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
+  if ((tr = engine_->tracer()) != nullptr) [[unlikely]] {
+    for (std::size_t i = 0; i < n; ++i) {
+      tr->record(trace::Point::kSyscallExit, 0, qpn, tenant, node,
+                 static_cast<std::uint64_t>(elapsed));
+    }
+  }
+  co_return first_err;
+}
+
+sim::Task<int> Kernel::post_send(Core& core, TenantId tenant, nic::QueuePair& qp,
+                                 nic::SendWr wr) {
+  int rc = 0;
+  co_return co_await send_crossing(core, tenant, qp, {&wr, 1}, {&rc, 1});
 }
 
 sim::Task<int> Kernel::post_recv(Core& core, TenantId tenant, nic::QueuePair& qp,
                                  nic::RecvWr wr) {
-  ++syscalls_;
-  ++ops_serviced_;
-  const sim::Time t0 = engine_->now();
-  const std::uint32_t qpn = qp.qpn();
-  const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
-  const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
-  tm.post_recvs->add();
-  trace::Tracer* tr = engine_->tracer();
-  if (tr != nullptr) [[unlikely]] {
-    tr->record(trace::Point::kSyscallEnter, 0, qpn, tenant, node,
-               wr.sge.length);
-  }
-  const DataplaneOp op{DataplaneOp::Kind::kPostRecv, tenant, qpn,
-                       nic::Opcode::kSend, wr.sge.length, 0};
-  const PolicyVerdict v = policies_.evaluate(op, t0, tr, 0, node);
-  co_await core.work(core.syscall_cost() + cfg_.cord_post_work + v.cpu_cost,
-                     Work::kKernel);
-  const int rc = v.allow ? nic_->post_recv(qp, wr) : v.error;
-  const sim::Time elapsed = engine_->now() - t0;
-  tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
-  if ((tr = engine_->tracer()) != nullptr) [[unlikely]] {
-    tr->record(trace::Point::kSyscallExit, 0, qpn, tenant, node,
-               static_cast<std::uint64_t>(elapsed));
-  }
-  co_return rc;
+  int rc = 0;
+  co_return co_await recv_crossing(
+      core, tenant, qp.qpn(), {&wr, 1}, {&rc, 1},
+      [this, &qp](const nic::RecvWr& w) { return nic_->post_recv(qp, w); });
 }
 
 sim::Task<int> Kernel::post_srq_recv(Core& core, TenantId tenant,
                                      nic::SharedReceiveQueue& srq, nic::RecvWr wr) {
-  ++syscalls_;
-  ++ops_serviced_;
-  const sim::Time t0 = engine_->now();
-  const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
-  const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
-  tm.post_recvs->add();
-  trace::Tracer* tr = engine_->tracer();
-  if (tr != nullptr) [[unlikely]] {
-    tr->record(trace::Point::kSyscallEnter, 0, 0, tenant, node, wr.sge.length);
-  }
-  const DataplaneOp op{DataplaneOp::Kind::kPostRecv, tenant, 0,
-                       nic::Opcode::kSend, wr.sge.length, 0};
-  const PolicyVerdict v = policies_.evaluate(op, t0, tr, 0, node);
-  co_await core.work(core.syscall_cost() + cfg_.cord_post_work + v.cpu_cost,
-                     Work::kKernel);
-  const int rc = v.allow ? nic_->post_srq_recv(srq, wr) : v.error;
-  const sim::Time elapsed = engine_->now() - t0;
-  tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
-  if ((tr = engine_->tracer()) != nullptr) [[unlikely]] {
-    tr->record(trace::Point::kSyscallExit, 0, 0, tenant, node,
-               static_cast<std::uint64_t>(elapsed));
-  }
-  co_return rc;
+  int rc = 0;
+  co_return co_await recv_crossing(
+      core, tenant, 0, {&wr, 1}, {&rc, 1},
+      [this, &srq](const nic::RecvWr& w) { return nic_->post_srq_recv(srq, w); });
 }
 
 sim::Task<std::size_t> Kernel::poll_cq(Core& core, TenantId tenant,
@@ -386,94 +398,13 @@ sim::Task<std::size_t> Kernel::poll_cq(Core& core, TenantId tenant,
   co_return n;
 }
 
-PolicyVerdict Kernel::evaluate_cached(const DataplaneOp& op, sim::Time now,
-                                      trace::Tracer* tr, std::uint32_t span,
-                                      std::uint8_t node) {
-  if (policies_.empty()) return {};
-  const std::uint64_t epoch = policies_.epoch();
-  if (verdicts_.lookup(op.tenant, op.qpn, op.kind, op.dst_node, epoch)) {
-    PolicyVerdict v;
-    if (policies_.evaluate_fast(op, now, v, tr, span, node)) return v;
-    // A policy declined the fast path (empty bucket, over-cap size):
-    // fall through to the full chain for the exact verdict.
-  }
-  const PolicyVerdict v = policies_.evaluate(op, now, tr, span, node);
-  // Cache allowing verdicts only: denials are transient (EAGAIN) or must
-  // keep paying the full chain so denial counters/errno stay exact.
-  if (v.allow) {
-    verdicts_.insert(op.tenant, op.qpn, op.kind, op.dst_node, epoch);
-  }
-  return v;
-}
-
 sim::Task<int> Kernel::submit_send_batch(Core& core, TenantId tenant,
                                          nic::QueuePair& qp,
                                          std::span<nic::SendWr> wrs,
                                          std::span<int> rcs) {
-  if (wrs.empty()) co_return 0;  // no syscall, no policy work (satellite 2)
-  const std::size_t n = wrs.size();
-  ++syscalls_;
-  ops_serviced_ += n;
-  ++batch_flushes_;
-  batch_flushed_ops_ += n;
-  batch_max_wrs_ = std::max<std::uint64_t>(batch_max_wrs_, n);
-  const sim::Time t0 = engine_->now();
-  const std::uint32_t qpn = qp.qpn();
-  const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
-  const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
-  tm.post_sends->add(n);
-  trace::Tracer* tr = engine_->tracer();
-  std::vector<PolicyVerdict> verdicts(n);
-  // One crossing + per-WR driver work; every WR still gets its own policy
-  // verdict (through the cache) before anything reaches the NIC.
-  sim::Time cpu = core.syscall_cost() + static_cast<sim::Time>(n) * cfg_.cord_post_work;
-  for (std::size_t i = 0; i < n; ++i) {
-    const nic::SendWr& wr = wrs[i];
-    const std::uint64_t bytes = wr.sge.length;
-    tm.tx_bytes->add(bytes);
-    if (tr != nullptr) [[unlikely]] {
-      tr->record(trace::Point::kSyscallEnter, wr.trace_span, qpn, tenant, node,
-                 bytes);
-    }
-    const nic::NodeId dst =
-        qp.type() == nic::QpType::kUD ? wr.ud.node : qp.dest().node;
-    const DataplaneOp op{DataplaneOp::Kind::kPostSend, tenant, qpn, wr.opcode,
-                         bytes, dst};
-    verdicts[i] = evaluate_cached(op, t0, tr, wr.trace_span, node);
-    cpu += verdicts[i].cpu_cost;
-  }
-  co_await core.work(cpu, Work::kKernel);
-  int first_err = 0;
-  bool any_allowed = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!verdicts[i].allow) {
-      rcs[i] = verdicts[i].error;
-      if (first_err == 0) first_err = verdicts[i].error;
-      continue;
-    }
-    any_allowed = true;
-    if (verdicts[i].pace_delay > 0) co_await core.idle(verdicts[i].pace_delay);
-  }
-  if (any_allowed) {
-    // The WQEs are already written; ring the SQ doorbell once for the
-    // whole batch (the device-side worker drains them as one burst).
-    co_await core.work(core.model().doorbell_mmio, Work::kKernel);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!verdicts[i].allow) continue;
-      rcs[i] = nic_->post_send(qp, std::move(wrs[i]));
-      if (first_err == 0 && rcs[i] != 0) first_err = rcs[i];
-    }
-  }
-  const sim::Time elapsed = engine_->now() - t0;
-  tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
-  if ((tr = engine_->tracer()) != nullptr) [[unlikely]] {
-    for (std::size_t i = 0; i < n; ++i) {
-      tr->record(trace::Point::kSyscallExit, wrs[i].trace_span, qpn, tenant,
-                 node, static_cast<std::uint64_t>(elapsed));
-    }
-  }
-  co_return first_err;
+  if (wrs.empty()) co_return 0;  // no syscall, no policy work
+  count_flush(wrs.size());
+  co_return co_await send_crossing(core, tenant, qp, wrs, rcs);
 }
 
 sim::Task<int> Kernel::submit_recv_batch(Core& core, TenantId tenant,
@@ -481,46 +412,10 @@ sim::Task<int> Kernel::submit_recv_batch(Core& core, TenantId tenant,
                                          std::span<const nic::RecvWr> wrs,
                                          std::span<int> rcs) {
   if (wrs.empty()) co_return 0;  // no syscall, no policy work
-  const std::size_t n = wrs.size();
-  ++syscalls_;
-  ops_serviced_ += n;
-  ++batch_flushes_;
-  batch_flushed_ops_ += n;
-  batch_max_wrs_ = std::max<std::uint64_t>(batch_max_wrs_, n);
-  const sim::Time t0 = engine_->now();
-  const std::uint32_t qpn = qp.qpn();
-  const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
-  const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
-  tm.post_recvs->add(n);
-  trace::Tracer* tr = engine_->tracer();
-  std::vector<PolicyVerdict> verdicts(n);
-  sim::Time cpu = core.syscall_cost() + static_cast<sim::Time>(n) * cfg_.cord_post_work;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tr != nullptr) [[unlikely]] {
-      tr->record(trace::Point::kSyscallEnter, 0, qpn, tenant, node,
-                 wrs[i].sge.length);
-    }
-    const DataplaneOp op{DataplaneOp::Kind::kPostRecv, tenant, qpn,
-                         nic::Opcode::kSend, wrs[i].sge.length, 0};
-    verdicts[i] = evaluate_cached(op, t0, tr, 0, node);
-    cpu += verdicts[i].cpu_cost;
-  }
-  co_await core.work(cpu, Work::kKernel);
-  int first_err = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    rcs[i] = verdicts[i].allow ? nic_->post_recv(qp, wrs[i]) : verdicts[i].error;
-    if (first_err == 0 && rcs[i] != 0) first_err = rcs[i];
-  }
-  const sim::Time elapsed = engine_->now() - t0;
-  tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
-  if ((tr = engine_->tracer()) != nullptr) [[unlikely]] {
-    for (std::size_t i = 0; i < n; ++i) {
-      tr->record(trace::Point::kSyscallExit, 0, qpn, tenant, node,
-                 static_cast<std::uint64_t>(elapsed));
-    }
-  }
-  co_return first_err;
+  count_flush(wrs.size());
+  co_return co_await recv_crossing(
+      core, tenant, qp.qpn(), wrs, rcs,
+      [this, &qp](const nic::RecvWr& w) { return nic_->post_recv(qp, w); });
 }
 
 sim::Task<> Kernel::wait_cq_event(Core& core, nic::CompletionQueue& cq) {
@@ -568,16 +463,13 @@ std::string Kernel::proc_read(std::string_view path) const {
   if (path == "syscalls") {
     // `syscalls` keeps its historical meaning (crossings) so existing
     // dashboards stay truthful under batching; the explicit split follows.
-    char big[512];
-    std::snprintf(big, sizeof big,
+    std::snprintf(buf, sizeof buf,
                   "syscalls %" PRIu64 "\ncrossings %" PRIu64
                   "\nops_serviced %" PRIu64 "\nbatch_flushes %" PRIu64
-                  "\nbatch_flushed_ops %" PRIu64 "\nverdict_hits %" PRIu64
-                  "\nverdict_misses %" PRIu64 "\ninterrupts %" PRIu64 "\n",
+                  "\nbatch_flushed_ops %" PRIu64 "\ninterrupts %" PRIu64 "\n",
                   syscalls_, syscalls_, ops_serviced_, batch_flushes_,
-                  batch_flushed_ops_, verdicts_.stats().hits,
-                  verdicts_.stats().misses, interrupts_);
-    return big;
+                  batch_flushed_ops_, interrupts_);
+    return buf;
   }
   if (path == "tenants") {
     std::string out;

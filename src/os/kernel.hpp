@@ -15,6 +15,7 @@
 // (revoking a QP, reading per-QP traffic counters).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -87,12 +88,10 @@ class Kernel {
   // --- Batched submission (io_uring-style, one crossing per flush) ------
   /// Submit a gathered ring of send WRs in ONE kernel crossing: the
   /// syscall/KPTI cost and the SQ doorbell are charged once for the whole
-  /// batch, while per-WR driver work and policy verdicts stay per-op.
-  /// Policy evaluation goes through the verdict cache: a same-epoch hit
-  /// runs only the policies' debit-only fast paths. Per-WR results land
-  /// in `rcs` (same length as `wrs`); returns the first nonzero rc, 0 if
-  /// all were admitted. An empty span is a strict no-op: no syscall
-  /// charged, no policy evaluated.
+  /// batch, while per-WR driver work and the full policy chain stay
+  /// per-op. Per-WR results land in `rcs` (same length as `wrs`); returns
+  /// the first nonzero rc, 0 if all were admitted. An empty span is a
+  /// strict no-op: no syscall charged, no policy evaluated.
   sim::Task<int> submit_send_batch(Core& core, TenantId tenant,
                                    nic::QueuePair& qp,
                                    std::span<nic::SendWr> wrs,
@@ -132,8 +131,17 @@ class Kernel {
   std::uint64_t batch_max_wrs() const { return batch_max_wrs_; }
   std::uint64_t interrupt_count() const { return interrupts_; }
 
-  /// Policy-verdict fast-path cache (batched submissions only).
-  const VerdictCache& verdict_cache() const { return verdicts_; }
+  /// Always-zero verdict counts, kept only for perfbench/bench.cpp (as
+  /// core::System::sharded() is) until a benchmark change drops its
+  /// verdict counters: every WR runs the full chain, nothing is cached.
+  struct NoVerdicts {
+    struct Stats {
+      std::uint64_t hits = 0;
+      std::uint64_t misses = 0;
+    };
+    Stats stats() const { return {}; }
+  };
+  NoVerdicts verdict_cache() const { return {}; }
 
   // --- Kernel-side observability (CoRD's motivating capability) ---------
   /// The host's metrics registry. In CoRD mode the data-plane syscalls
@@ -202,17 +210,30 @@ class Kernel {
   /// into the causal aggregator (no-op while tracing is disarmed).
   void refresh_causal() const;
 
-  /// Policy evaluation for the batched path: verdict-cache lookup, fast
-  /// path on a hit, full chain (plus cache fill on allow) otherwise.
-  PolicyVerdict evaluate_cached(const DataplaneOp& op, sim::Time now,
-                                trace::Tracer* tr, std::uint32_t span,
-                                std::uint8_t node);
+  /// The one send crossing behind post_send (n = 1) and
+  /// submit_send_batch: one syscall charge, per-WR driver work and full
+  /// policy chain, one pacing idle (the largest admitted delay) and one
+  /// doorbell if any WR was admitted. A denied WR's errno lands in `rcs`.
+  sim::Task<int> send_crossing(Core& core, TenantId tenant, nic::QueuePair& qp,
+                               std::span<nic::SendWr> wrs, std::span<int> rcs);
+  /// The one receive crossing behind post_recv, post_srq_recv (n = 1) and
+  /// submit_recv_batch. `post` hands an admitted WR to the NIC (a QP's RQ
+  /// or an SRQ); `qpn` is what the chain and the trace see (0 for an SRQ).
+  template <typename PostFn>
+  sim::Task<int> recv_crossing(Core& core, TenantId tenant, std::uint32_t qpn,
+                               std::span<const nic::RecvWr> wrs,
+                               std::span<int> rcs, PostFn post);
+  /// The kernel.batch.* accounting of one non-empty flush of `n` WRs.
+  void count_flush(std::size_t n) {
+    ++batch_flushes_;
+    batch_flushed_ops_ += n;
+    batch_max_wrs_ = std::max<std::uint64_t>(batch_max_wrs_, n);
+  }
 
   sim::Engine* engine_;
   nic::Nic* nic_;
   KernelConfig cfg_;
   PolicyChain policies_;
-  VerdictCache verdicts_;
   std::map<std::uint32_t, std::unique_ptr<sim::Signal>> cq_signals_;
   std::uint64_t syscalls_ = 0;
   std::uint64_t ops_serviced_ = 0;

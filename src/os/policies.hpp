@@ -41,7 +41,6 @@ class QosTokenBucket final : public Policy {
   /// Set a per-tenant rate override (bytes/s); 0 restores the default.
   void set_tenant_rate(TenantId t, double bytes_per_sec) {
     slot(t).rate_override = bytes_per_sec <= 0.0 ? 0.0 : bytes_per_sec;
-    invalidate_verdicts();
   }
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time now) override {
@@ -79,37 +78,8 @@ class QosTokenBucket final : public Policy {
     return {.cpu_cost = kCheckCost, .pace_delay = delay};
   }
 
-  /// Debit-only fast path: the refill/debit arithmetic without the full
-  /// admission bookkeeping. Police mode declines when the balance cannot
-  /// cover the bytes (the full chain then issues the exact EAGAIN).
-  bool on_op_fast(const DataplaneOp& op, sim::Time now, PolicyVerdict& v,
-                  FastPhase phase) override {
-    if (op.kind != DataplaneOp::Kind::kPostSend) {
-      if (phase == FastPhase::kCommit) v.cpu_cost = kFastCost;
-      return true;
-    }
-    Bucket& b = slot(op.tenant);
-    const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
-    const double balance =
-        b.primed ? std::min<double>(static_cast<double>(burst_bytes_),
-                                    b.tokens + sim::to_sec(now - b.last_refill) * rate)
-                 : static_cast<double>(burst_bytes_);
-    const auto bytes = static_cast<double>(op.bytes);
-    if (mode_ == Mode::kPolice && balance < bytes) return false;
-    if (phase == FastPhase::kProbe) return true;
-    b.tokens = balance - bytes;
-    b.last_refill = now;
-    b.primed = true;
-    v.cpu_cost = kFastCost;
-    if (mode_ == Mode::kShape && b.tokens < 0.0) {
-      v.pace_delay = static_cast<sim::Time>(-b.tokens / rate * sim::kSecond);
-    }
-    return true;
-  }
-
  private:
   static constexpr sim::Time kCheckCost = sim::ns(35);
-  static constexpr sim::Time kFastCost = sim::ns(8);
   struct Bucket {
     double tokens = 0.0;
     double rate_override = 0.0;  ///< 0 = use the policy-wide default rate
@@ -133,10 +103,7 @@ class SecurityAcl final : public Policy {
  public:
   std::string_view name() const override { return "security-acl"; }
 
-  void allow(TenantId t, nic::NodeId dst) {
-    allowed_.insert({t, dst});
-    invalidate_verdicts();
-  }
+  void allow(TenantId t, nic::NodeId dst) { allowed_.insert({t, dst}); }
   /// Revoking makes the allow-list authoritative for the tenant even if
   /// it was never registered: in non-strict mode an unknown tenant passes
   /// every check, so a bare erase would leave the revocation a no-op —
@@ -144,13 +111,9 @@ class SecurityAcl final : public Policy {
   void revoke(TenantId t, nic::NodeId dst) {
     allowed_.erase({t, dst});
     known_tenants_.insert(t);
-    invalidate_verdicts();
   }
   /// Tenants not mentioned at all are unrestricted unless strict mode.
-  void set_strict(bool strict) {
-    strict_ = strict;
-    invalidate_verdicts();
-  }
+  void set_strict(bool strict) { strict_ = strict; }
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time) override {
     if (op.kind != DataplaneOp::Kind::kPostSend) return {.cpu_cost = kCheckCost};
@@ -163,24 +126,11 @@ class SecurityAcl final : public Policy {
   }
 
   /// Registering a tenant makes the allow-list authoritative for it.
-  void register_tenant(TenantId t) {
-    known_tenants_.insert(t);
-    invalidate_verdicts();
-  }
+  void register_tenant(TenantId t) { known_tenants_.insert(t); }
   std::uint64_t denied() const { return denied_; }
-
-  /// The ACL decision depends only on (tenant, dst_node) and the list
-  /// state — all part of the verdict-cache key/epoch — so a cache hit has
-  /// already settled it and the fast path only re-charges the lookup.
-  bool on_op_fast(const DataplaneOp&, sim::Time, PolicyVerdict& v,
-                  FastPhase phase) override {
-    if (phase == FastPhase::kCommit) v.cpu_cost = kFastCost;
-    return true;
-  }
 
  private:
   static constexpr sim::Time kCheckCost = sim::ns(40);
-  static constexpr sim::Time kFastCost = sim::ns(6);
   std::set<std::pair<TenantId, nic::NodeId>> allowed_;
   std::set<TenantId> known_tenants_;
   bool strict_ = false;
@@ -196,7 +146,6 @@ class MessageSizeQuota final : public Policy {
 
   void set_tenant_max(TenantId t, std::uint64_t max_bytes) {
     tenant_max_[t] = max_bytes;
-    invalidate_verdicts();
   }
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time) override {
@@ -209,23 +158,8 @@ class MessageSizeQuota final : public Policy {
     return {.cpu_cost = kCheckCost};
   }
 
-  /// Sizes vary per WR under the same cache key, so the cap comparison
-  /// must be redone; an over-cap op declines to the full chain for the
-  /// exact EMSGSIZE.
-  bool on_op_fast(const DataplaneOp& op, sim::Time, PolicyVerdict& v,
-                  FastPhase phase) override {
-    if (op.kind == DataplaneOp::Kind::kPostSend) {
-      const auto it = tenant_max_.find(op.tenant);
-      const std::uint64_t cap = it == tenant_max_.end() ? default_max_ : it->second;
-      if (op.bytes > cap) return false;
-    }
-    if (phase == FastPhase::kCommit) v.cpu_cost = kFastCost;
-    return true;
-  }
-
  private:
   static constexpr sim::Time kCheckCost = sim::ns(25);
-  static constexpr sim::Time kFastCost = sim::ns(6);
   std::uint64_t default_max_;
   std::map<TenantId, std::uint64_t> tenant_max_;
 };
@@ -259,7 +193,6 @@ class OpRateQuota final : public Policy {
   /// Per-tenant rate override (ops/s); 0 restores the default.
   void set_tenant_rate(TenantId t, double ops_per_sec) {
     slot(t).rate_override = ops_per_sec <= 0.0 ? 0.0 : ops_per_sec;
-    invalidate_verdicts();
   }
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time now) override {
@@ -285,35 +218,10 @@ class OpRateQuota final : public Policy {
     return {.cpu_cost = kCheckCost};
   }
 
-  /// Debit-only fast path: one op-token off the bucket. Declines on an
-  /// empty bucket so the full chain issues the EAGAIN and counts the
-  /// denial exactly once.
-  bool on_op_fast(const DataplaneOp& op, sim::Time now, PolicyVerdict& v,
-                  FastPhase phase) override {
-    if ((kinds_ & kind_bit(op.kind)) == 0) {
-      if (phase == FastPhase::kCommit) v.cpu_cost = kFastCost;
-      return true;
-    }
-    Bucket& b = slot(op.tenant);
-    const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
-    const double balance =
-        b.primed ? std::min<double>(static_cast<double>(burst_ops_),
-                                    b.tokens + sim::to_sec(now - b.last_refill) * rate)
-                 : static_cast<double>(burst_ops_);
-    if (balance < 1.0) return false;
-    if (phase == FastPhase::kProbe) return true;
-    b.tokens = balance - 1.0;
-    b.last_refill = now;
-    b.primed = true;
-    v.cpu_cost = kFastCost;
-    return true;
-  }
-
   std::uint64_t denied() const { return denied_; }
 
  private:
   static constexpr sim::Time kCheckCost = sim::ns(30);
-  static constexpr sim::Time kFastCost = sim::ns(8);
   struct Bucket {
     double tokens = 0.0;
     double rate_override = 0.0;
@@ -353,7 +261,6 @@ class RegistrationQuota final : public Policy {
   void set_tenant_max_live(TenantId t, std::uint32_t max_live) {
     slot(t).max_live_override = max_live;
     slot(t).has_live_override = true;
-    invalidate_verdicts();
   }
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time now) override {
@@ -395,22 +302,8 @@ class RegistrationQuota final : public Policy {
   std::uint64_t denied() const { return denied_; }
   std::uint32_t live(TenantId t) { return slot(t).live; }
 
-  /// Registration verbs always take the full chain (they move the live-MR
-  /// count); other kinds are untouched by this policy so the fast path
-  /// only re-charges the check.
-  bool on_op_fast(const DataplaneOp& op, sim::Time, PolicyVerdict& v,
-                  FastPhase phase) override {
-    if (op.kind == DataplaneOp::Kind::kRegMr ||
-        op.kind == DataplaneOp::Kind::kDeregMr) {
-      return false;
-    }
-    if (phase == FastPhase::kCommit) v.cpu_cost = kFastCost;
-    return true;
-  }
-
  private:
   static constexpr sim::Time kCheckCost = sim::ns(30);
-  static constexpr sim::Time kFastCost = sim::ns(6);
   struct Bucket {
     double tokens = 0.0;
     sim::Time last_refill = 0;
@@ -461,36 +354,6 @@ class StatsCollector final : public Policy {
   };
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time) override {
-    count(op);
-    return {.cpu_cost = kCheckCost};
-  }
-
-  /// Counting must stay exact under batching, so the fast path performs
-  /// the identical increments — only the charged CPU cost shrinks.
-  bool on_op_fast(const DataplaneOp& op, sim::Time, PolicyVerdict& v,
-                  FastPhase phase) override {
-    if (phase == FastPhase::kCommit) {
-      count(op);
-      v.cpu_cost = kFastCost;
-    }
-    return true;
-  }
-
-  const TenantStats& tenant(TenantId t) { return slot(t); }
-  /// Snapshot of (tenant, stats) for every tenant seen, ascending order.
-  std::vector<std::pair<TenantId, TenantStats>> all() const {
-    std::vector<std::pair<TenantId, TenantStats>> out;
-    for (TenantId t = 0; t < stats_.size(); ++t) {
-      if (stats_[t].seen) out.emplace_back(t, stats_[t]);
-    }
-    return out;
-  }
-
- private:
-  static constexpr sim::Time kCheckCost = sim::ns(30);
-  static constexpr sim::Time kFastCost = sim::ns(8);
-
-  void count(const DataplaneOp& op) {
     TenantStats& s = slot(op.tenant);
     switch (op.kind) {
       case DataplaneOp::Kind::kPostSend:
@@ -526,7 +389,21 @@ class StatsCollector final : public Policy {
         }
         break;
     }
+    return {.cpu_cost = kCheckCost};
   }
+
+  const TenantStats& tenant(TenantId t) { return slot(t); }
+  /// Snapshot of (tenant, stats) for every tenant seen, ascending order.
+  std::vector<std::pair<TenantId, TenantStats>> all() const {
+    std::vector<std::pair<TenantId, TenantStats>> out;
+    for (TenantId t = 0; t < stats_.size(); ++t) {
+      if (stats_[t].seen) out.emplace_back(t, stats_[t]);
+    }
+    return out;
+  }
+
+ private:
+  static constexpr sim::Time kCheckCost = sim::ns(30);
 
   TenantStats& slot(TenantId t) {
     if (t >= stats_.size()) stats_.resize(t + 1);

@@ -5,6 +5,7 @@
 // the chain is evaluated synchronously inside the syscall.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -44,69 +45,25 @@ struct PolicyVerdict {
   sim::Time pace_delay = 0;
 };
 
-class PolicyChain;
-
-/// The verdict-cache fast path runs in two phases so a mid-chain decline
-/// can never leave earlier policies with half-applied side effects:
-/// kProbe asks "would your fast path admit this op?" and must not mutate
-/// any state; kCommit performs the debits/counting and fills the verdict.
-enum class FastPhase : std::uint8_t { kProbe, kCommit };
-
 class Policy {
  public:
   virtual ~Policy() = default;
   virtual std::string_view name() const = 0;
   virtual PolicyVerdict on_op(const DataplaneOp& op, sim::Time now) = 0;
-
-  /// Debit-only fast path, consulted only when a same-epoch full
-  /// evaluation of this exact (tenant, qpn, kind, dst_node) key allowed
-  /// the op (see VerdictCache). Static admission decisions (ACL
-  /// membership, chain composition) are therefore already settled and
-  /// need not be re-derived; only per-op state (token balances, byte
-  /// caps against a varying size, statistics) must be re-applied.
-  /// Returning false from kProbe sends the op down the full chain; the
-  /// fast path itself can never deny. Default: no fast path.
-  virtual bool on_op_fast(const DataplaneOp& op, sim::Time now,
-                          PolicyVerdict& v, FastPhase phase) {
-    (void)op;
-    (void)now;
-    (void)v;
-    (void)phase;
-    return false;
-  }
-
- protected:
-  /// Mutating control calls must invalidate every cached verdict derived
-  /// from this policy's state (no-op while not installed in a chain).
-  void invalidate_verdicts();
-
- private:
-  friend class PolicyChain;
-  PolicyChain* chain_ = nullptr;
 };
 
 /// The kernel's per-host ordered policy list. Evaluation short-circuits on
 /// the first denial; costs and pacing delays accumulate.
-///
-/// The chain carries a monotonically increasing *verdict epoch*: any
-/// change that could flip a previously established verdict — installing
-/// or removing a policy, or a policy mutator calling
-/// invalidate_verdicts() — bumps it, so entries a VerdictCache stamped
-/// with an older epoch can never pass again.
 class PolicyChain {
  public:
   Policy& install(std::unique_ptr<Policy> policy) {
-    policy->chain_ = this;
     policies_.push_back(std::move(policy));
-    invalidate();
     return *policies_.back();
   }
   bool remove(std::string_view name) {
     for (auto it = policies_.begin(); it != policies_.end(); ++it) {
       if ((*it)->name() == name) {
-        (*it)->chain_ = nullptr;
         policies_.erase(it);
-        invalidate();
         return true;
       }
     }
@@ -114,11 +71,6 @@ class PolicyChain {
   }
   std::size_t size() const { return policies_.size(); }
   bool empty() const { return policies_.empty(); }
-
-  /// Current verdict epoch (starts at 1; 0 is "never valid").
-  std::uint64_t epoch() const { return epoch_; }
-  /// Invalidate every cached verdict established against this chain.
-  void invalidate() { ++epoch_; }
 
   PolicyVerdict evaluate(const DataplaneOp& op, sim::Time now) {
     return evaluate(op, now, nullptr, 0, 0);
@@ -150,119 +102,8 @@ class PolicyChain {
     return total;
   }
 
-  /// Fast-path evaluation under a verdict-cache hit: probe every policy
-  /// first (side-effect free), then commit the debits. Returns false —
-  /// without having mutated anything — if any policy declines the fast
-  /// path (token balance too low, size over cap, no fast path at all);
-  /// the caller then falls back to the full evaluate(). On success the
-  /// accumulated verdict always allows.
-  bool evaluate_fast(const DataplaneOp& op, sim::Time now, PolicyVerdict& out,
-                     trace::Tracer* tr = nullptr, std::uint32_t span = 0,
-                     std::uint8_t node = 0) {
-    for (auto& p : policies_) {
-      PolicyVerdict probe;
-      if (!p->on_op_fast(op, now, probe, FastPhase::kProbe)) return false;
-    }
-    out = {};
-    std::uint16_t idx = 0;
-    for (auto& p : policies_) {
-      PolicyVerdict v;
-      (void)p->on_op_fast(op, now, v, FastPhase::kCommit);
-      if (tr != nullptr) [[unlikely]] {
-        tr->record(trace::Point::kPolicyEval, span, op.qpn, op.tenant, node,
-                   static_cast<std::uint64_t>(v.cpu_cost), 0, idx);
-      }
-      ++idx;
-      out.cpu_cost += v.cpu_cost;
-      out.pace_delay = std::max(out.pace_delay, v.pace_delay);
-    }
-    return true;
-  }
-
  private:
   std::vector<std::unique_ptr<Policy>> policies_;
-  std::uint64_t epoch_ = 1;
-};
-
-inline void Policy::invalidate_verdicts() {
-  if (chain_ != nullptr) chain_->invalidate();
-}
-
-/// Direct-mapped cache of *allowing* policy verdicts, keyed on
-/// (tenant, qpn, op kind) and guarded by the destination node plus the
-/// chain's verdict epoch. A hit means "the full chain allowed this exact
-/// key at the current epoch"; the batched submission path then runs only
-/// the policies' debit-only fast paths. Denials are never cached — they
-/// are either transient (EAGAIN from an empty bucket) or must keep paying
-/// the full chain so denial counters and errno stay exact.
-class VerdictCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-  };
-
-  /// `entries` is rounded up to a power of two (default 1024).
-  explicit VerdictCache(std::size_t entries = 1024) {
-    std::size_t n = 1;
-    while (n < entries) n <<= 1;
-    slots_.resize(n);
-    mask_ = n - 1;
-  }
-
-  bool lookup(TenantId tenant, std::uint32_t qpn, DataplaneOp::Kind kind,
-              nic::NodeId dst, std::uint64_t epoch) {
-    const std::uint64_t k = pack(tenant, qpn, kind);
-    const Slot& s = slots_[index(k)];
-    if (s.key == k && s.epoch == epoch && s.dst == dst) {
-      ++stats_.hits;
-      return true;
-    }
-    ++stats_.misses;
-    return false;
-  }
-
-  void insert(TenantId tenant, std::uint32_t qpn, DataplaneOp::Kind kind,
-              nic::NodeId dst, std::uint64_t epoch) {
-    const std::uint64_t k = pack(tenant, qpn, kind);
-    Slot& s = slots_[index(k)];
-    s.key = k;
-    s.epoch = epoch;
-    s.dst = dst;
-    ++stats_.insertions;
-  }
-
-  const Stats& stats() const { return stats_; }
-  std::size_t capacity() const { return slots_.size(); }
-
- private:
-  struct Slot {
-    std::uint64_t key = kEmpty;
-    std::uint64_t epoch = 0;  // 0 never matches a live chain epoch
-    nic::NodeId dst = 0;
-  };
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  static std::uint64_t pack(TenantId tenant, std::uint32_t qpn,
-                            DataplaneOp::Kind kind) {
-    return (static_cast<std::uint64_t>(tenant) << 32) ^
-           (static_cast<std::uint64_t>(qpn) << 3) ^
-           static_cast<std::uint64_t>(kind);
-  }
-  std::size_t index(std::uint64_t k) const {
-    // splitmix64 finalizer: deterministic, well-spread slot choice.
-    k ^= k >> 30;
-    k *= 0xbf58476d1ce4e5b9ull;
-    k ^= k >> 27;
-    k *= 0x94d049bb133111ebull;
-    k ^= k >> 31;
-    return static_cast<std::size_t>(k) & mask_;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  Stats stats_;
 };
 
 }  // namespace cord::os

@@ -299,6 +299,7 @@ sim::Task<> send_bw_server(Setup& s, const Params& p, int total,
   int received = 0;
   std::uint32_t next_slot = 0;
   std::vector<Cqe> wc(64);
+  std::vector<RecvWr> refill;
   while (received < total) {
     // UD servers (client_done set) must not block in the event path: the
     // tail of the stream may have been legitimately dropped.
@@ -315,25 +316,16 @@ sim::Task<> send_bw_server(Setup& s, const Params& p, int total,
       }
       ++received;
     }
-    // Replenish the RQ with as many slots as we just consumed. With
-    // batching on, refill in one kernel crossing instead of n.
-    if (p.tx_batch > 1) {
-      std::vector<RecvWr> refill(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        refill[j] = {1, {uptr(sink_slot(s.sink_s, s.recv_len, next_slot)),
-                         s.recv_len, s.mr_sink_s->lkey}};
-        next_slot = (next_slot + 1) % s.slots;
-      }
-      int rc = co_await ctx.post_recv_burst(*s.qp_s, refill);
-      if (rc != 0) throw std::runtime_error("server repost failed");
-    } else {
-      for (std::size_t j = 0; j < n; ++j) {
-        int rc = co_await ctx.post_recv(
-            *s.qp_s, {1, {uptr(sink_slot(s.sink_s, s.recv_len, next_slot)),
-                          s.recv_len, s.mr_sink_s->lkey}});
-        if (rc != 0) throw std::runtime_error("server repost failed");
-        next_slot = (next_slot + 1) % s.slots;
-      }
+    // Replenish the RQ with as many slots as we just consumed: one kernel
+    // crossing with batching on, per-op posts otherwise.
+    refill.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      refill.push_back({1, {uptr(sink_slot(s.sink_s, s.recv_len, next_slot)),
+                            s.recv_len, s.mr_sink_s->lkey}});
+      next_slot = (next_slot + 1) % s.slots;
+    }
+    if (co_await ctx.post_recv_burst(*s.qp_s, refill) != 0) {
+      throw std::runtime_error("server repost failed");
     }
   }
 }

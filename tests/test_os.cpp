@@ -490,96 +490,7 @@ TEST(Kernel, DeniedPollLeavesCompletionsQueued) {
   }(f));
 }
 
-// --- Verdict epoch, fast-path cache, and batched-submission plumbing ----
-
-TEST(PolicyChain, EveryMutatorBumpsTheVerdictEpoch) {
-  PolicyChain chain;
-  std::uint64_t e = chain.epoch();
-  EXPECT_EQ(e, 1u) << "epoch 0 is reserved for 'never valid'";
-  auto bumped = [&](const char* what) {
-    const bool ok = chain.epoch() > e;
-    e = chain.epoch();
-    EXPECT_TRUE(ok) << what << " must invalidate cached verdicts";
-  };
-  auto& qos = static_cast<QosTokenBucket&>(chain.install(
-      std::make_unique<QosTokenBucket>(1e9, 4096, QosTokenBucket::Mode::kShape)));
-  bumped("install");
-  qos.set_tenant_rate(1, 1e6);
-  bumped("QosTokenBucket::set_tenant_rate");
-  auto& acl =
-      static_cast<SecurityAcl&>(chain.install(std::make_unique<SecurityAcl>()));
-  bumped("install");
-  acl.register_tenant(1);
-  bumped("SecurityAcl::register_tenant");
-  acl.allow(1, 5);
-  bumped("SecurityAcl::allow");
-  acl.set_strict(true);
-  bumped("SecurityAcl::set_strict");
-  acl.revoke(1, 5);
-  bumped("SecurityAcl::revoke");
-  auto& size = static_cast<MessageSizeQuota&>(
-      chain.install(std::make_unique<MessageSizeQuota>(1 << 20)));
-  bumped("install");
-  size.set_tenant_max(1, 4096);
-  bumped("MessageSizeQuota::set_tenant_max");
-  auto& ops = static_cast<OpRateQuota&>(chain.install(std::make_unique<OpRateQuota>(
-      1e6, 8, OpRateQuota::kind_bit(DataplaneOp::Kind::kPostSend))));
-  bumped("install");
-  ops.set_tenant_rate(1, 10.0);
-  bumped("OpRateQuota::set_tenant_rate");
-  auto& reg = static_cast<RegistrationQuota&>(
-      chain.install(std::make_unique<RegistrationQuota>(100, 1e3, 8)));
-  bumped("install");
-  reg.set_tenant_max_live(1, 2);
-  bumped("RegistrationQuota::set_tenant_max_live");
-  EXPECT_TRUE(chain.remove("qos-token-bucket"));
-  bumped("remove");
-  // A policy outside any chain can be mutated without a chain to notify.
-  QosTokenBucket orphan(1e9, 4096, QosTokenBucket::Mode::kShape);
-  orphan.set_tenant_rate(1, 1.0);  // must not crash
-}
-
-TEST(VerdictCache, HitRequiresKeyEpochAndDestination) {
-  VerdictCache cache(64);
-  EXPECT_EQ(cache.capacity(), 64u);
-  EXPECT_FALSE(cache.lookup(1, 7, DataplaneOp::Kind::kPostSend, 3, 1));
-  cache.insert(1, 7, DataplaneOp::Kind::kPostSend, 3, 1);
-  EXPECT_TRUE(cache.lookup(1, 7, DataplaneOp::Kind::kPostSend, 3, 1));
-  EXPECT_FALSE(cache.lookup(1, 7, DataplaneOp::Kind::kPostSend, 3, 2))
-      << "an epoch bump must invalidate the entry";
-  EXPECT_FALSE(cache.lookup(1, 7, DataplaneOp::Kind::kPostSend, 4, 1))
-      << "a different destination is a different verdict";
-  EXPECT_FALSE(cache.lookup(1, 8, DataplaneOp::Kind::kPostSend, 3, 1));
-  EXPECT_FALSE(cache.lookup(1, 7, DataplaneOp::Kind::kPostRecv, 3, 1));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 5u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-}
-
-TEST(PolicyChain, FastPathProbeDeclineLeavesNoSideEffects) {
-  // The two-phase protocol: if a later policy declines the fast path, an
-  // earlier token bucket must not have debited anything — the subsequent
-  // full evaluation would otherwise double-charge the op.
-  PolicyChain chain;
-  chain.install(
-      std::make_unique<QosTokenBucket>(1e9, 8192, QosTokenBucket::Mode::kPolice));
-  auto& size = static_cast<MessageSizeQuota&>(
-      chain.install(std::make_unique<MessageSizeQuota>(1 << 20)));
-  size.set_tenant_max(1, 64);
-  DataplaneOp ok{DataplaneOp::Kind::kPostSend, 1, 0, nic::Opcode::kSend, 64, 1};
-  DataplaneOp big{DataplaneOp::Kind::kPostSend, 1, 0, nic::Opcode::kSend, 4096, 1};
-  // Prime: full evaluation allows the small op (burst covers it).
-  EXPECT_TRUE(chain.evaluate(ok, 0).allow);
-  // The oversized op declines in the size quota's probe; the bucket's
-  // balance must be untouched, so the small op's fast path still admits
-  // exactly (8192 - 64) more bytes.
-  PolicyVerdict v;
-  EXPECT_FALSE(chain.evaluate_fast(big, 0, v));
-  int admitted = 0;
-  while (chain.evaluate_fast(ok, 0, v)) ++admitted;
-  EXPECT_EQ(admitted, (8192 - 64) / 64)
-      << "a declined probe must not have debited the bucket";
-}
+// --- Batched-submission plumbing ---------------------------------------
 
 TEST(Kernel, EmptyFlushIsAStrictNoOp) {
   TwoHostFixture f;
@@ -606,7 +517,7 @@ TEST(Kernel, EmptyFlushIsAStrictNoOp) {
   EXPECT_EQ(stats.tenant(3).post_sends, 0u) << "no policy may have run";
 }
 
-TEST(Kernel, RevokeFlipsCachedBatchedVerdictToEperm) {
+TEST(Kernel, RevokeFlipsBatchedVerdictToEperm) {
   TwoHostFixture f;
   auto& acl = static_cast<SecurityAcl&>(
       f.host0->kernel().policies().install(std::make_unique<SecurityAcl>()));
@@ -639,24 +550,21 @@ TEST(Kernel, RevokeFlipsCachedBatchedVerdictToEperm) {
       const int frc = co_await c0.flush(*e.qp0);
       rc = prc != 0 ? prc : frc;
     };
-    co_await send(rc1);  // full chain allows; verdict cached
-    co_await send(rc2);  // cache hit: fast path admits
-    acl.revoke(5, 1);    // epoch bump — the cached allow must die
+    co_await send(rc1);  // the chain allows
+    co_await send(rc2);  // and allows again
+    acl.revoke(5, 1);    // the next flush's chain must see the revoke
     co_await send(rc3);
   }(f, acl, rc1, rc2, rc3, src, dst));
   EXPECT_EQ(rc1, 0);
   EXPECT_EQ(rc2, 0);
   EXPECT_EQ(rc3, -1) << "EPERM must reach the batched submitter after revoke";
-  EXPECT_GE(f.host0->kernel().verdict_cache().stats().hits, 1u);
-  EXPECT_GE(f.host0->kernel().verdict_cache().stats().insertions, 1u);
 }
 
-TEST(Kernel, RateChangeFlipsCachedBatchedVerdict) {
+TEST(Kernel, RateChangeFlipsBatchedVerdict) {
   TwoHostFixture f;
   // Police at a near-zero refill rate with exactly one message of burst:
-  // the first batched send is admitted (and cached), the second must be
-  // denied by the *full* chain even though the cache would have admitted
-  // it — the fast-path probe sees the empty bucket and declines.
+  // the first batched send is admitted, the second is denied because the
+  // chain sees the empty bucket.
   auto& qos = static_cast<QosTokenBucket&>(
       f.host0->kernel().policies().install(std::make_unique<QosTokenBucket>(
           1e-9, 64, QosTokenBucket::Mode::kPolice)));
@@ -686,28 +594,17 @@ TEST(Kernel, RateChangeFlipsCachedBatchedVerdict) {
       const int frc = co_await c0.flush(*e.qp0);
       rc = prc != 0 ? prc : frc;
     };
-    co_await send(rc1);  // burst covers it; verdict cached
-    co_await send(rc2);  // bucket empty: fast path declines, full chain denies
+    co_await send(rc1);  // burst covers it
+    co_await send(rc2);  // bucket empty: the chain denies
     // The operator un-throttles the tenant; after a refill interval the
-    // (epoch-bumped) chain admits again.
+    // chain admits again.
     qos.set_tenant_rate(7, 1e12);
     co_await f.engine.delay(sim::us(1));
     co_await send(rc3);
   }(f, qos, rc1, rc2, rc3, src, dst));
   EXPECT_EQ(rc1, 0);
-  EXPECT_EQ(rc2, -11) << "EAGAIN via the full chain despite the cached allow";
-  EXPECT_EQ(rc3, 0) << "set_tenant_rate must invalidate and re-admit";
-}
-
-TEST(Kernel, RegistrationQuotaChangeBumpsEpoch) {
-  TwoHostFixture f;
-  auto& quota = static_cast<RegistrationQuota&>(
-      f.host0->kernel().policies().install(
-          std::make_unique<RegistrationQuota>(100, 1e6, 8)));
-  const std::uint64_t e = f.host0->kernel().policies().epoch();
-  quota.set_tenant_max_live(6, 1);
-  EXPECT_GT(f.host0->kernel().policies().epoch(), e)
-      << "an MR-quota override must invalidate cached verdicts";
+  EXPECT_EQ(rc2, -11) << "EAGAIN from the empty bucket";
+  EXPECT_EQ(rc3, 0) << "set_tenant_rate must re-admit";
 }
 
 }  // namespace

@@ -128,26 +128,6 @@ TEST(Socket, PerNodeKernelPathIsSharedAcrossConnections) {
   // A single stream is bound by its own cores' copies; many concurrent
   // streams must saturate the node's shared kernel path instead of
   // scaling linearly.
-  auto one_stream_gbps = [] {
-    SockFixture f;
-    auto [a, b] = SocketStack::connect(f.stack0, f.stack1);
-    sim::Time elapsed = 0;
-    run_task(f.engine, [](SockFixture& f, Socket* a, Socket* b,
-                          sim::Time& elapsed) -> sim::Task<> {
-      std::vector<std::byte> chunk(1 << 20);
-      sim::Joinable tx(f.engine, [](os::Core& c, Socket* a,
-                                    std::vector<std::byte>& chunk) -> sim::Task<> {
-        for (int i = 0; i < 16; ++i) (void)co_await a->send(c, chunk);
-      }(f.host0->core(0), a, chunk));
-      std::vector<std::byte> sink(1 << 20);
-      std::size_t got = 0;
-      const sim::Time t0 = f.engine.now();
-      while (got < (16u << 20)) got += co_await b->recv(f.host1->core(1), sink);
-      elapsed = f.engine.now() - t0;
-      co_await tx.join();
-    }(f, a, b, elapsed));
-    return 8.0 * (16u << 20) / sim::to_sec(elapsed) / 1e9;
-  };
   // A 400 Gbit/s wire so the node's kernel path (not the link) binds.
   struct FastWireFixture : TwoHostFixture {
     FastWireFixture() : TwoHostFixture({}, {}, {}, 400.0) {}
