@@ -4,15 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fabric/link.hpp"
 #include "nic/nic.hpp"
 #include "nic/segment.hpp"
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace cord::nic {
 namespace {
@@ -935,6 +939,364 @@ TEST(NicBatching, ErrorFlushCoalescesIntoOneBatch) {
   ASSERT_EQ(rcq0->poll(wc), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(wc[i].status, WcStatus::kWorkRequestFlushed);
+  }
+}
+
+// --- Responder paths, pinned -----------------------------------------------
+//
+// Sixteen runs drive every responder decision: the QP-state check, the rkey
+// check of each one-sided opcode, RNR retry and exhaustion, the receive
+// length check for RC and UD, an SRQ underrun and the landing of each
+// opcode. Each run (tracer attached) reduces to one text row: the end time,
+// the engine events, the trace record count with a digest of every record,
+// the responder's RNR count, both QP states, and every CQE in poll order
+// with the instant it was pushed. A change that moves any event, record or
+// completion on these paths fails here.
+
+std::string_view state_name(QpState s) {
+  switch (s) {
+    case QpState::kReset: return "reset";
+    case QpState::kInit: return "init";
+    case QpState::kRtr: return "rtr";
+    case QpState::kRts: return "rts";
+    case QpState::kError: return "error";
+  }
+  return "?";
+}
+
+std::string_view wc_name(WcOpcode op) {
+  switch (op) {
+    case WcOpcode::kSend: return "send";
+    case WcOpcode::kRdmaWrite: return "write";
+    case WcOpcode::kRdmaRead: return "read";
+    case WcOpcode::kFetchAdd: return "fetch-add";
+    case WcOpcode::kCompareSwap: return "compare-swap";
+    case WcOpcode::kRecv: return "recv";
+    case WcOpcode::kRecvRdmaWithImm: return "recv-imm";
+  }
+  return "?";
+}
+
+/// FNV-1a over every field of every record, in emission order.
+std::uint64_t trace_digest(const trace::Tracer& tr) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  tr.for_each([&](const trace::Record& r) {
+    mix(static_cast<std::uint64_t>(r.t), 8);
+    mix(static_cast<std::uint64_t>(r.dur), 8);
+    mix(r.arg, 8);
+    mix(r.span, 4);
+    mix(r.qpn, 4);
+    mix(r.tenant, 4);
+    mix(static_cast<std::uint64_t>(r.point), 1);
+    mix(r.node, 1);
+    mix(r.aux, 2);
+  });
+  return h;
+}
+
+/// One pinned run: qp0 on nic0 requests, qp1 on nic1 responds.
+struct PinRun {
+  TwoNodeFixture f;
+  trace::Tracer tracer{f.engine};
+  ProtectionDomainId pd0 = f.nic0->alloc_pd();
+  ProtectionDomainId pd1 = f.nic1->alloc_pd();
+  CompletionQueue* scq0 = f.nic0->create_cq(64);
+  CompletionQueue* rcq0 = f.nic0->create_cq(64);
+  CompletionQueue* scq1 = f.nic1->create_cq(64);
+  CompletionQueue* rcq1 = f.nic1->create_cq(64);
+  SharedReceiveQueue* srq = nullptr;
+  QueuePair* qp0 = nullptr;
+  QueuePair* qp1 = nullptr;
+  std::vector<std::byte> src = std::vector<std::byte>(256, std::byte{0x5A});
+  std::vector<std::byte> dst = std::vector<std::byte>(256);
+  std::vector<std::byte> rbuf = std::vector<std::byte>(256);
+  std::uint32_t src_lkey =
+      f.nic0->register_mr(pd0, src.data(), src.size(), kAccessLocalWrite).lkey;
+  std::uint32_t rbuf_lkey =
+      f.nic1->register_mr(pd1, rbuf.data(), rbuf.size(), kAccessLocalWrite).lkey;
+  /// Every remote access granted.
+  std::uint32_t open_rkey =
+      f.nic1->register_mr(pd1, dst.data(), dst.size(),
+                          kAccessLocalWrite | kAccessRemoteRead |
+                              kAccessRemoteWrite | kAccessRemoteAtomic)
+          .rkey;
+  /// The same bytes with no remote access.
+  std::uint32_t closed_rkey =
+      f.nic1->register_mr(pd1, dst.data(), dst.size(), kAccessLocalWrite).rkey;
+  /// Push instant of every CQE, per CQ, in push order.
+  std::array<std::vector<Time>, 4> pushed;
+
+  PinRun() {
+    tracer.set_enabled(true);
+    const std::array<CompletionQueue*, 4> cqs{scq0, rcq0, scq1, rcq1};
+    for (std::size_t i = 0; i < cqs.size(); ++i) {
+      cqs[i]->set_event_handler([this, i](CompletionQueue& cq) {
+        pushed[i].push_back(f.engine.now());
+        cq.arm();
+      });
+      cqs[i]->arm();
+    }
+  }
+
+  /// Creates the pair; qp0 reaches RTS, qp1 stops at `responder`.
+  void connect(QpType type, QpState responder = QpState::kRts,
+               bool with_srq = false) {
+    if (with_srq) srq = f.nic1->create_srq(pd1, 16);
+    qp0 = f.nic0->create_qp({type, pd0, scq0, rcq0, 64, 64, 0});
+    qp1 = f.nic1->create_qp({type, pd1, scq1, rcq1, 64, 64, 0, srq});
+    EXPECT_EQ(f.nic0->modify_qp(*qp0, QpState::kInit), kOk);
+    EXPECT_EQ(f.nic0->modify_qp(*qp0, QpState::kRtr, {1, qp1->qpn()}), kOk);
+    EXPECT_EQ(f.nic0->modify_qp(*qp0, QpState::kRts), kOk);
+    for (QpState s : {QpState::kInit, QpState::kRtr, QpState::kRts}) {
+      if (static_cast<int>(s) > static_cast<int>(responder)) break;
+      EXPECT_EQ(f.nic1->modify_qp(*qp1, s, {0, qp0->qpn()}), kOk);
+    }
+  }
+
+  void post(Opcode op, std::uint64_t wr_id, std::uint32_t len,
+            std::uint32_t rkey = 0) {
+    SendWr wr{.wr_id = wr_id,
+              .opcode = op,
+              .sge = {reinterpret_cast<std::uintptr_t>(src.data()), len,
+                      src_lkey},
+              .imm = 0x1000u + static_cast<std::uint32_t>(wr_id),
+              .remote_addr = reinterpret_cast<std::uintptr_t>(dst.data()),
+              .rkey = rkey,
+              .compare_add = 3,
+              .swap = 9,
+              .trace_span = tracer.new_span()};
+    if (qp0->type() == QpType::kUD) wr.ud = {1, qp1->qpn()};
+    EXPECT_EQ(f.nic0->post_send(*qp0, std::move(wr)), kOk);
+  }
+
+  void recv(std::uint64_t wr_id, std::uint32_t len) {
+    const RecvWr wr{wr_id,
+                    {reinterpret_cast<std::uintptr_t>(rbuf.data()), len,
+                     rbuf_lkey}};
+    EXPECT_EQ(srq != nullptr ? f.nic1->post_srq_recv(*srq, wr)
+                             : f.nic1->post_recv(*qp1, wr),
+              kOk);
+  }
+
+  void recv_at(Time t, std::uint64_t wr_id, std::uint32_t len) {
+    f.engine.call_at(t, [this, wr_id, len] { recv(wr_id, len); });
+  }
+
+  std::string run() {
+    f.engine.run();
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "end=%lld events=%llu trace=%zu:%016llx rnr=%llu qp0=%s "
+                  "qp1=%s",
+                  static_cast<long long>(f.engine.now()),
+                  static_cast<unsigned long long>(f.engine.events_processed()),
+                  tracer.size(),
+                  static_cast<unsigned long long>(trace_digest(tracer)),
+                  static_cast<unsigned long long>(qp1->counters().rnr_events),
+                  state_name(qp0->state()).data(),
+                  state_name(qp1->state()).data());
+    std::string out = line;
+    if (srq != nullptr) {
+      out += " srq=" + std::to_string(srq->consumed()) + "/" +
+             std::to_string(srq->depth());
+    }
+    const std::array<std::pair<const char*, CompletionQueue*>, 4> cqs{
+        {{"scq0", scq0}, {"rcq0", rcq0}, {"scq1", scq1}, {"rcq1", rcq1}}};
+    for (std::size_t i = 0; i < cqs.size(); ++i) {
+      std::array<Cqe, 16> wc;
+      const std::size_t n = cqs[i].second->poll(wc);
+      EXPECT_EQ(n, pushed[i].size());
+      for (std::size_t k = 0; k < n && k < pushed[i].size(); ++k) {
+        const Cqe& c = wc[k];
+        std::snprintf(line, sizeof line, "\n%s @%lld wr=%llu %s %s len=%u "
+                      "qp=%u src=%u",
+                      cqs[i].first, static_cast<long long>(pushed[i][k]),
+                      static_cast<unsigned long long>(c.wr_id),
+                      to_string(c.status).data(), wc_name(c.opcode).data(),
+                      c.byte_len, c.qp_num, c.src_qp);
+        out += line;
+        if (c.has_imm) out += " imm=" + std::to_string(c.imm);
+      }
+    }
+    return out;
+  }
+};
+
+TEST(ResponderPins, EveryResponderPathMatchesItsPin) {
+  struct Case {
+    const char* name;
+    std::function<void(PinRun&)> setup;
+    const char* want;
+  };
+  const std::vector<Case> cases = {
+      {"send to a responder in reset",
+       [](PinRun& r) {
+         r.connect(QpType::kRC, QpState::kReset);
+         r.post(Opcode::kSend, 1, 64);
+       },
+       "end=1095840 events=5 trace=7:64dff1816f106c1a rnr=0 qp0=error qp1=reset\n"
+       "scq0 @1095840 wr=1 remote-invalid-request send len=64 qp=256 src=0"},
+      {"send to a responder in init",
+       [](PinRun& r) {
+         r.connect(QpType::kRC, QpState::kInit);
+         r.recv(7, 64);
+         r.post(Opcode::kSend, 1, 64);
+       },
+       "end=1095840 events=5 trace=7:64dff1816f106c1a rnr=0 qp0=error qp1=init\n"
+       "scq0 @1095840 wr=1 remote-invalid-request send len=64 qp=256 src=0"},
+      {"write without remote access, then a send",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv(7, 64);
+         r.post(Opcode::kRdmaWrite, 1, 64, r.closed_rkey);
+         r.post(Opcode::kSend, 2, 64);
+       },
+       "end=1559840 events=9 trace=14:66592e7316943c8d rnr=0 qp0=error qp1=rts\n"
+       "scq0 @1095840 wr=1 remote-access-error write len=64 qp=256 src=0\n"
+       "scq0 @1559840 wr=2 success send len=64 qp=256 src=0\n"
+       "rcq1 @1357760 wr=7 success recv len=64 qp=256 src=256"},
+      {"read without remote access, then a send",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv(7, 64);
+         r.post(Opcode::kRdmaRead, 1, 64, r.closed_rkey);
+         r.post(Opcode::kSend, 2, 64);
+       },
+       "end=1559840 events=9 trace=12:55cf29d7e98c61dd rnr=0 qp0=error qp1=rts\n"
+       "scq0 @786720 wr=1 remote-access-error read len=64 qp=256 src=0\n"
+       "scq0 @1559840 wr=2 success send len=64 qp=256 src=0\n"
+       "rcq1 @1357760 wr=7 success recv len=64 qp=256 src=256"},
+      {"fetch-add without remote access, then a send",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv(7, 64);
+         r.post(Opcode::kFetchAdd, 1, 8, r.closed_rkey);
+         r.post(Opcode::kSend, 2, 64);
+       },
+       "end=1559840 events=9 trace=12:8b8460a574a6abc5 rnr=0 qp0=error qp1=rts\n"
+       "scq0 @786720 wr=1 remote-access-error fetch-add len=8 qp=256 src=0\n"
+       "scq0 @1559840 wr=2 success send len=64 qp=256 src=0\n"
+       "rcq1 @1357760 wr=7 success recv len=64 qp=256 src=256"},
+      {"compare-swap without remote access, then a send",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv(7, 64);
+         r.post(Opcode::kCompareSwap, 1, 8, r.closed_rkey);
+         r.post(Opcode::kSend, 2, 64);
+       },
+       "end=1559840 events=9 trace=12:8b8460a574a6abc5 rnr=0 qp0=error qp1=rts\n"
+       "scq0 @786720 wr=1 remote-access-error compare-swap len=8 qp=256 src=0\n"
+       "scq0 @1559840 wr=2 success send len=64 qp=256 src=0\n"
+       "rcq1 @1357760 wr=7 success recv len=64 qp=256 src=256"},
+      {"send-imm, no receive: RNR exhausted",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.post(Opcode::kSendWithImm, 1, 64);
+       },
+       "end=76316720 events=40 trace=35:9f08a2ff0e099e60 rnr=8 qp0=error qp1=rts\n"
+       "scq0 @76316720 wr=1 rnr-retry-exceeded send len=64 qp=256 src=0"},
+      {"send-imm, receive at 25 us: retry succeeds",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv_at(sim::us(25), 7, 64);
+         r.post(Opcode::kSendWithImm, 1, 64);
+       },
+       "end=33717360 events=22 trace=20:c8bc1f971f25ea4c rnr=3 qp0=rts qp1=rts\n"
+       "scq0 @33717360 wr=1 success send len=64 qp=256 src=0\n"
+       "rcq1 @33515280 wr=7 success recv len=64 qp=256 src=256 imm=4097"},
+      {"write-imm, no receive: RNR exhausted",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.post(Opcode::kRdmaWriteWithImm, 1, 64, r.open_rkey);
+       },
+       "end=76316720 events=40 trace=35:9f08a2ff0e099e60 rnr=8 qp0=error qp1=rts\n"
+       "scq0 @76316720 wr=1 rnr-retry-exceeded write len=64 qp=256 src=0"},
+      {"write-imm, receive at 25 us: retry succeeds",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv_at(sim::us(25), 7, 0);
+         r.post(Opcode::kRdmaWriteWithImm, 1, 64, r.open_rkey);
+       },
+       "end=33717360 events=22 trace=19:8d60a52cf73a37e9 rnr=3 qp0=rts qp1=rts\n"
+       "scq0 @33717360 wr=1 success write len=64 qp=256 src=0\n"
+       "rcq1 @33515280 wr=7 success recv-imm len=64 qp=256 src=256 imm=4097"},
+      {"64 B send into a 16 B receive, a second send behind it",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv(7, 16);
+         r.recv(8, 64);
+         r.post(Opcode::kSend, 1, 64);
+         r.post(Opcode::kSend, 2, 64);
+       },
+       "end=1175840 events=10 trace=13:71c89d2b00b51d9a rnr=0 qp0=error qp1=error\n"
+       "scq0 @1095840 wr=1 remote-invalid-request send len=64 qp=256 src=0\n"
+       "scq0 @1175840 wr=2 remote-invalid-request send len=64 qp=256 src=0\n"
+       "rcq1 @893760 wr=7 local-length-error recv len=0 qp=256 src=256\n"
+       "rcq1 @893760 wr=8 work-request-flushed recv len=0 qp=256 src=0"},
+      {"UD send, no receive",
+       [](PinRun& r) {
+         r.connect(QpType::kUD);
+         r.post(Opcode::kSend, 1, 64);
+       },
+       "end=893760 events=4 trace=7:bc0e95959bb89b72 rnr=1 qp0=rts qp1=rts\n"
+       "scq0 @893760 wr=1 success send len=64 qp=256 src=0"},
+      {"UD send into a 100 B receive (64 B + GRH does not fit)",
+       [](PinRun& r) {
+         r.connect(QpType::kUD);
+         r.recv(7, 100);
+         r.post(Opcode::kSend, 1, 64);
+       },
+       "end=893760 events=5 trace=7:bc0e95959bb89b72 rnr=0 qp0=rts qp1=error\n"
+       "scq0 @893760 wr=1 success send len=64 qp=256 src=0\n"
+       "rcq1 @893760 wr=7 local-length-error recv len=0 qp=256 src=256"},
+      {"UD send into a 16 B receive",
+       [](PinRun& r) {
+         r.connect(QpType::kUD);
+         r.recv(7, 16);
+         r.post(Opcode::kSend, 1, 64);
+       },
+       "end=893760 events=5 trace=7:bc0e95959bb89b72 rnr=0 qp0=rts qp1=error\n"
+       "scq0 @893760 wr=1 success send len=64 qp=256 src=0\n"
+       "rcq1 @893760 wr=7 local-length-error recv len=0 qp=256 src=256"},
+      {"SRQ underrun, slot posted at 25 us",
+       [](PinRun& r) {
+         r.connect(QpType::kRC, QpState::kRts, /*with_srq=*/true);
+         r.recv_at(sim::us(25), 7, 64);
+         r.post(Opcode::kSend, 1, 64);
+       },
+       "end=33717360 events=22 trace=20:c8bc1f971f25ea4c rnr=3 qp0=rts qp1=rts srq=1/0\n"
+       "scq0 @33717360 wr=1 success send len=64 qp=256 src=0\n"
+       "rcq1 @33515280 wr=7 success recv len=64 qp=256 src=256"},
+      {"success mix: send, write, read, fetch-add, write-imm",
+       [](PinRun& r) {
+         r.connect(QpType::kRC);
+         r.recv(7, 64);
+         r.recv(8, 0);
+         r.post(Opcode::kSend, 1, 64);
+         r.post(Opcode::kRdmaWrite, 2, 64, r.open_rkey);
+         r.post(Opcode::kRdmaRead, 3, 64, r.open_rkey);
+         r.post(Opcode::kFetchAdd, 4, 8, r.open_rkey);
+         r.post(Opcode::kRdmaWriteWithImm, 5, 32, r.open_rkey);
+       },
+       "end=1796160 events=20 trace=28:1ac2ed09f3d1b968 rnr=0 qp0=rts qp1=rts\n"
+       "scq0 @1494880 wr=4 success fetch-add len=8 qp=256 src=0\n"
+       "scq0 @1496960 wr=1 success send len=64 qp=256 src=0\n"
+       "scq0 @1559840 wr=2 success write len=64 qp=256 src=0\n"
+       "scq0 @1793280 wr=5 success write len=32 qp=256 src=0\n"
+       "scq0 @1796160 wr=3 success read len=64 qp=256 src=0\n"
+       "rcq1 @1277760 wr=7 success recv len=64 qp=256 src=256\n"
+       "rcq1 @1591200 wr=8 success recv-imm len=32 qp=256 src=256 imm=4101"},
+  };
+  for (const Case& c : cases) {
+    PinRun r;
+    c.setup(r);
+    EXPECT_EQ(r.run(), c.want) << c.name;
   }
 }
 
