@@ -641,7 +641,9 @@ void Nic::handle_write_arrival(std::uint32_t local_qpn, WrRef wr,
   const bool has_imm = wr->opcode == Opcode::kRdmaWriteWithImm;
   RecvWr rwr;
   if (has_imm) {
-    if (qp->rq_.empty()) {
+    SharedReceiveQueue* srq = qp->config().srq;
+    std::deque<RecvWr>& rq = srq != nullptr ? srq->wqes_ : qp->rq_;
+    if (rq.empty()) {
       qp->counters_.rnr_events++;
       if (rnr_attempts + 1 >= src.cfg_.rnr_retries) {
         nak(WcStatus::kRnrRetryExceeded);
@@ -655,8 +657,9 @@ void Nic::handle_write_arrival(std::uint32_t local_qpn, WrRef wr,
       }
       return;
     }
-    rwr = qp->rq_.front();
-    qp->rq_.pop_front();
+    rwr = rq.front();
+    rq.pop_front();
+    if (srq != nullptr) srq->consumed_++;
   }
 
   const sim::Time done = std::max(engine_->now(), delivered) + cfg_.rx_processing;

@@ -139,6 +139,42 @@ TEST(Srq, UnderrunTriggersRnrRetryThenSucceeds) {
   EXPECT_EQ(f.slab[0], std::byte{0x7E});
 }
 
+TEST(Srq, WriteWithImmConsumesAnSrqSlot) {
+  // The immediate needs a receive WQE; on an SRQ-attached QP it comes from
+  // the SRQ, while the payload lands at the remote address, not the slot.
+  SrqFixture f;
+  auto [q0, q1] = f.connect_pair();
+  (void)q1;
+  std::vector<std::byte> src(64, std::byte{0x3C}), dst(64);
+  const auto& smr = f.host0->nic().register_mr(f.pd0, src.data(), 64, 0);
+  const auto& dmr = f.host1->nic().register_mr(
+      f.pd1, dst.data(), 64, kAccessLocalWrite | kAccessRemoteWrite);
+  ASSERT_EQ(f.post_slot(0), kOk);
+  ASSERT_EQ(f.host0->nic().post_send(
+                *q0, SendWr{.wr_id = 5,
+                            .opcode = Opcode::kRdmaWriteWithImm,
+                            .sge = {uptr(src.data()), 64, smr.lkey},
+                            .imm = 0xC0DE,
+                            .remote_addr = uptr(dst.data()),
+                            .rkey = dmr.rkey}),
+            kOk);
+  f.engine.run();
+  std::vector<Cqe> wc(4);
+  ASSERT_EQ(f.scq0->poll(wc), 1u);
+  EXPECT_EQ(wc[0].status, WcStatus::kSuccess);
+  ASSERT_EQ(f.cq1->poll(wc), 1u);
+  EXPECT_EQ(wc[0].status, WcStatus::kSuccess);
+  EXPECT_EQ(wc[0].opcode, WcOpcode::kRecvRdmaWithImm);
+  EXPECT_EQ(wc[0].wr_id, 0u);
+  EXPECT_EQ(wc[0].byte_len, 64u);
+  EXPECT_TRUE(wc[0].has_imm);
+  EXPECT_EQ(wc[0].imm, 0xC0DEu);
+  EXPECT_EQ(dst[63], std::byte{0x3C});
+  EXPECT_EQ(f.slab[0], std::byte{0}) << "the slot's buffer is not written";
+  EXPECT_EQ(f.srq->consumed(), 1u);
+  EXPECT_EQ(f.srq->depth(), 0u);
+}
+
 TEST(Srq, FifoConsumptionOrder) {
   SrqFixture f;
   auto [q0, q1] = f.connect_pair();
