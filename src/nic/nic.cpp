@@ -54,6 +54,25 @@ WcOpcode wc_opcode(Opcode op) {
   return WcOpcode::kSend;
 }
 
+/// The MR access an inbound request needs at the responder (a send needs
+/// none: it lands in a receive WQE).
+std::uint32_t remote_access(Opcode op) {
+  switch (op) {
+    case Opcode::kSend:
+    case Opcode::kSendWithImm:
+      return kAccessNone;
+    case Opcode::kRdmaWrite:
+    case Opcode::kRdmaWriteWithImm:
+      return kAccessRemoteWrite;
+    case Opcode::kRdmaRead:
+      return kAccessRemoteRead;
+    case Opcode::kFetchAdd:
+    case Opcode::kCompareSwap:
+      return kAccessRemoteAtomic;
+  }
+  return kAccessNone;
+}
+
 std::uint64_t payload_len(const SendWr& wr) {
   return wr.inline_data ? wr.inline_payload.size() : wr.sge.length;
 }
@@ -410,97 +429,151 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   }
 
   const std::uint32_t sqpn = qp.qpn();
-  switch (wr.opcode) {
-    case Opcode::kSend:
-    case Opcode::kSendWithImm: {
-      TxTimes t = schedule_chain(*dst, len, wr.inline_data,
-                                 /*include_dst_dma=*/true, at);
-      if (engine_->tracer() != nullptr) [[unlikely]] {
-        trace_chain(sqpn, wr, t, dest.node, len, at, fetch_cost);
-      }
-      // An unreliable send gets no ACK: it completes at its wire egress.
-      if (is_ud) {
-        sender_complete(sqpn, wr, WcStatus::kSuccess,
-                        t.wire_done + cfg_.cqe_write);
-      }
-      WrRef shared = wr_pool_.acquire(std::move(wr));
-      engine_->call_at(t.wire_done,
-                       [this, dst, dqpn = dest.qpn, shared, sqpn,
-                        delivered = t.delivered, rnr_attempts, is_ud] {
-                         dst->handle_send_arrival(dqpn, shared, *this, sqpn,
-                                                  delivered, rnr_attempts,
-                                                  /*reliable=*/!is_ud);
-                       });
-      break;
-    }
-    case Opcode::kRdmaWrite:
-    case Opcode::kRdmaWriteWithImm: {
-      TxTimes t = schedule_chain(*dst, len, wr.inline_data,
-                                 /*include_dst_dma=*/true, at);
-      if (engine_->tracer() != nullptr) [[unlikely]] {
-        trace_chain(sqpn, wr, t, dest.node, len, at, fetch_cost);
-      }
-      WrRef shared = wr_pool_.acquire(std::move(wr));
-      engine_->call_at(t.wire_done,
-                       [this, dst, dqpn = dest.qpn, shared, sqpn,
-                        delivered = t.delivered, rnr_attempts] {
-                         dst->handle_write_arrival(dqpn, shared, *this, sqpn,
-                                                   delivered, rnr_attempts);
-                       });
-      break;
-    }
-    case Opcode::kRdmaRead: {
-      // Header-only read request towards the responder.
-      const sim::Time req_arrive =
-          network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
-      TxTimes t{req_arrive, req_arrive};
-      if (engine_->tracer() != nullptr) [[unlikely]] {
-        trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
-      }
-      WrRef shared = wr_pool_.acquire(std::move(wr));
-      engine_->call_at(t.wire_done, [this, dst, dqpn = dest.qpn, shared, sqpn] {
-        dst->handle_read_request(dqpn, shared, *this, sqpn);
-      });
-      break;
-    }
+  // A send or write carries its payload through the DMA/wire chain. A read
+  // or atomic request is header-sized on the wire (an atomic's operands
+  // ride in the header).
+  const bool header_only = wr.opcode == Opcode::kRdmaRead ||
+                           wr.opcode == Opcode::kFetchAdd ||
+                           wr.opcode == Opcode::kCompareSwap;
+  TxTimes t;
+  if (header_only) {
+    const sim::Time arrive =
+        network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
+    t = {arrive, arrive};
+  } else {
+    t = schedule_chain(*dst, len, /*skip_src_dma=*/wr.inline_data, at);
+  }
+  if (engine_->tracer() != nullptr) [[unlikely]] {
+    trace_chain(sqpn, wr, t, dest.node, header_only ? 0 : len, at, fetch_cost);
+  }
+  // An unreliable send gets no ACK: it completes at its wire egress.
+  if (is_ud) {
+    sender_complete(sqpn, wr, WcStatus::kSuccess, t.wire_done + cfg_.cqe_write);
+  }
+  WrRef shared = wr_pool_.acquire(std::move(wr));
+  engine_->call_at(t.wire_done,
+                   [this, dst, dqpn = dest.qpn, shared, sqpn,
+                    delivered = t.delivered, rnr_attempts, is_ud] {
+                     dst->handle_inbound(dqpn, shared, *this, sqpn, delivered,
+                                         rnr_attempts, /*reliable=*/!is_ud);
+                   });
+}
+
+void Nic::handle_inbound(std::uint32_t local_qpn, WrRef wr, Nic& src,
+                         std::uint32_t src_qpn, sim::Time delivered,
+                         std::uint32_t rnr_attempts, bool reliable) {
+  QueuePair* qp = find_qp(local_qpn);
+  if (qp == nullptr ||
+      (qp->state_ != QpState::kRtr && qp->state_ != QpState::kRts)) {
+    if (reliable) nak(src, src_qpn, *wr, WcStatus::kRemoteInvalidRequest);
+    return;  // UD: silently dropped
+  }
+  const std::uint32_t access = remote_access(wr->opcode);
+  if (access != kAccessNone &&
+      mrs_.check_remote(wr->rkey, wr->remote_addr, payload_len(*wr),
+                        access) == nullptr) {
+    nak(src, src_qpn, *wr, WcStatus::kRemoteAccessError);
+    return;
+  }
+  switch (wr->opcode) {
+    case Opcode::kRdmaRead:
+      respond_read(std::move(wr), src, src_qpn);
+      return;
     case Opcode::kFetchAdd:
-    case Opcode::kCompareSwap: {
-      // The request carries the operands (header-sized on the wire).
-      const sim::Time req_arrive =
-          network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
-      TxTimes t{req_arrive, req_arrive};
-      if (engine_->tracer() != nullptr) [[unlikely]] {
-        trace_chain(sqpn, wr, t, dest.node, 0, at, fetch_cost);
-      }
-      WrRef shared = wr_pool_.acquire(std::move(wr));
-      engine_->call_at(t.wire_done, [this, dst, dqpn = dest.qpn, shared, sqpn] {
-        dst->handle_atomic_request(dqpn, shared, *this, sqpn);
-      });
-      break;
-    }
+    case Opcode::kCompareSwap:
+      respond_atomic(std::move(wr), src, src_qpn);
+      return;
+    default:
+      land(*qp, std::move(wr), src, src_qpn, delivered, rnr_attempts, reliable);
   }
 }
 
-void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
-                                Nic& src, std::uint32_t src_qpn) {
-  QueuePair* qp = find_qp(local_qpn);
-  auto nak = [&](WcStatus status) {
-    send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(*wr), status] {
-      src.sender_complete(src_qpn, m, status,
-                          src.engine_->now() + src.cfg_.cqe_write);
-      if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
-    });
+void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
+               sim::Time delivered, std::uint32_t rnr_attempts, bool reliable) {
+  const bool is_send =
+      wr->opcode == Opcode::kSend || wr->opcode == Opcode::kSendWithImm;
+  RecvWr rwr;
+  if (is_send || wr->opcode == Opcode::kRdmaWriteWithImm) {
+    SharedReceiveQueue* srq = qp.config().srq;
+    std::deque<RecvWr>& rq = srq != nullptr ? srq->wqes_ : qp.rq_;
+    if (rq.empty()) {
+      qp.counters_.rnr_events++;
+      if (reliable) rnr_nak(src, src_qpn, std::move(wr), rnr_attempts);
+      return;  // UD: datagram dropped
+    }
+    rwr = rq.front();
+    rq.pop_front();
+    if (srq != nullptr) srq->consumed_++;
+  }
+  // A UD receive buffer starts with the GRH.
+  const std::uint32_t grh =
+      is_send && qp.type() == QpType::kUD ? kGrhBytes : 0;
+  if (is_send && payload_len(*wr) + grh > rwr.sge.length) {
+    complete_at(engine_->now() + cfg_.cqe_write, qp.recv_cq(),
+                Cqe{rwr.wr_id, WcStatus::kLocalLengthError, WcOpcode::kRecv, 0,
+                    qp.qpn(), src_qpn, 0, false});
+    qp_set_error(qp);
+    if (reliable) nak(src, src_qpn, *wr, WcStatus::kRemoteInvalidRequest);
+    return;
+  }
+
+  const sim::Time done = std::max(engine_->now(), delivered) + cfg_.rx_processing;
+  auto deliver = [this, wr = std::move(wr), rwr, &src, qpn = qp.qpn(), src_qpn,
+                  grh, reliable] {
+    QueuePair* qp = find_qp(qpn);
+    if (qp == nullptr) return;
+    const std::uint64_t len = payload_len(*wr);
+    const bool is_send =
+        wr->opcode == Opcode::kSend || wr->opcode == Opcode::kSendWithImm;
+    const bool has_imm = wr->opcode == Opcode::kSendWithImm ||
+                         wr->opcode == Opcode::kRdmaWriteWithImm;
+    if (len > 0) {
+      std::byte* to = is_send ? mem(rwr.sge.addr) + grh : mem(wr->remote_addr);
+      std::memcpy(to, payload_ptr(*wr), len);
+    }
+    counters_.rx_msgs++;
+    counters_.rx_bytes += len;
+    qp->counters_.rx_msgs++;
+    qp->counters_.rx_bytes += len;
+    if (is_send || has_imm) {
+      complete_at(engine_->now() + cfg_.cqe_write, qp->recv_cq(),
+                  Cqe{rwr.wr_id, WcStatus::kSuccess,
+                      is_send ? WcOpcode::kRecv : WcOpcode::kRecvRdmaWithImm,
+                      static_cast<std::uint32_t>(len + grh), qpn, src_qpn,
+                      wr->imm, has_imm});
+    }
+    // The receive's trace record: sends only.
+    trace::Tracer* tr = engine_->tracer();
+    if (tr != nullptr && is_send) [[unlikely]] {
+      tr->record_at(engine_->now() + cfg_.cqe_write, trace::Point::kCompletion,
+                    wr->trace_span, qpn, 0, static_cast<std::uint8_t>(node_),
+                    len, 0, /*aux=*/1);
+    }
+    if (reliable) ctrl_complete(src, engine_->now(), src_qpn, meta_of(*wr));
   };
-  if (qp == nullptr || qp->state_ == QpState::kError ||
-      qp->state_ == QpState::kReset || qp->state_ == QpState::kInit) {
-    nak(WcStatus::kRemoteInvalidRequest);
-    return;
-  }
-  if (mrs_.check_remote(wr->rkey, wr->remote_addr, 8, kAccessRemoteAtomic) ==
-      nullptr) {
-    nak(WcStatus::kRemoteAccessError);
-    return;
-  }
+  // A heap fallback would allocate once per message.
+  static_assert(sim::InlineFn::fits_inline<decltype(deliver)>);
+  engine_->call_at(done, std::move(deliver));
+}
+
+void Nic::respond_read(WrRef wr, Nic& src, std::uint32_t src_qpn) {
+  const std::uint64_t len = wr->sge.length;
+  // Responder streams the data back; charge responder-side processing.
+  processing_.reserve(cfg_.rx_processing);
+  counters_.rx_msgs++;  // the read request itself
+  TxTimes t = schedule_chain(src, len, /*skip_src_dma=*/false, engine_->now());
+  counters_.tx_bytes += len;
+  engine_->call_at(t.delivered, [this, wr, len, &src, src_qpn] {
+    if (len > 0)
+      std::memcpy(mem(wr->sge.addr), mem(wr->remote_addr), len);
+    src.counters_.rx_bytes += len;
+    src.sender_complete(src_qpn, *wr, WcStatus::kSuccess,
+                        src.engine_->now() + src.cfg_.ack_processing +
+                            src.cfg_.cqe_write);
+  });
+}
+
+void Nic::respond_atomic(WrRef wr, Nic& src, std::uint32_t src_qpn) {
   // Atomics serialize on the responder's processing pipeline; the
   // read-modify-write happens here, atomically with respect to all other
   // simulated accesses (single-threaded event execution).
@@ -530,191 +603,25 @@ void Nic::handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
   });
 }
 
-void Nic::handle_send_arrival(std::uint32_t local_qpn, WrRef wr,
-                              Nic& src, std::uint32_t src_qpn, sim::Time delivered,
-                              std::uint32_t rnr_attempts, bool reliable) {
-  QueuePair* qp = find_qp(local_qpn);
-  const std::uint64_t len = payload_len(*wr);
-  if (qp == nullptr || qp->state_ == QpState::kError ||
-      qp->state_ == QpState::kReset || qp->state_ == QpState::kInit) {
-    if (reliable) {
-      send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(*wr)] {
-        src.sender_complete(src_qpn, m, WcStatus::kRemoteInvalidRequest,
-                            src.engine_->now() + src.cfg_.cqe_write);
-        if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
-      });
-    }
-    return;  // UD: silently dropped
-  }
-
-  const bool is_ud = qp->type() == QpType::kUD;
-  SharedReceiveQueue* srq = qp->config().srq;
-  std::deque<RecvWr>& rq = srq != nullptr ? srq->wqes_ : qp->rq_;
-  if (rq.empty()) {
-    qp->counters_.rnr_events++;
-    if (!reliable) return;  // UD: datagram dropped
-    if (rnr_attempts + 1 >= src.cfg_.rnr_retries) {
-      send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(*wr)] {
-        src.sender_complete(src_qpn, m, WcStatus::kRnrRetryExceeded,
-                            src.engine_->now() + src.cfg_.cqe_write);
-        if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
-      });
-    } else {
-      send_ctrl(src, engine_->now(), [&src, src_qpn, wr, rnr_attempts] {
-        src.engine_->call_in(src.cfg_.rnr_timer,
-                             [&src, src_qpn, wr, rnr_attempts] {
-                               src.retry_send(src_qpn, wr, rnr_attempts + 1);
-                             });
-      });
-    }
-    return;
-  }
-
-  RecvWr rwr = rq.front();
-  rq.pop_front();
-  if (srq != nullptr) srq->consumed_++;
-  const std::uint64_t needed = len + (is_ud ? kGrhBytes : 0);
-  if (needed > rwr.sge.length) {
-    complete_at(engine_->now() + cfg_.cqe_write, qp->recv_cq(),
-                Cqe{rwr.wr_id, WcStatus::kLocalLengthError, WcOpcode::kRecv, 0,
-                    local_qpn, src_qpn, 0, false});
-    qp_set_error(*qp);
-    if (reliable) {
-      send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(*wr)] {
-        src.sender_complete(src_qpn, m, WcStatus::kRemoteInvalidRequest,
-                            src.engine_->now() + src.cfg_.cqe_write);
-        if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
-      });
-    }
-    return;
-  }
-
-  const sim::Time done = std::max(engine_->now(), delivered) + cfg_.rx_processing;
-  engine_->call_at(done, [this, local_qpn, wr, rwr, len, needed, &src, src_qpn,
-                          is_ud, reliable] {
-    QueuePair* qp = find_qp(local_qpn);
-    if (qp == nullptr) return;
-    if (len > 0) {
-      std::byte* dst_ptr = mem(rwr.sge.addr) + (is_ud ? kGrhBytes : 0);
-      std::memcpy(dst_ptr, payload_ptr(*wr), len);
-    }
-    counters_.rx_msgs++;
-    counters_.rx_bytes += len;
-    qp->counters_.rx_msgs++;
-    qp->counters_.rx_bytes += len;
-    const bool has_imm = wr->opcode == Opcode::kSendWithImm;
-    complete_at(engine_->now() + cfg_.cqe_write, qp->recv_cq(),
-                Cqe{rwr.wr_id, WcStatus::kSuccess, WcOpcode::kRecv,
-                    static_cast<std::uint32_t>(needed), local_qpn, src_qpn,
-                    wr->imm, has_imm});
-    if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
-      tr->record_at(engine_->now() + cfg_.cqe_write, trace::Point::kCompletion,
-                    wr->trace_span, local_qpn, 0,
-                    static_cast<std::uint8_t>(node_), len, 0, /*aux=*/1);
-    }
-    if (reliable) ctrl_complete(src, engine_->now(), src_qpn, meta_of(*wr));
+void Nic::nak(Nic& src, std::uint32_t src_qpn, const SendWr& wr,
+              WcStatus status) {
+  send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(wr), status] {
+    src.sender_complete(src_qpn, m, status,
+                        src.engine_->now() + src.cfg_.cqe_write);
+    if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
   });
 }
 
-void Nic::handle_write_arrival(std::uint32_t local_qpn, WrRef wr,
-                               Nic& src, std::uint32_t src_qpn, sim::Time delivered,
-                               std::uint32_t rnr_attempts) {
-  QueuePair* qp = find_qp(local_qpn);
-  const std::uint64_t len = payload_len(*wr);
-  auto nak = [&](WcStatus status) {
-    send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(*wr), status] {
-      src.sender_complete(src_qpn, m, status,
-                          src.engine_->now() + src.cfg_.cqe_write);
-      if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
+void Nic::rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
+                  std::uint32_t attempts) {
+  if (attempts + 1 >= src.cfg_.rnr_retries) {
+    nak(src, src_qpn, *wr, WcStatus::kRnrRetryExceeded);
+    return;
+  }
+  send_ctrl(src, engine_->now(), [&src, src_qpn, wr, attempts] {
+    src.engine_->call_in(src.cfg_.rnr_timer, [&src, src_qpn, wr, attempts] {
+      src.retry_send(src_qpn, wr, attempts + 1);
     });
-  };
-  if (qp == nullptr || qp->state_ == QpState::kError ||
-      qp->state_ == QpState::kReset || qp->state_ == QpState::kInit) {
-    nak(WcStatus::kRemoteInvalidRequest);
-    return;
-  }
-  if (mrs_.check_remote(wr->rkey, wr->remote_addr, len, kAccessRemoteWrite) ==
-      nullptr) {
-    nak(WcStatus::kRemoteAccessError);
-    return;
-  }
-  const bool has_imm = wr->opcode == Opcode::kRdmaWriteWithImm;
-  RecvWr rwr;
-  if (has_imm) {
-    SharedReceiveQueue* srq = qp->config().srq;
-    std::deque<RecvWr>& rq = srq != nullptr ? srq->wqes_ : qp->rq_;
-    if (rq.empty()) {
-      qp->counters_.rnr_events++;
-      if (rnr_attempts + 1 >= src.cfg_.rnr_retries) {
-        nak(WcStatus::kRnrRetryExceeded);
-      } else {
-        send_ctrl(src, engine_->now(), [&src, src_qpn, wr, rnr_attempts] {
-          src.engine_->call_in(src.cfg_.rnr_timer,
-                               [&src, src_qpn, wr, rnr_attempts] {
-                                 src.retry_send(src_qpn, wr, rnr_attempts + 1);
-                               });
-        });
-      }
-      return;
-    }
-    rwr = rq.front();
-    rq.pop_front();
-    if (srq != nullptr) srq->consumed_++;
-  }
-
-  const sim::Time done = std::max(engine_->now(), delivered) + cfg_.rx_processing;
-  engine_->call_at(done, [this, local_qpn, wr, rwr, len, &src, src_qpn, has_imm] {
-    QueuePair* qp = find_qp(local_qpn);
-    if (qp == nullptr) return;
-    if (len > 0) std::memcpy(mem(wr->remote_addr), payload_ptr(*wr), len);
-    counters_.rx_msgs++;
-    counters_.rx_bytes += len;
-    qp->counters_.rx_msgs++;
-    qp->counters_.rx_bytes += len;
-    if (has_imm) {
-      complete_at(engine_->now() + cfg_.cqe_write, qp->recv_cq(),
-                  Cqe{rwr.wr_id, WcStatus::kSuccess, WcOpcode::kRecvRdmaWithImm,
-                      static_cast<std::uint32_t>(len), local_qpn, src_qpn,
-                      wr->imm, true});
-    }
-    ctrl_complete(src, engine_->now(), src_qpn, meta_of(*wr));
-  });
-}
-
-void Nic::handle_read_request(std::uint32_t local_qpn, WrRef wr,
-                              Nic& src, std::uint32_t src_qpn) {
-  QueuePair* qp = find_qp(local_qpn);
-  const std::uint64_t len = wr->sge.length;
-  auto nak = [&](WcStatus status) {
-    send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(*wr), status] {
-      src.sender_complete(src_qpn, m, status,
-                          src.engine_->now() + src.cfg_.cqe_write);
-      if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
-    });
-  };
-  if (qp == nullptr || qp->state_ == QpState::kError ||
-      qp->state_ == QpState::kReset || qp->state_ == QpState::kInit) {
-    nak(WcStatus::kRemoteInvalidRequest);
-    return;
-  }
-  if (mrs_.check_remote(wr->rkey, wr->remote_addr, len, kAccessRemoteRead) ==
-      nullptr) {
-    nak(WcStatus::kRemoteAccessError);
-    return;
-  }
-  // Responder streams the data back; charge responder-side processing.
-  processing_.reserve(cfg_.rx_processing);
-  counters_.rx_msgs++;  // the read request itself
-  TxTimes t = schedule_chain(src, len, /*skip_src_dma=*/false,
-                             /*include_dst_dma=*/true, engine_->now());
-  counters_.tx_bytes += len;
-  engine_->call_at(t.delivered, [this, wr, len, &src, src_qpn] {
-    if (len > 0)
-      std::memcpy(mem(wr->sge.addr), mem(wr->remote_addr), len);
-    src.counters_.rx_bytes += len;
-    src.sender_complete(src_qpn, *wr, WcStatus::kSuccess,
-                        src.engine_->now() + src.cfg_.ack_processing +
-                            src.cfg_.cqe_write);
   });
 }
 
@@ -726,7 +633,7 @@ void Nic::send_ctrl(Nic& dst, sim::Time earliest, sim::InlineFn fn) {
 }
 
 Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
-                                 bool include_dst_dma, sim::Time at) {
+                                 sim::Time at) {
   const fabric::Path p = network_->path(node_, dst.node_);
   TxTimes t{at, at};
   counters_.seg_msgs++;
@@ -745,12 +652,9 @@ Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dm
             : dma_rd_.reserve_at(at, cfg_.pcie_bandwidth.time_for(chunk)) +
                   cfg_.dma_latency;
     t.wire_done = p.reserve(ready, chunk + cfg_.header_bytes);
-    t.delivered =
-        include_dst_dma
-            ? dst.dma_wr_.reserve_at(t.wire_done,
-                                     dst.cfg_.pcie_bandwidth.time_for(chunk)) +
-                  dst.cfg_.dma_latency
-            : t.wire_done;
+    t.delivered = dst.dma_wr_.reserve_at(
+                      t.wire_done, dst.cfg_.pcie_bandwidth.time_for(chunk)) +
+                  dst.cfg_.dma_latency;
   });
   return t;
 }

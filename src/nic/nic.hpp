@@ -16,9 +16,10 @@
 // bandwidth (occupancy) are captured without per-packet events.
 //
 // Documented simplifications vs real RC:
-//  * On an RNR NAK only the affected WQE retries; later WQEs are not
-//    rolled back. Workloads in this repo pre-post receives, so RNR is an
-//    error-handling path, not a steady-state one.
+//  * One RNR decision, `rnr_nak`: on an RNR NAK only the affected WQE
+//    retries (`retry_send`); later WQEs are not rolled back. Workloads in
+//    this repo pre-post receives, so RNR is an error-handling path, not a
+//    steady-state one.
 //  * post_recv validates the SGE eagerly (returns EINVAL) instead of
 //    failing at message arrival.
 //  * Non-inline payloads are copied out of the source buffer at delivery
@@ -171,7 +172,7 @@ class Nic {
   /// is the WQE's processing-done time: >= now, and ahead of now when the
   /// burst drain reserves a whole burst from one event.
   TxTimes schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
-                         bool include_dst_dma, sim::Time at);
+                         sim::Time at);
 
   void kick(QueuePair& qp, std::uint32_t trace_span = 0);
   /// One drain round, traced or not: deactivates the SQ when it is empty
@@ -200,16 +201,32 @@ class Nic {
                    sim::Time at, bool mr_ok, sim::Time fetch_cost);
   void retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts);
 
-  void handle_send_arrival(std::uint32_t local_qpn, WrRef wr,
-                           Nic& src, std::uint32_t src_qpn, sim::Time delivered,
-                           std::uint32_t rnr_attempts, bool reliable);
-  void handle_write_arrival(std::uint32_t local_qpn, WrRef wr,
-                            Nic& src, std::uint32_t src_qpn, sim::Time delivered,
-                            std::uint32_t rnr_attempts);
-  void handle_read_request(std::uint32_t local_qpn, WrRef wr,
-                           Nic& src, std::uint32_t src_qpn);
-  void handle_atomic_request(std::uint32_t local_qpn, WrRef wr,
-                             Nic& src, std::uint32_t src_qpn);
+  /// The responder's one entry, run at the request's wire_done. The QP
+  /// must be in RTR or RTS, else a reliable request is NAKed with
+  /// kRemoteInvalidRequest and a UD datagram is dropped. A write, read or
+  /// atomic then needs the opcode's remote access over payload_len bytes
+  /// of its rkey, else it is NAKed with kRemoteAccessError. It then goes
+  /// to land, respond_read or respond_atomic.
+  void handle_inbound(std::uint32_t local_qpn, WrRef wr, Nic& src,
+                      std::uint32_t src_qpn, sim::Time delivered,
+                      std::uint32_t rnr_attempts, bool reliable);
+  /// Sends, writes and writes with immediate. A send or an immediate takes
+  /// a receive WQE (from the SRQ when the QP has one) or goes to rnr_nak;
+  /// a send that does not fit its WQE (GRH included for UD) fails with a
+  /// local length error. One delivery event copies the payload, pushes the
+  /// receive CQE and ACKs a reliable request.
+  void land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
+            sim::Time delivered, std::uint32_t rnr_attempts, bool reliable);
+  void respond_read(WrRef wr, Nic& src, std::uint32_t src_qpn);
+  void respond_atomic(WrRef wr, Nic& src, std::uint32_t src_qpn);
+  /// The only NAK: `wr` completes on the requester with `status` and the
+  /// requester's QP enters Error.
+  void nak(Nic& src, std::uint32_t src_qpn, const SendWr& wr, WcStatus status);
+  /// The only RNR decision: NAK kRnrRetryExceeded once the requester's
+  /// retry budget is spent, else retry_send one rnr_timer after the RNR
+  /// NAK reaches the requester.
+  void rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
+               std::uint32_t attempts);
 
   /// Schedule an ACK/NAK-sized packet back to `dst` and run `fn` when it
   /// has been processed there.
