@@ -340,7 +340,13 @@ sim::Time Nic::wqe_fetch_cost(const SendWr& wr, bool mr_ok) {
 
 void Nic::retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts) {
   QueuePair* qp = find_qp(qpn);
-  if (qp == nullptr || qp->state_ != QpState::kRts) return;
+  if (qp == nullptr) return;
+  if (qp->state_ != QpState::kRts) {
+    // The QP failed while the WR waited out its RNR timer: it flushes.
+    sender_complete(qpn, *wr, WcStatus::kWorkRequestFlushed,
+                    engine_->now() + cfg_.cqe_write);
+    return;
+  }
   engine_->spawn([](Nic& nic, std::uint32_t qpn, WrRef wr,
                     std::uint32_t attempts) -> sim::Task<> {
     QueuePair* qp = nic.find_qp(qpn);

@@ -1300,6 +1300,32 @@ TEST(ResponderPins, EveryResponderPathMatchesItsPin) {
   }
 }
 
+TEST(Rnr, RetryOnAFailedQpFlushesTheWr) {
+  // The write's NAK fails qp0 while the send behind it waits out its RNR
+  // timer; the retry then finds qp0 in Error and flushes the send instead
+  // of dropping it (which would also strand its SQ credit).
+  PinRun r;
+  r.connect(QpType::kRC);
+  r.post(Opcode::kRdmaWrite, 1, 64, r.closed_rkey);
+  r.post(Opcode::kSend, 2, 64);
+  r.f.engine.run();
+  std::array<Cqe, 4> wc;
+  ASSERT_EQ(r.scq0->poll(wc), 2u);
+  EXPECT_EQ(wc[0].wr_id, 1u);
+  EXPECT_EQ(wc[0].status, WcStatus::kRemoteAccessError);
+  EXPECT_EQ(wc[1].wr_id, 2u);
+  EXPECT_EQ(wc[1].status, WcStatus::kWorkRequestFlushed);
+  EXPECT_EQ(wc[1].opcode, WcOpcode::kSend);
+  // The retry fires one rnr_timer after the RNR NAK reaches qp0 (shortly
+  // after the write's NAK) and the flush lands one cqe_write later.
+  ASSERT_EQ(r.pushed[0].size(), 2u);
+  EXPECT_EQ(r.pushed[0][1], 11175840);
+  EXPECT_GT(r.pushed[0][1], r.pushed[0][0] + r.f.cfg.rnr_timer);
+  EXPECT_EQ(r.rcq1->depth(), 0u);
+  EXPECT_EQ(r.qp1->counters().rnr_events, 1u);
+  EXPECT_EQ(r.qp0->state(), QpState::kError);
+}
+
 // --- Fabric wiring errors ---------------------------------------------------
 
 TEST(Network, PathErrorsThrow) {
