@@ -496,10 +496,12 @@ void Nic::handle_inbound(std::uint32_t local_qpn, WrRef wr, Nic& src,
 
 void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
                sim::Time delivered, std::uint32_t rnr_attempts, bool reliable) {
-  const bool is_send =
-      wr->opcode == Opcode::kSend || wr->opcode == Opcode::kSendWithImm;
+  const Opcode op = wr->opcode;
+  const bool is_send = op == Opcode::kSend || op == Opcode::kSendWithImm;
+  const bool has_imm =
+      op == Opcode::kSendWithImm || op == Opcode::kRdmaWriteWithImm;
   RecvWr rwr;
-  if (is_send || wr->opcode == Opcode::kRdmaWriteWithImm) {
+  if (is_send || has_imm) {
     SharedReceiveQueue* srq = qp.config().srq;
     std::deque<RecvWr>& rq = srq != nullptr ? srq->wqes_ : qp.rq_;
     if (rq.empty()) {
@@ -525,14 +527,10 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
 
   const sim::Time done = std::max(engine_->now(), delivered) + cfg_.rx_processing;
   auto deliver = [this, wr = std::move(wr), rwr, &src, qpn = qp.qpn(), src_qpn,
-                  grh, reliable] {
+                  grh, reliable, is_send, has_imm] {
     QueuePair* qp = find_qp(qpn);
     if (qp == nullptr) return;
     const std::uint64_t len = payload_len(*wr);
-    const bool is_send =
-        wr->opcode == Opcode::kSend || wr->opcode == Opcode::kSendWithImm;
-    const bool has_imm = wr->opcode == Opcode::kSendWithImm ||
-                         wr->opcode == Opcode::kRdmaWriteWithImm;
     if (len > 0) {
       std::byte* to = is_send ? mem(rwr.sge.addr) + grh : mem(wr->remote_addr);
       std::memcpy(to, payload_ptr(*wr), len);
@@ -548,7 +546,6 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
                       static_cast<std::uint32_t>(len + grh), qpn, src_qpn,
                       wr->imm, has_imm});
     }
-    // The receive's trace record: sends only.
     trace::Tracer* tr = engine_->tracer();
     if (tr != nullptr && is_send) [[unlikely]] {
       tr->record_at(engine_->now() + cfg_.cqe_write, trace::Point::kCompletion,
