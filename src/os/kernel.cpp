@@ -125,7 +125,9 @@ void Kernel::refresh_causal() const {
     batch.push_back((*tr)[i]);
   }
   causal_cursor_ = tr->size();
-  causal_.ingest(batch);
+  // The System's one tracer holds every host's records; this kernel's
+  // view keeps the spans its own host posted.
+  causal_.ingest(batch, static_cast<std::uint8_t>(nic_->node()));
 }
 
 const Kernel::TenantMetrics& Kernel::tenant_metrics(TenantId tenant) {

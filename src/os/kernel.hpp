@@ -207,7 +207,8 @@ class Kernel {
   sim::Task<> ioctl(Core& core, sim::Time cmd_cost);
   sim::Signal& cq_signal(nic::CompletionQueue& cq);
   /// Drain records the engine's tracer appended since the last refresh
-  /// into the causal aggregator (no-op while tracing is disarmed).
+  /// into the causal aggregator, keeping only spans this kernel's host
+  /// posted (no-op while tracing is disarmed).
   void refresh_causal() const;
 
   /// The one send crossing behind post_send (n = 1) and

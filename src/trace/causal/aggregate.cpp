@@ -55,7 +55,8 @@ void append_stage_table(std::string& out, const CriticalPath& cp,
 
 }  // namespace
 
-void Aggregator::ingest(std::span<const Record> records) {
+void Aggregator::ingest(std::span<const Record> records,
+                        std::optional<std::uint8_t> origin) {
   // Stage 1: append WR-scoped records to their span's pending chain.
   for (const Record& r : records) {
     if (r.span == 0) continue;
@@ -79,7 +80,8 @@ void Aggregator::ingest(std::span<const Record> records) {
           return r.point == Point::kCompletion && r.aux == 0;
         });
     if (!complete) continue;
-    if (auto w = build_waterfall(chain)) done.push_back(*w);
+    auto w = build_waterfall(chain);
+    if (w && (!origin || w->src_node == *origin)) done.push_back(*w);
     done_spans.push_back(span);
   }
   for (std::uint32_t span : done_spans) pending_.erase(span);

@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,7 +76,10 @@ class Aggregator {
   /// Feed records (any subset of a stream, in stream order across calls).
   /// Spans are staged until their sender completion arrives, then built
   /// and observed. Safe to call repeatedly with successive stream slices.
-  void ingest(std::span<const Record> records);
+  /// With `origin`, only spans posted on that node (Waterfall::src_node)
+  /// are observed; the others are dropped once complete.
+  void ingest(std::span<const Record> records,
+              std::optional<std::uint8_t> origin = std::nullopt);
   /// Fold one already-built waterfall into the aggregates.
   void observe(const Waterfall& w);
   /// Drop all observations and staging. SLO configuration is kept.

@@ -466,6 +466,32 @@ TEST(KernelCausal, SurfacesEmptyWithoutTracing) {
   EXPECT_EQ(kernel.causal().spans(), 0u);
 }
 
+TEST(KernelCausal, EachKernelSeesOnlyItsOwnHostsSpans) {
+  core::System sys(core::system_l(), 2);
+  // Unmeetable SLOs on both hosts: only the host that posts may fire.
+  sys.host(0).kernel().set_latency_slo(/*tenant=*/5, 99.0, /*budget=*/1);
+  sys.host(1).kernel().set_latency_slo(/*tenant=*/5, 99.0, /*budget=*/1);
+  sys.set_tracing(true);
+  std::uint32_t qpn = 0;
+  int failures = 0;
+  sys.engine().spawn(ten_sends(sys, qpn, failures));
+  sys.engine().run();
+  ASSERT_EQ(failures, 0);
+
+  // Only host 0 posts sends.
+  const os::Kernel& k0 = sys.host(0).kernel();
+  const os::Kernel& k1 = sys.host(1).kernel();
+  EXPECT_EQ(k0.causal().spans(), 10u);
+  EXPECT_EQ(k0.causal().watchdog_violations(5), 10u);
+  EXPECT_EQ(k1.causal().spans(), 0u);
+  EXPECT_EQ(k1.causal().watchdog_violations(), 0u);
+  EXPECT_EQ(k1.proc_read("latency/5"), "");
+  EXPECT_NE(k1.proc_read("latency").find("no completed spans"),
+            std::string::npos);
+  // The System's whole-trace view keeps every host's spans.
+  EXPECT_EQ(sys.analyze_causal().spans(), 10u);
+}
+
 TEST(SystemCausal, AnalyzeCausalFeedsGauges) {
   core::System sys(core::system_l(), 2);
   sys.set_tracing(true);
