@@ -34,7 +34,9 @@ struct NicConfig {
   std::uint32_t ack_bytes = 26;
   /// Largest inline payload the device accepts (0 disables inline).
   std::uint32_t max_inline = 220;
-  /// Receiver-not-ready retry backoff and retry budget.
+  /// Receiver-not-ready retry backoff and retry budget. The budget counts
+  /// retries after the first attempt (IB's rnr_retry), so an unanswered WR
+  /// is tried rnr_retries + 1 times before it fails.
   sim::Time rnr_timer = sim::us(10);
   std::uint32_t rnr_retries = 8;
   /// On-NIC connection-context cache (ICM model, nic/icm.hpp): how many

@@ -617,7 +617,7 @@ void Nic::nak(Nic& src, std::uint32_t src_qpn, const SendWr& wr,
 
 void Nic::rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
                   std::uint32_t attempts) {
-  if (attempts + 1 >= src.cfg_.rnr_retries) {
+  if (attempts >= src.cfg_.rnr_retries) {
     nak(src, src_qpn, *wr, WcStatus::kRnrRetryExceeded);
     return;
   }

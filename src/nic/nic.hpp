@@ -138,8 +138,6 @@ class Nic {
   int post_recv(QueuePair& qp, RecvWr wr);
   int post_srq_recv(SharedReceiveQueue& srq, RecvWr wr);
 
-  const MrTable& mr_table() const { return mrs_; }
-
   /// On-NIC context caches (ICM model, nic/icm.hpp). Disabled (unbounded)
   /// unless NicConfig bounds them; stats feed the `nic.icm.*` gauges.
   const IcmCache& icm_qp_cache() const { return icm_qp_; }
@@ -223,7 +221,8 @@ class Nic {
   /// requester's QP enters Error.
   void nak(Nic& src, std::uint32_t src_qpn, const SendWr& wr, WcStatus status);
   /// The only RNR decision: NAK kRnrRetryExceeded once the requester's
-  /// retry budget is spent, else retry_send one rnr_timer after the RNR
+  /// retry budget is spent (`attempts` retries already made, out of
+  /// NicConfig::rnr_retries), else retry_send one rnr_timer after the RNR
   /// NAK reaches the requester.
   void rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
                std::uint32_t attempts);

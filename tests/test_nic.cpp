@@ -485,6 +485,9 @@ TEST(Rnr, ExhaustedRetriesFailTheSend) {
   Cqe sc = take_one(*p.scq0);
   EXPECT_EQ(sc.status, WcStatus::kRnrRetryExceeded);
   EXPECT_EQ(p.qp0->state(), QpState::kError);
+  // rnr_retries counts retries after the first attempt (IB's rnr_retry),
+  // so the responder turns the send away rnr_retries + 1 times.
+  EXPECT_EQ(p.qp1->counters().rnr_events, f.cfg.rnr_retries + 1);
 }
 
 TEST(Flush, ErrorStateFlushesPostedWork) {
@@ -1199,8 +1202,8 @@ TEST(ResponderPins, EveryResponderPathMatchesItsPin) {
          r.connect(QpType::kRC);
          r.post(Opcode::kSendWithImm, 1, 64);
        },
-       "end=76316720 events=40 trace=35:9f08a2ff0e099e60 rnr=8 qp0=error qp1=rts\n"
-       "scq0 @76316720 wr=1 rnr-retry-exceeded send len=64 qp=256 src=0"},
+       "end=87062560 events=45 trace=39:5c0ba66ba128620f rnr=9 qp0=error qp1=rts\n"
+       "scq0 @87062560 wr=1 rnr-retry-exceeded send len=64 qp=256 src=0"},
       {"send-imm, receive at 25 us: retry succeeds",
        [](PinRun& r) {
          r.connect(QpType::kRC);
@@ -1215,8 +1218,8 @@ TEST(ResponderPins, EveryResponderPathMatchesItsPin) {
          r.connect(QpType::kRC);
          r.post(Opcode::kRdmaWriteWithImm, 1, 64, r.open_rkey);
        },
-       "end=76316720 events=40 trace=35:9f08a2ff0e099e60 rnr=8 qp0=error qp1=rts\n"
-       "scq0 @76316720 wr=1 rnr-retry-exceeded write len=64 qp=256 src=0"},
+       "end=87062560 events=45 trace=39:5c0ba66ba128620f rnr=9 qp0=error qp1=rts\n"
+       "scq0 @87062560 wr=1 rnr-retry-exceeded write len=64 qp=256 src=0"},
       {"write-imm, receive at 25 us: retry succeeds",
        [](PinRun& r) {
          r.connect(QpType::kRC);
