@@ -199,19 +199,21 @@ int main() {
   const std::vector<trace::Record> records = sys.tracer().snapshot();
   const std::size_t chains = complete_chains(records);
   const std::string trace_path = artifact_path("observability_trace.json");
-  const std::string csv_path = artifact_path("observability_trace.csv");
   const std::string metrics_path = artifact_path("observability_metrics.txt");
   const bool exported =
-      trace::write_chrome_trace_file(trace_path.c_str(), records) &&
-      trace::write_records_csv_file(csv_path.c_str(), records);
+      trace::write_chrome_trace_file(trace_path.c_str(), records);
   {
+    // The System's registry: the engine, the NIC sums over both hosts and
+    // the whole-trace causal view that cord-inspect's machinery section
+    // summarizes.
+    sys.analyze_causal();
     std::ofstream m(metrics_path);
-    m << kernel.proc_read("metrics");
+    m << sys.metrics().text();
   }
   std::printf("  trace: %zu records, %zu complete WQE span chains -> %s\n",
               records.size(), chains,
               exported ? trace_path.c_str() : "(export failed)");
-  std::printf("  inspect offline: cord-inspect %s %s\n", csv_path.c_str(),
+  std::printf("  inspect offline: cord-inspect %s %s\n", trace_path.c_str(),
               metrics_path.c_str());
 
   const bool cord_visible =

@@ -90,8 +90,11 @@ System::System(SystemConfig cfg, std::size_t host_count)
   metrics_.callback_gauge("engine.clamped_events", [this] {
     return static_cast<std::int64_t>(engine_.clamped_events());
   });
-  // Event-queue health: depth high-water mark — a live view, zero
-  // per-event bookkeeping.
+  // Event-queue health: live depth and high-water mark — zero per-event
+  // bookkeeping.
+  metrics_.callback_gauge("engine.queue_depth", [this] {
+    return static_cast<std::int64_t>(engine_.pending_events());
+  });
   metrics_.callback_gauge("engine.queue_peak_depth", [this] {
     return static_cast<std::int64_t>(engine_.queue_peak_depth());
   });
@@ -108,7 +111,7 @@ System::System(SystemConfig cfg, std::size_t host_count)
     return static_cast<std::int64_t>(engine_.poll_catchups());
   });
   // System-wide NIC doorbell/burst totals, summed over hosts at read
-  // time. Mirrors the per-host gauges each Kernel exposes through
+  // time: each Kernel exposes its own host's counts through
   // proc_read("metrics"), so fleet-level dashboards don't have to crawl
   // every host.
   const auto nic_sum = [this](std::uint64_t nic::NicCounters::*field) {

@@ -87,9 +87,12 @@ class System {
   trace::causal::Aggregator& causal() { return causal_; }
   const trace::causal::Aggregator& causal() const { return causal_; }
 
-  /// System-wide metrics: live views of engine health (events processed,
-  /// events scheduled into the past and clamped to now() — a model bug
-  /// when non-zero) — distinct from each host kernel's registry.
+  /// System-wide metrics, the only registry of the one engine's gauges:
+  /// engine.* (events processed, events scheduled into the past and
+  /// clamped to now() — a model bug when non-zero — and the queue's live
+  /// and peak depth), sim.* (idle-poll elision), the nic.* sums over hosts
+  /// and the causal.* views. Each host kernel's registry holds that host's
+  /// own facts.
   trace::MetricsRegistry& metrics() { return metrics_; }
 
   /// Context options for a process on this system in the given mode,

@@ -16,20 +16,20 @@ VerbsEndpoint::VerbsEndpoint(int rank, int world_size, verbs::Context ctx,
 
 sim::Task<> VerbsEndpoint::setup() {
   pd_ = co_await ctx_.alloc_pd();
-  const std::uint32_t cq_cap = 4 * (cfg_.srq_slots + cfg_.send_slots) + 1024;
+  const std::uint32_t cq_cap = 4 * (cfg_.srq_slots + kSendSlots) + 1024;
   scq_ = co_await ctx_.create_cq(cq_cap);
   rcq_ = co_await ctx_.create_cq(cq_cap);
   scq_->watch_pushes(&activity_, core().poll_group());
   rcq_->watch_pushes(&activity_, core().poll_group());
   srq_ = co_await ctx_.create_srq(pd_, cfg_.srq_slots);
 
-  send_arena_.resize(cfg_.send_slots * slot_size());
+  send_arena_.resize(kSendSlots * slot_size());
   recv_arena_.resize(cfg_.srq_slots * slot_size());
   send_mr_ = co_await ctx_.reg_mr(pd_, send_arena_.data(), send_arena_.size(),
                                   nic::kAccessLocalWrite);
   recv_mr_ = co_await ctx_.reg_mr(pd_, recv_arena_.data(), recv_arena_.size(),
                                   nic::kAccessLocalWrite);
-  for (std::uint32_t s = 0; s < cfg_.send_slots; ++s) free_slots_.push_back(s);
+  for (std::uint32_t s = 0; s < kSendSlots; ++s) free_slots_.push_back(s);
   for (std::uint32_t s = 0; s < cfg_.srq_slots; ++s) {
     const int rc = co_await ctx_.post_srq_recv(
         *srq_, {s, {uptr(recv_slot(s)), static_cast<std::uint32_t>(slot_size()),

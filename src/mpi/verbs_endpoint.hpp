@@ -29,7 +29,6 @@ class VerbsEndpoint : public Endpoint {
  public:
   struct Config {
     std::size_t eager_threshold = 4096;
-    std::uint32_t send_slots = 64;
     std::uint32_t srq_slots = 1024;
   };
 
@@ -85,6 +84,9 @@ class VerbsEndpoint : public Endpoint {
   bool can_park() const override;
   sim::Time charge_poll_miss() override { return ctx_.charge_poll_miss(); }
   sim::Task<bool> finish_progress(bool poll_recv) override;
+
+  /// Eager bounce slots for outgoing messages.
+  static constexpr std::uint32_t kSendSlots = 64;
 
   std::size_t slot_size() const { return cfg_.eager_threshold + sizeof(WireHeader); }
   std::byte* send_slot(std::uint32_t s) { return send_arena_.data() + s * slot_size(); }

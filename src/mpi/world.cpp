@@ -38,7 +38,7 @@ sim::Task<> World::setup_verbs() {
   const verbs::DataplaneMode mode = cfg_.net == NetMode::kCord
                                         ? verbs::DataplaneMode::kCord
                                         : verbs::DataplaneMode::kBypass;
-  VerbsEndpoint::Config ec{cfg_.eager_threshold, cfg_.send_slots, cfg_.srq_slots};
+  VerbsEndpoint::Config ec{cfg_.eager_threshold, cfg_.srq_slots};
   std::vector<VerbsEndpoint*> eps;
   std::vector<int> local_core(system_->host_count(), 0);
   for (int r = 0; r < nranks_; ++r) {

@@ -28,7 +28,6 @@ enum class NetMode { kBypass, kCord, kIpoib };
 struct WorldConfig {
   NetMode net = NetMode::kBypass;
   std::size_t eager_threshold = 4096;
-  std::uint32_t send_slots = 64;
   std::uint32_t srq_slots = 1024;
   os::TenantId tenant = 0;
   /// CoRD only: route the progress engine's poll_cq through the kernel.

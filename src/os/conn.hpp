@@ -62,7 +62,6 @@ class ConnectionService {
   }
   const LogicalConn& conn(ConnId c) const { return logical_[c]; }
 
-  std::size_t logical_count() const { return logical_.size(); }
   std::size_t physical_count() const { return qps_.size(); }
   /// Bytes of per-connection descriptor state (the memory that scales
   /// with the logical connection count).

@@ -20,11 +20,8 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     return static_cast<std::int64_t>(interrupts_);
   });
   // Crossing-vs-op split (batched submission makes them diverge: one
-  // crossing services a whole flushed ring) plus the flush shape.
-  // kernel.crossings mirrors kernel.syscalls under its modern name.
-  metrics_.callback_gauge("kernel.crossings", [this] {
-    return static_cast<std::int64_t>(syscalls_);
-  });
+  // crossing, counted in kernel.syscalls, services a whole flushed ring)
+  // plus the flush shape.
   metrics_.callback_gauge("kernel.ops_serviced", [this] {
     return static_cast<std::int64_t>(ops_serviced_);
   });
@@ -37,27 +34,12 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
   metrics_.callback_gauge("kernel.batch.max_wrs", [this] {
     return static_cast<std::int64_t>(batch_max_wrs_);
   });
-  // This host's engine-queue health, surfaced through proc_read("metrics")
-  // alongside the kernel counters: live depth and high-water mark.
-  metrics_.callback_gauge("engine.queue_depth", [this] {
-    return static_cast<std::int64_t>(engine_->pending_events());
-  });
-  metrics_.callback_gauge("engine.queue_peak_depth", [this] {
-    return static_cast<std::int64_t>(engine_->queue_peak_depth());
-  });
-  // Idle-poll elision on this host's engine (DESIGN.md §20).
-  metrics_.callback_gauge("sim.polls_elided", [this] {
-    return static_cast<std::int64_t>(engine_->polls_elided());
-  });
-  metrics_.callback_gauge("sim.poll_wakes", [this] {
-    return static_cast<std::int64_t>(engine_->poll_wakes());
-  });
-  metrics_.callback_gauge("sim.poll_catchups", [this] {
-    return static_cast<std::int64_t>(engine_->poll_catchups());
-  });
-  // This host's NIC doorbell/burst pipeline, mirrored the same way: how
-  // many doorbells rang, how many posts they absorbed, and how many WQEs
-  // each drain event processed (see nic::NicCounters).
+  // The engine is the System's, shared by every host, so its engine.* and
+  // sim.* gauges live once, in core::System::metrics().
+  //
+  // This host's NIC doorbell/burst pipeline: how many doorbells rang, how
+  // many posts they absorbed, and how many WQEs each drain event processed
+  // (see nic::NicCounters).
   metrics_.callback_gauge("nic.doorbells", [this] {
     return static_cast<std::int64_t>(nic_->counters().doorbells);
   });
@@ -463,14 +445,14 @@ std::string Kernel::proc_read(std::string_view path) const {
   char buf[256];
   if (path == "metrics") return metrics_.text();
   if (path == "syscalls") {
-    // `syscalls` keeps its historical meaning (crossings) so existing
-    // dashboards stay truthful under batching; the explicit split follows.
+    // `syscalls` counts crossings (one per batched flush), so it stays
+    // truthful under batching; the ops they serviced follow.
     std::snprintf(buf, sizeof buf,
-                  "syscalls %" PRIu64 "\ncrossings %" PRIu64
-                  "\nops_serviced %" PRIu64 "\nbatch_flushes %" PRIu64
-                  "\nbatch_flushed_ops %" PRIu64 "\ninterrupts %" PRIu64 "\n",
-                  syscalls_, syscalls_, ops_serviced_, batch_flushes_,
-                  batch_flushed_ops_, interrupts_);
+                  "syscalls %" PRIu64 "\nops_serviced %" PRIu64
+                  "\nbatch_flushes %" PRIu64 "\nbatch_flushed_ops %" PRIu64
+                  "\ninterrupts %" PRIu64 "\n",
+                  syscalls_, ops_serviced_, batch_flushes_, batch_flushed_ops_,
+                  interrupts_);
     return buf;
   }
   if (path == "tenants") {

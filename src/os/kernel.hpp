@@ -147,7 +147,8 @@ class Kernel {
   /// The host's metrics registry. In CoRD mode the data-plane syscalls
   /// account every tenant's ops/bytes/latency here *without application
   /// cooperation*; in bypass mode the data plane never enters the kernel,
-  /// so the per-tenant metrics simply never appear.
+  /// so the per-tenant metrics simply never appear. The shared engine's
+  /// gauges are not here but in core::System::metrics().
   trace::MetricsRegistry& metrics() { return metrics_; }
   const trace::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -172,10 +173,6 @@ class Kernel {
   /// observed `percentile` of end-to-end latency exceeds `budget`.
   void set_latency_slo(TenantId tenant, double percentile, sim::Time budget) {
     causal_.set_slo(tenant, {percentile, budget});
-  }
-  /// Arm the watchdog for every tenant without a specific SLO.
-  void set_default_latency_slo(double percentile, sim::Time budget) {
-    causal_.set_default_slo({percentile, budget});
   }
   /// The causal aggregator, refreshed from the tracer first (same pull
   /// path the proc surfaces use).
@@ -266,7 +263,6 @@ class Host {
   sim::Engine& engine() { return *engine_; }
   nic::Nic& nic() { return nic_; }
   Kernel& kernel() { return kernel_; }
-  const CpuModel& cpu_model() const { return cpu_model_; }
   nic::NodeId node() const { return nic_.node(); }
 
   /// Cores are created on first use; each gets a distinct RNG stream.

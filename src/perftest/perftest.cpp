@@ -391,7 +391,6 @@ void validate(const Params& p) {
 
 void arm_tracing(core::System& sys, const Params& p) {
   if (!p.capture_trace) return;
-  sys.tracer().set_capacity(p.trace_capacity);
   sys.set_tracing(true);
 }
 

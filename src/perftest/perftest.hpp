@@ -51,8 +51,6 @@ struct Params {
   /// Arm the system tracer for the run and return the captured records in
   /// the result (off by default: tracing must never tax a benchmark run).
   bool capture_trace = false;
-  /// Record-buffer bound when capturing (drops are counted, not fatal).
-  std::size_t trace_capacity = trace::Tracer::kDefaultCapacity;
 };
 
 struct LatencyResult {

@@ -62,8 +62,6 @@ class Signal {
     waiters_.clear();
   }
 
-  std::size_t waiter_count() const { return waiters_.size(); }
-
   auto wait() {
     struct Awaiter {
       Signal& signal;

@@ -1,8 +1,6 @@
 #include "sim/frame_arena.hpp"
 
-#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -26,52 +24,22 @@ struct FreeBlock {
   FreeBlock* next;
 };
 
-// Process-wide state: retired slabs (kept alive until exit — blocks from
-// them may sit on any thread's freelist) and orphaned freelists spliced
-// in by exiting threads.
-struct Global {
-  std::mutex mu;
-  std::vector<std::unique_ptr<std::byte[]>> slabs;
-  FreeBlock* orphans[kClasses] = {};
-};
-
-Global& global() {
-  static Global* g = new Global;  // immortal: frames may outlive statics
-  return *g;
-}
-
-struct ThreadCache {
+struct Arena {
   FreeBlock* free_[kClasses] = {};
   std::byte* bump = nullptr;
   std::byte* bump_end = nullptr;
+  /// Every slab, kept until exit: a block on a freelist may come from any
+  /// of them, and owning them here keeps them reachable for leak checkers.
+  std::vector<std::unique_ptr<std::byte[]>> slabs;
   FrameArenaStats stats;
-
-  ~ThreadCache() {
-    // Splice everything this thread cached back into the global pool so a
-    // short-lived thread never strands recycled blocks.
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    for (std::size_t c = 0; c < kClasses; ++c) {
-      while (FreeBlock* b = free_[c]) {
-        free_[c] = b->next;
-        b->next = g.orphans[c];
-        g.orphans[c] = b;
-      }
-    }
-    // Remaining bump space is abandoned (at most one slab tail per
-    // thread); the slab itself already lives in the global registry.
-  }
 
   void* carve(std::size_t c) {
     const std::size_t bytes = class_bytes(c);
     if (static_cast<std::size_t>(bump_end - bump) < bytes) {
-      auto slab = std::make_unique<std::byte[]>(kSlabBytes);
-      bump = slab.get();
+      slabs.push_back(std::make_unique<std::byte[]>(kSlabBytes));
+      bump = slabs.back().get();
       bump_end = bump + kSlabBytes;
       stats.slab_bytes += kSlabBytes;
-      Global& g = global();
-      std::lock_guard<std::mutex> lock(g.mu);
-      g.slabs.push_back(std::move(slab));
     }
     void* p = bump;
     bump += bytes;
@@ -80,40 +48,26 @@ struct ThreadCache {
   }
 };
 
-ThreadCache& cache() {
-  thread_local ThreadCache tc;
-  return tc;
+Arena& arena() {
+  static Arena* a = new Arena;  // immortal: frames may outlive statics
+  return *a;
 }
 
 }  // namespace
 
 void* frame_alloc(std::size_t n) {
-  ThreadCache& tc = cache();
-  ++tc.stats.allocs;
+  Arena& a = arena();
+  ++a.stats.allocs;
   if (n > kMaxBlock) [[unlikely]] {
-    ++tc.stats.fallback_allocs;
+    ++a.stats.fallback_allocs;
     return ::operator new(n);
   }
   const std::size_t c = class_of(n);
-  if (FreeBlock* b = tc.free_[c]) {
-    tc.free_[c] = b->next;
+  if (FreeBlock* b = a.free_[c]) {
+    a.free_[c] = b->next;
     return b;
   }
-  // Refill from orphaned lists (blocks freed by threads that exited)
-  // before carving fresh slab space.
-  {
-    Global& g = global();
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.orphans[c] != nullptr) {
-      tc.free_[c] = g.orphans[c];
-      g.orphans[c] = nullptr;
-    }
-  }
-  if (FreeBlock* b = tc.free_[c]) {
-    tc.free_[c] = b->next;
-    return b;
-  }
-  return tc.carve(c);
+  return a.carve(c);
 }
 
 void frame_free(void* p, std::size_t n) noexcept {
@@ -121,13 +75,13 @@ void frame_free(void* p, std::size_t n) noexcept {
     ::operator delete(p);
     return;
   }
-  ThreadCache& tc = cache();
+  Arena& a = arena();
   const std::size_t c = class_of(n);
   auto* b = static_cast<FreeBlock*>(p);
-  b->next = tc.free_[c];
-  tc.free_[c] = b;
+  b->next = a.free_[c];
+  a.free_[c] = b;
 }
 
-FrameArenaStats frame_arena_stats() { return cache().stats; }
+FrameArenaStats frame_arena_stats() { return arena().stats; }
 
 }  // namespace cord::sim::detail

@@ -45,9 +45,6 @@ class Rng {
     return bound == 0 ? 0 : next_u64() % bound;
   }
 
-  /// Uniform in [lo, hi).
-  double uniform(double lo, double hi) { return lo + (hi - lo) * next_double(); }
-
   /// Normal(mean, stddev) via Box–Muller.
   double normal(double mean, double stddev) {
     double u1 = next_double();
@@ -55,13 +52,6 @@ class Rng {
     if (u1 < 1e-300) u1 = 1e-300;
     const double mag = std::sqrt(-2.0 * std::log(u1));
     return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
-  }
-
-  /// Exponential with the given mean.
-  double exponential(double mean) {
-    double u = next_double();
-    if (u < 1e-300) u = 1e-300;
-    return -mean * std::log(u);
   }
 
  private:

@@ -1,18 +1,15 @@
 // Slab-backed object storage for simulator object tables.
 //
 // The frame arena (sim/frame_arena) already gives every coroutine frame
-// thread-cached, size-classed storage carved from 64 KiB slabs. This
-// header extends the same discipline to plain objects: `make_slab<T>()`
-// placement-constructs T in an arena block and returns a unique_ptr whose
-// deleter returns the block to the arena freelist. Tables that used to
-// hold `std::unique_ptr<T>` (one malloc per QP/CQ/SRQ/MR) switch to
+// size-classed storage carved from 64 KiB slabs. This header extends the
+// same discipline to plain objects: `make_slab<T>()` placement-constructs
+// T in an arena block and returns a unique_ptr whose deleter returns the
+// block to the arena freelist. Tables that used to hold
+// `std::unique_ptr<T>` (one malloc per QP/CQ/SRQ/MR) switch to
 // `SlabPtr<T>` with no other code change, and objects created together
 // land adjacent in the same slab — which is what makes a burst drain walk
-// contiguous memory instead of malloc's scattered chunks.
-//
-// Threading follows the arena's contract: allocation and free may happen
-// on different threads; blocks never outlive their slab because slabs are
-// only reclaimed at process exit.
+// contiguous memory instead of malloc's scattered chunks. Blocks never
+// outlive their slab: the arena keeps every slab until process exit.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,5 @@
-// Measurement collection: online summary statistics, sample percentiles,
-// and time-windowed throughput counters used by the benchmark harnesses.
+// Measurement collection: online summary statistics and sample
+// percentiles used by the benchmark harnesses.
 #pragma once
 
 #include <algorithm>
@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <limits>
 #include <vector>
-
-#include "sim/units.hpp"
 
 namespace cord::sim {
 
@@ -136,29 +134,6 @@ class LogHistogram {
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_ = 0;
-};
-
-/// Counts units (bytes, messages) over a virtual-time window.
-class ThroughputCounter {
- public:
-  void start(Time now) {
-    start_time_ = now;
-    units_ = 0;
-  }
-  void add(std::uint64_t units) { units_ += units; }
-  std::uint64_t units() const { return units_; }
-
-  double per_second(Time now) const {
-    const Time elapsed = now - start_time_;
-    if (elapsed <= 0) return 0.0;
-    return static_cast<double>(units_) / to_sec(elapsed);
-  }
-  /// Convenience for byte counters.
-  double gbit_per_sec(Time now) const { return per_second(now) * 8.0 / 1e9; }
-
- private:
-  Time start_time_ = 0;
-  std::uint64_t units_ = 0;
 };
 
 }  // namespace cord::sim

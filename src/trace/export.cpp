@@ -1,6 +1,5 @@
 #include "trace/export.hpp"
 
-#include <array>
 #include <charconv>
 
 namespace cord::trace {
@@ -106,87 +105,6 @@ bool write_chrome_trace_file(const char* path,
   write_chrome_trace(f, records);
   std::fclose(f);
   return true;
-}
-
-void write_records_csv(std::FILE* f, std::span<const Record> records) {
-  std::fprintf(f, "t_ps,dur_ps,point,span,qpn,tenant,node,arg,aux\n");
-  for (const Record& r : records) {
-    const std::string_view name = to_string(r.point);
-    std::fprintf(f, "%lld,%lld,%.*s,%u,%u,%u,%u,%llu,%u\n",
-                 static_cast<long long>(r.t), static_cast<long long>(r.dur),
-                 static_cast<int>(name.size()), name.data(), r.span, r.qpn,
-                 r.tenant, static_cast<unsigned>(r.node),
-                 static_cast<unsigned long long>(r.arg),
-                 static_cast<unsigned>(r.aux));
-  }
-}
-
-std::string records_csv(std::span<const Record> records) {
-  std::FILE* f = std::tmpfile();
-  if (f == nullptr) return {};
-  write_records_csv(f, records);
-  const long len = std::ftell(f);
-  std::string out(static_cast<std::size_t>(len), '\0');
-  std::rewind(f);
-  const std::size_t got = std::fread(out.data(), 1, out.size(), f);
-  out.resize(got);
-  std::fclose(f);
-  return out;
-}
-
-bool write_records_csv_file(const char* path,
-                            std::span<const Record> records) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  write_records_csv(f, records);
-  std::fclose(f);
-  return true;
-}
-
-std::vector<Record> parse_records_csv(std::string_view text) {
-  std::vector<Record> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::size_t len =
-        (eol == std::string_view::npos ? text.size() : eol) - pos;
-    const std::string_view line = text.substr(pos, len);
-    pos = eol == std::string_view::npos ? text.size() : eol + 1;
-    if (line.empty() || line.starts_with("t_ps")) continue;
-    // t_ps,dur_ps,point,span,qpn,tenant,node,arg,aux
-    std::array<std::string_view, 9> field;
-    std::size_t start = 0;
-    bool shape_ok = true;
-    for (std::size_t i = 0; i < field.size(); ++i) {
-      if (i + 1 == field.size()) {
-        field[i] = line.substr(start);
-        break;
-      }
-      const std::size_t comma = line.find(',', start);
-      if (comma == std::string_view::npos) {
-        shape_ok = false;
-        break;
-      }
-      field[i] = line.substr(start, comma - start);
-      start = comma + 1;
-    }
-    if (!shape_ok) continue;
-    Record r;
-    std::uint32_t node = 0, aux = 0;
-    const bool ok = parse_int(field[0], r.t) && parse_int(field[1], r.dur) &&
-                    parse_int(field[3], r.span) &&
-                    parse_int(field[4], r.qpn) &&
-                    parse_int(field[5], r.tenant) &&
-                    parse_int(field[6], node) && node <= 0xFF &&
-                    parse_int(field[7], r.arg) &&
-                    parse_int(field[8], aux) && aux <= 0xFFFF;
-    r.point = point_from_name(field[2]);
-    if (!ok || r.point == Point::kCount) continue;
-    r.node = static_cast<std::uint8_t>(node);
-    r.aux = static_cast<std::uint16_t>(aux);
-    out.push_back(r);
-  }
-  return out;
 }
 
 std::vector<Record> parse_chrome_trace(std::string_view json) {

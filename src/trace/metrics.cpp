@@ -34,10 +34,6 @@ Counter& MetricsRegistry::counter(std::string_view name, std::uint32_t label) {
   return get_or_create(name, label, Kind::kCounter).counter;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name, std::uint32_t label) {
-  return get_or_create(name, label, Kind::kGauge).gauge;
-}
-
 sim::LogHistogram& MetricsRegistry::histogram(std::string_view name,
                                               std::uint32_t label) {
   return get_or_create(name, label, Kind::kHistogram).histogram;
@@ -46,19 +42,13 @@ sim::LogHistogram& MetricsRegistry::histogram(std::string_view name,
 void MetricsRegistry::callback_gauge(std::string_view name,
                                      std::function<std::int64_t()> fn,
                                      std::uint32_t label) {
-  get_or_create(name, label, Kind::kCallbackGauge).callback = std::move(fn);
+  get_or_create(name, label, Kind::kCallback).callback = std::move(fn);
 }
 
 const Counter* MetricsRegistry::find_counter(std::string_view name,
                                              std::uint32_t label) const {
   const Entry* e = find(name, label, Kind::kCounter);
   return e == nullptr ? nullptr : &e->counter;
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name,
-                                         std::uint32_t label) const {
-  const Entry* e = find(name, label, Kind::kGauge);
-  return e == nullptr ? nullptr : &e->gauge;
 }
 
 const sim::LogHistogram* MetricsRegistry::find_histogram(
@@ -69,11 +59,8 @@ const sim::LogHistogram* MetricsRegistry::find_histogram(
 
 std::int64_t MetricsRegistry::gauge_value(std::string_view name,
                                           std::uint32_t label) const {
-  if (const Entry* e = find(name, label, Kind::kGauge)) return e->gauge.value;
-  if (const Entry* e = find(name, label, Kind::kCallbackGauge)) {
-    return e->callback ? e->callback() : 0;
-  }
-  return 0;
+  const Entry* e = find(name, label, Kind::kCallback);
+  return e != nullptr && e->callback ? e->callback() : 0;
 }
 
 std::vector<std::uint32_t> MetricsRegistry::labels(std::string_view name) const {
@@ -108,15 +95,11 @@ std::string MetricsRegistry::text() const {
         std::snprintf(line, sizeof(line), "%s%s %llu\n", key.name.c_str(),
                       label, static_cast<unsigned long long>(e.counter.value));
         break;
-      case Kind::kGauge:
-      case Kind::kCallbackGauge: {
-        const std::int64_t v = e.kind == Kind::kGauge
-                                   ? e.gauge.value
-                                   : (e.callback ? e.callback() : 0);
+      case Kind::kCallback:
         std::snprintf(line, sizeof(line), "%s%s %lld\n", key.name.c_str(),
-                      label, static_cast<long long>(v));
+                      label,
+                      static_cast<long long>(e.callback ? e.callback() : 0));
         break;
-      }
       case Kind::kHistogram: {
         const sim::LogHistogram& h = e.histogram;
         std::snprintf(line, sizeof(line),

@@ -1,13 +1,18 @@
-// MetricsRegistry — named counters, gauges, and log-bucketed histograms
-// with optional per-tenant labels.
+// MetricsRegistry — named counters, callback gauges, and log-bucketed
+// histograms with optional per-tenant labels.
 //
 // This is the kernel-side metrics surface of the repro: the simulated
 // kernel (and any policy) registers metrics here, and observers read them
 // through `Kernel::proc_read` without touching the application — the
-// paper's observability claim made concrete. Registration is a map lookup
-// (cold path); updates go through retained pointers (hot path: one
-// increment). Entries live in a std::map, so addresses are stable for the
-// registry's lifetime and dumps iterate in a deterministic sorted order.
+// paper's observability claim made concrete. Each fact has one registry:
+// a Kernel's holds its host's kernel.*, nic.* and policy metrics, and
+// core::System::metrics() holds the one engine's engine.* and sim.*
+// gauges, the system-wide nic.* sums and the causal.* views.
+//
+// Registration is a map lookup (cold path); updates go through retained
+// pointers (hot path: one increment). Entries live in a std::map, so
+// addresses are stable for the registry's lifetime and dumps iterate in a
+// deterministic sorted order.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +34,6 @@ struct Counter {
   void add(std::uint64_t n = 1) { value += n; }
 };
 
-struct Gauge {
-  std::int64_t value = 0;
-  void set(std::int64_t v) { value = v; }
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -43,7 +43,6 @@ class MetricsRegistry {
   /// Get-or-create. References stay valid for the registry's lifetime;
   /// hot paths should retain them instead of re-looking-up by name.
   Counter& counter(std::string_view name, std::uint32_t label = kNoLabel);
-  Gauge& gauge(std::string_view name, std::uint32_t label = kNoLabel);
   sim::LogHistogram& histogram(std::string_view name,
                                std::uint32_t label = kNoLabel);
 
@@ -55,11 +54,9 @@ class MetricsRegistry {
   /// Read-side lookups (nullptr when absent or of a different kind).
   const Counter* find_counter(std::string_view name,
                               std::uint32_t label = kNoLabel) const;
-  const Gauge* find_gauge(std::string_view name,
-                          std::uint32_t label = kNoLabel) const;
   const sim::LogHistogram* find_histogram(std::string_view name,
                                           std::uint32_t label = kNoLabel) const;
-  /// Current value of a gauge or callback gauge (0 when absent).
+  /// Current value of a callback gauge (0 when absent).
   std::int64_t gauge_value(std::string_view name,
                            std::uint32_t label = kNoLabel) const;
 
@@ -74,7 +71,8 @@ class MetricsRegistry {
   std::string text() const;
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kCallbackGauge, kHistogram };
+  /// kCallback is a callback_gauge(), the one gauge kind.
+  enum class Kind : std::uint8_t { kCounter, kCallback, kHistogram };
 
   struct Key {
     std::string name;
@@ -88,7 +86,6 @@ class MetricsRegistry {
   struct Entry {
     Kind kind = Kind::kCounter;
     Counter counter;
-    Gauge gauge;
     std::function<std::int64_t()> callback;
     sim::LogHistogram histogram;
   };

@@ -53,69 +53,21 @@ sim::Task<int> Context::connect_qp(nic::QueuePair& qp, nic::AddressHandle dest) 
 
 sim::Task<> Context::destroy_qp(nic::QueuePair& qp) {
   // Pending ring entries reference the QP; submit them before it dies.
-  if (batching()) (void)co_await flush(qp);
+  if (!ring_.empty() && ring_qp_ == &qp) (void)co_await flush();
   co_await host_->kernel().destroy_qp(*core_, qp.qpn());
 }
 
-Context::SendRing* Context::find_ring(nic::QueuePair& qp) {
-  for (SendRing& r : rings_) {
-    if (r.qp == &qp) return &r;
-  }
-  return nullptr;
-}
-
-Context::SendRing& Context::ring(nic::QueuePair& qp) {
-  if (SendRing* r = find_ring(qp)) return *r;
-  rings_.push_back(SendRing{&qp, {}});
-  rings_.back().wrs.reserve(opts_.tx_batch);
-  return rings_.back();
-}
-
-sim::Task<int> Context::flush(nic::QueuePair& qp) {
-  SendRing* r = find_ring(qp);
-  if (r == nullptr || r->wrs.empty()) co_return 0;  // empty flush is free
-  // Move the ring out before suspending: the submit path can re-enter
-  // this context (and the rings_ vector may grow) while we are away.
-  std::vector<nic::SendWr> wrs = std::move(r->wrs);
-  r->wrs.clear();
+sim::Task<int> Context::flush() {
+  if (ring_.empty()) co_return 0;  // empty flush is free
+  // Move the ring out before suspending: another coroutine on this
+  // context may post into the ring while the crossing runs.
+  nic::QueuePair& qp = *ring_qp_;
+  std::vector<nic::SendWr> wrs = std::move(ring_);
+  ring_.clear();
+  ring_.reserve(opts_.tx_batch);
   std::vector<int> rcs(wrs.size(), 0);
-  const int rc = co_await host_->kernel().submit_send_batch(
-      *core_, opts_.tenant, qp, wrs, rcs);
-  for (int e : rcs) {
-    if (e != 0) ++deferred_errors_;
-  }
-  co_return rc;
-}
-
-sim::Task<int> Context::flush_all() {
-  int first = 0;
-  // Index loop: a flush suspends, and rings_ may grow while suspended.
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    nic::QueuePair* qp = rings_[i].qp;
-    if (rings_[i].wrs.empty()) continue;
-    const int rc = co_await flush(*qp);
-    if (first == 0) first = rc;
-  }
-  co_return first;
-}
-
-sim::Task<int> Context::flush_others(nic::QueuePair& keep) {
-  int first = 0;
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    nic::QueuePair* qp = rings_[i].qp;
-    if (qp == &keep || rings_[i].wrs.empty()) continue;
-    const int rc = co_await flush(*qp);
-    if (first == 0) first = rc;
-  }
-  co_return first;
-}
-
-std::uint32_t Context::pending() const {
-  std::uint32_t n = 0;
-  for (const SendRing& r : rings_) {
-    n += static_cast<std::uint32_t>(r.wrs.size());
-  }
-  return n;
+  co_return co_await host_->kernel().submit_send_batch(*core_, opts_.tenant,
+                                                       qp, wrs, rcs);
 }
 
 sim::Task<int> Context::post_send(nic::QueuePair& qp, nic::SendWr wr) {
@@ -149,12 +101,13 @@ sim::Task<int> Context::post_send(nic::QueuePair& qp, nic::SendWr wr) {
     co_return host_->nic().post_send(qp, std::move(wr));
   }
   if (batching()) {
-    // Gather into this QP's submission ring; a post to a different QP
-    // first closes the other rings' gather windows.
-    (void)co_await flush_others(qp);
-    SendRing& r = ring(qp);
-    r.wrs.push_back(std::move(wr));
-    if (r.wrs.size() >= opts_.tx_batch) co_return co_await flush(qp);
+    // A send to another QP first closes the ring's gather window. A flush
+    // suspends, and the ring may refill meanwhile, so flush until the ring
+    // is empty or holds this QP's sends.
+    while (!ring_.empty() && ring_qp_ != &qp) (void)co_await flush();
+    ring_qp_ = &qp;
+    ring_.push_back(std::move(wr));
+    if (ring_.size() >= opts_.tx_batch) co_return co_await flush();
     co_return 0;
   }
   co_return co_await host_->kernel().post_send(*core_, opts_.tenant, qp,
@@ -162,7 +115,7 @@ sim::Task<int> Context::post_send(nic::QueuePair& qp, nic::SendWr wr) {
 }
 
 sim::Task<int> Context::post_recv(nic::QueuePair& qp, nic::RecvWr wr) {
-  if (batching()) (void)co_await flush_all();  // a recv ends the gather
+  if (batching()) (void)co_await flush();  // a recv ends the gather
   ++dataplane_ops_;
   const os::CpuModel& m = core_->model();
   if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
@@ -179,7 +132,7 @@ sim::Task<int> Context::post_recv(nic::QueuePair& qp, nic::RecvWr wr) {
 
 sim::Task<int> Context::post_srq_recv(nic::SharedReceiveQueue& srq,
                                       nic::RecvWr wr) {
-  if (batching()) (void)co_await flush_all();
+  if (batching()) (void)co_await flush();
   ++dataplane_ops_;
   const os::CpuModel& m = core_->model();
   co_await core_->work(m.wqe_build, os::Work::kCompute);
@@ -202,7 +155,7 @@ sim::Task<int> Context::post_recv_burst(nic::QueuePair& qp,
     }
     co_return first;
   }
-  (void)co_await flush_all();  // a recv ends the gather
+  (void)co_await flush();  // a recv ends the gather
   dataplane_ops_ += wrs.size();
   const os::CpuModel& m = core_->model();
   if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
@@ -220,9 +173,9 @@ sim::Task<int> Context::post_recv_burst(nic::QueuePair& qp,
 
 sim::Task<std::size_t> Context::poll_cq(nic::CompletionQueue& cq,
                                         std::span<nic::Cqe> out) {
-  // Harvesting closes every gather window: whatever was posted must be
+  // Harvesting closes the gather window: whatever was posted must be
   // submitted before we look for its completions.
-  if (batching()) (void)co_await flush_all();
+  if (batching()) (void)co_await flush();
   if (opts_.mode == DataplaneMode::kCord && opts_.poll_via_kernel) {
     ++dataplane_ops_;
     co_return co_await host_->kernel().poll_cq(*core_, opts_.tenant, cq, out);

@@ -38,15 +38,14 @@ struct ContextOptions {
   /// paper's prototype lacks them on system A, which is what produces the
   /// bimodal small-message overhead of Fig. 5a.
   bool cord_inline_support = true;
-  /// CoRD only: maximum back-to-back sends gathered into a per-QP
-  /// submission ring before one batched kernel crossing flushes them
-  /// (io_uring-style; Kernel::submit_send_batch). 1 (the default) keeps
-  /// the classic one-syscall-per-op path, byte-identical to older builds.
-  /// With tx_batch > 1 a buffered post_send returns 0 immediately; its
-  /// real verdict is delivered at flush time (any verb that is not an
-  /// append to the same ring — a poll, a receive post, a flush(), or the
-  /// ring filling up). Deferred nonzero rcs are counted in
-  /// deferred_errors() and surfaced as the flush's return value.
+  /// CoRD only: maximum back-to-back sends to one QP gathered into the
+  /// context's submission ring before one batched kernel crossing flushes
+  /// them (io_uring-style; Kernel::submit_send_batch). 1 (the default)
+  /// keeps the classic one-syscall-per-op path, byte-identical to older
+  /// builds. With tx_batch > 1 a buffered post_send returns 0 immediately;
+  /// its real verdict is delivered at flush time (any verb that is not a
+  /// send to the ring's QP — a poll, a receive post, a send to another
+  /// QP, a flush(), or the ring filling up) as the flush's return value.
   std::uint32_t tx_batch = 1;
   os::TenantId tenant = 0;
 };
@@ -101,21 +100,18 @@ class Context {
   }
 
   // --- Batched submission (ContextOptions::tx_batch > 1, CoRD only) -----
-  /// Flush one QP's pending submission ring in a single kernel crossing.
-  /// Flushing an empty (or absent) ring is a strict no-op — no syscall is
-  /// charged and no policy runs. Returns the first nonzero per-WR rc.
-  sim::Task<int> flush(nic::QueuePair& qp);
-  /// Flush every pending ring (same no-op guarantee when none pend).
-  sim::Task<int> flush_all();
-  /// WRs currently gathered and not yet submitted, across all rings.
-  std::uint32_t pending() const;
+  /// Flush the submission ring in a single kernel crossing. Flushing an
+  /// empty ring is a strict no-op — no syscall is charged and no policy
+  /// runs. Returns the first nonzero per-WR rc.
+  sim::Task<int> flush();
+  /// WRs currently gathered and not yet submitted.
+  std::uint32_t pending() const {
+    return static_cast<std::uint32_t>(ring_.size());
+  }
   /// Post a burst of receives in one kernel crossing (CoRD batching); in
   /// bypass mode or with tx_batch == 1 it degrades to per-op posting.
   sim::Task<int> post_recv_burst(nic::QueuePair& qp,
                                  std::span<const nic::RecvWr> wrs);
-  /// Nonzero per-WR results observed at flush time (a buffered post_send
-  /// already returned 0 to its caller by then).
-  std::uint64_t deferred_errors() const { return deferred_errors_; }
 
   /// Busy-poll until one completion arrives (charges spin time — this is
   /// the polling pillar). Fails with kErrTimedOut after `timeout`.
@@ -134,27 +130,19 @@ class Context {
   }
 
  private:
-  /// One QP's gathered-but-unsubmitted sends (tx_batch > 1 only).
-  struct SendRing {
-    nic::QueuePair* qp = nullptr;
-    std::vector<nic::SendWr> wrs;
-  };
-
   bool batching() const {
     return opts_.mode == DataplaneMode::kCord && opts_.tx_batch > 1;
   }
-  SendRing& ring(nic::QueuePair& qp);
-  SendRing* find_ring(nic::QueuePair& qp);
-  /// Flush every pending ring except `keep` (a post to one QP ends every
-  /// other QP's gather window, preserving cross-QP ordering).
-  sim::Task<int> flush_others(nic::QueuePair& keep);
 
   os::Host* host_;
   os::Core* core_;
   ContextOptions opts_;
   std::uint64_t dataplane_ops_ = 0;
-  std::uint64_t deferred_errors_ = 0;
-  std::vector<SendRing> rings_;
+  /// The gathered-but-unsubmitted sends (tx_batch > 1 only), all to
+  /// ring_qp_: every verb but a send to ring_qp_ flushes the ring first,
+  /// so one ring serves every QP of the context.
+  nic::QueuePair* ring_qp_ = nullptr;
+  std::vector<nic::SendWr> ring_;
 };
 
 }  // namespace cord::verbs

@@ -140,7 +140,7 @@ class Pair {
             r, 2,
             verbs::Context(sys_.host(static_cast<std::size_t>(r)), 0,
                            sys_.options(verbs::DataplaneMode::kBypass)),
-            VerbsEndpoint::Config{4096, 16, 128});
+            VerbsEndpoint::Config{4096, 128});
       }
       testing::run_task(sys_.engine(), [](Ep& a, Ep& b) -> sim::Task<> {
         co_await a.setup();
@@ -449,7 +449,7 @@ TEST(Elision, SendSideChargesBetweenParkedReceiveStepsMatchReference) {
 
 // --- Scenario: metrics read while loops are parked ---------------------------
 // A callback reads rank 0's verb count or its core first (alternately), then
-// the other, then System::metrics() and host 0's proc_read("metrics"), while
+// the other, then System::metrics() by gauge and by its text dump, while
 // rank 0's receive loop is parked (the message comes 40 us later). Each
 // read catches the parked loop up on its own: the core and verb count equal
 // the reference's at that instant, and events plus replayed steps equal the
@@ -458,7 +458,7 @@ TEST(Elision, SendSideChargesBetweenParkedReceiveStepsMatchReference) {
 struct Reading {
   std::uint64_t work = 0;  // events + sim.polls_elided (the reference's events)
   std::int64_t sys_elided = 0;
-  std::int64_t host_elided = 0;
+  std::int64_t dump_elided = 0;
   CoreState core;
   bool operator==(const Reading& o) const {
     return work == o.work && core == o.core;
@@ -489,8 +489,7 @@ std::vector<Reading> read_while_parked(const std::vector<sim::Time>& reads,
     if (!ops_first) r.core.ops = p.ep(0).context().dataplane_ops();
     r.sys_elided = p.system().metrics().gauge_value("sim.polls_elided");
     r.work = e.events_processed() + static_cast<std::uint64_t>(r.sys_elided);
-    r.host_elided = metric_line(p.system().host(0).kernel().proc_read("metrics"),
-                                "sim.polls_elided");
+    r.dump_elided = metric_line(p.system().metrics().text(), "sim.polls_elided");
     out.push_back(r);
   };
   for (const sim::Time at : reads) {
@@ -523,9 +522,9 @@ TEST(Elision, MetricsReadWhileParkedMatchReference) {
     EXPECT_EQ(got, ref);
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(ref[i].sys_elided, 0) << i;
-      EXPECT_EQ(ref[i].host_elided, 0) << i;
+      EXPECT_EQ(ref[i].dump_elided, 0) << i;
       EXPECT_GT(got[i].sys_elided, 0) << i;
-      EXPECT_EQ(got[i].host_elided, got[i].sys_elided) << i;
+      EXPECT_EQ(got[i].dump_elided, got[i].sys_elided) << i;
     }
   }
 }
@@ -756,12 +755,9 @@ TEST(Elision, GaugesCountElidedPollsAndWakes) {
     EXPECT_GT(catchups, 0);
     EXPECT_GT(elided, 4 * catchups);
     EXPECT_EQ(elided, static_cast<std::int64_t>(sys.engine().polls_elided()));
+    EXPECT_EQ(wakes, static_cast<std::int64_t>(sys.engine().poll_wakes()));
     EXPECT_EQ(catchups, static_cast<std::int64_t>(sys.engine().poll_catchups()));
-    const trace::MetricsRegistry& host = sys.host(0).kernel().metrics();
-    EXPECT_EQ(host.gauge_value("sim.polls_elided"), elided);
-    EXPECT_EQ(host.gauge_value("sim.poll_wakes"), wakes);
-    EXPECT_EQ(host.gauge_value("sim.poll_catchups"), catchups);
-    const std::string dump = sys.host(0).kernel().proc_read("metrics");
+    const std::string dump = sys.metrics().text();
     EXPECT_NE(dump.find("sim.polls_elided"), std::string::npos);
     EXPECT_NE(dump.find("sim.poll_wakes"), std::string::npos);
     EXPECT_NE(dump.find("sim.poll_catchups"), std::string::npos);

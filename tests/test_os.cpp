@@ -501,11 +501,10 @@ TEST(Kernel, EmptyFlushIsAStrictNoOp) {
                       {.mode = verbs::DataplaneMode::kCord, .tx_batch = 8,
                        .tenant = 3});
     verbs::Context c1(*f.host1, 0, {.mode = verbs::DataplaneMode::kCord});
-    RcEndpoints e = co_await cord::testing::connect_rc(c0, c1);
+    (void)co_await cord::testing::connect_rc(c0, c1);
     const std::uint64_t before = f.host0->kernel().syscall_count();
     const sim::Time t0 = f.engine.now();
-    int rc = co_await c0.flush(*e.qp0);       // nothing pending
-    rc |= co_await c0.flush_all();            // still nothing
+    const int rc = co_await c0.flush();       // nothing pending
     if (rc != 0) throw std::runtime_error("empty flush must return 0");
     if (f.host0->kernel().syscall_count() != before)
       throw std::runtime_error("empty flush must not charge a syscall");
@@ -547,7 +546,7 @@ TEST(Kernel, RevokeFlipsBatchedVerdictToEperm) {
     auto send = [&](int& rc) -> sim::Task<> {
       int prc = co_await c0.post_send(
           *e.qp0, {.wr_id = 1, .sge = {uptr(src.data()), 64, smr->lkey}});
-      const int frc = co_await c0.flush(*e.qp0);
+      const int frc = co_await c0.flush();
       rc = prc != 0 ? prc : frc;
     };
     co_await send(rc1);  // the chain allows
@@ -591,7 +590,7 @@ TEST(Kernel, RateChangeFlipsBatchedVerdict) {
     auto send = [&](int& rc) -> sim::Task<> {
       int prc = co_await c0.post_send(
           *e.qp0, {.wr_id = 1, .sge = {uptr(src.data()), 64, smr->lkey}});
-      const int frc = co_await c0.flush(*e.qp0);
+      const int frc = co_await c0.flush();
       rc = prc != 0 ? prc : frc;
     };
     co_await send(rc1);  // burst covers it

@@ -827,13 +827,5 @@ TEST(Stats, Percentiles) {
   EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
 }
 
-TEST(Stats, ThroughputCounter) {
-  ThroughputCounter c;
-  c.start(us(0));
-  c.add(1'000'000);  // 1 MB over 1 ms -> 1 GB/s -> 8 Gbit/s
-  EXPECT_NEAR(c.per_second(ms(1)), 1e9, 1.0);
-  EXPECT_NEAR(c.gbit_per_sec(ms(1)), 8.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace cord::sim

@@ -119,21 +119,19 @@ TEST(LogHistogram, FixedMemoryAcrossWideRange) {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-TEST(MetricsRegistry, CounterGaugeHistogramRoundTrip) {
+TEST(MetricsRegistry, CounterHistogramRoundTrip) {
   trace::MetricsRegistry m;
   m.counter("ops", 1).add(3);
   m.counter("ops", 1).add();          // same entry
   m.counter("ops", 2).add(10);
-  m.gauge("depth").set(-4);
   m.histogram("lat", 1).add(100);
   EXPECT_EQ(m.find_counter("ops", 1)->value, 4u);
   EXPECT_EQ(m.find_counter("ops", 2)->value, 10u);
-  EXPECT_EQ(m.gauge_value("depth"), -4);
   EXPECT_EQ(m.find_histogram("lat", 1)->count(), 1u);
   EXPECT_EQ(m.find_counter("missing"), nullptr);
   EXPECT_EQ(m.find_counter("ops", 3), nullptr);
   // Kind mismatch is a programming error.
-  EXPECT_THROW(m.gauge("ops", 1), std::logic_error);
+  EXPECT_THROW(m.histogram("ops", 1), std::logic_error);
 }
 
 TEST(MetricsRegistry, LabelsSortedAndCallbackGauge) {
@@ -155,7 +153,7 @@ TEST(MetricsRegistry, LabelsSortedAndCallbackGauge) {
   EXPECT_EQ(m.gauge_value("live"), 42);
 }
 
-TEST(MetricsRegistry, TextAndCsvAreDeterministic) {
+TEST(MetricsRegistry, TextIsDeterministic) {
   trace::MetricsRegistry m;
   m.counter("b.ops", 2).add(5);
   m.counter("a.ops").add(1);
@@ -413,23 +411,6 @@ TEST(PointNames, RoundTripEveryPoint) {
   EXPECT_EQ(trace::point_from_name(""), trace::Point::kCount);
 }
 
-TEST(ExportRoundTrip, CsvIsByteExact) {
-  const auto cfg = core::system_l();
-  const auto r =
-      perftest::run_latency(cfg, traced_params(verbs::DataplaneMode::kCord, 5));
-  ASSERT_FALSE(r.trace.empty());
-  const std::string csv = trace::records_csv(r.trace);
-  ASSERT_FALSE(csv.empty());
-  const std::vector<trace::Record> parsed = trace::parse_records_csv(csv);
-  ASSERT_EQ(parsed.size(), r.trace.size());
-  // Field-exact: the 40-byte PODs memcmp equal...
-  EXPECT_EQ(std::memcmp(parsed.data(), r.trace.data(),
-                        parsed.size() * sizeof(trace::Record)),
-            0);
-  // ...and re-exporting reproduces the identical bytes.
-  EXPECT_EQ(trace::records_csv(parsed), csv);
-}
-
 TEST(ExportRoundTrip, ChromeJsonIsByteExact) {
   const auto cfg = core::system_l();
   const auto r =
@@ -447,19 +428,6 @@ TEST(ExportRoundTrip, ChromeJsonIsByteExact) {
 }
 
 TEST(ExportRoundTrip, ParsersSkipJunkLines) {
-  const std::string csv =
-      "t_ps,dur_ps,point,span,qpn,tenant,node,arg,aux\n"
-      "garbage line\n"
-      "100,5,wire-tx,1,256,2,0,64,0\n"
-      "100,5,no-such-point,1,256,2,0,64,0\n"
-      "100,5,wire-tx,1,256,2,999,64,0\n"  // node > 0xFF
-      "\n";
-  const auto parsed = trace::parse_records_csv(csv);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].t, 100);
-  EXPECT_EQ(parsed[0].dur, 5);
-  EXPECT_EQ(parsed[0].point, trace::Point::kWireTx);
-  EXPECT_EQ(parsed[0].qpn, 256u);
   EXPECT_EQ(trace::parse_chrome_trace("{\"traceEvents\":[]}").size(), 0u);
   EXPECT_EQ(trace::parse_chrome_trace("not json at all").size(), 0u);
 }
@@ -562,22 +530,28 @@ TEST(SystemMetrics, QueueGaugesMirrorEngineStats) {
   // Before any load: the gauge exists and reads zero.
   EXPECT_EQ(sys.metrics().gauge_value("engine.queue_peak_depth"), 0);
   int fired = 0;
+  std::int64_t depth_at_first = -1;
   for (int i = 0; i < 5000; ++i) {
-    sys.engine().call_at(sim::ns(10 + i * 5), [&fired] { ++fired; });
+    sys.engine().call_at(sim::ns(10 + i * 5), [&sys, &fired, &depth_at_first] {
+      if (fired++ == 0) {
+        depth_at_first = sys.metrics().gauge_value("engine.queue_depth");
+      }
+    });
   }
   sys.engine().run();
   EXPECT_EQ(fired, 5000);
+  EXPECT_EQ(depth_at_first, 4999);  // live: the other events still queued
   EXPECT_EQ(sys.metrics().gauge_value("engine.queue_peak_depth"), 5000);
-  // The same stats surface per host through the kernel's /proc-style
-  // metrics read — the Kernel::proc_read("metrics") observability path.
-  const std::string dump = sys.host(0).kernel().proc_read("metrics");
-  EXPECT_NE(dump.find("engine.queue_depth"), std::string::npos);
-  EXPECT_NE(dump.find("engine.queue_peak_depth"), std::string::npos);
-  EXPECT_EQ(
-      sys.host(0).kernel().metrics().gauge_value("engine.queue_peak_depth"),
-      5000);
-  EXPECT_EQ(sys.host(0).kernel().metrics().gauge_value("engine.queue_depth"),
-            0);
+  EXPECT_EQ(sys.metrics().gauge_value("engine.queue_depth"), 0);
+  const std::string dump = sys.metrics().text();
+  EXPECT_NE(dump.find("engine.queue_depth 0\n"), std::string::npos);
+  EXPECT_NE(dump.find("engine.queue_peak_depth 5000\n"), std::string::npos);
+  // The engine is the System's, so no host kernel registers its gauges.
+  for (std::size_t h = 0; h < sys.host_count(); ++h) {
+    const std::string host = sys.host(h).kernel().proc_read("metrics");
+    EXPECT_EQ(host.find("engine."), std::string::npos) << host;
+    EXPECT_EQ(host.find("sim."), std::string::npos) << host;
+  }
 }
 
 TEST(SystemMetrics, NicGaugesMirrorDoorbellAndBurstCounters) {

@@ -1,17 +1,17 @@
 // cord-inspect — offline causal-latency analysis of exported traces.
 //
-// Reads a trace artifact (the CSV from write_records_csv or the Chrome
-// trace-event JSON from write_chrome_trace — the format is sniffed, not
-// told) and prints the same causal surfaces the kernel exposes through
+// Reads a trace (the Chrome trace-event JSON from write_chrome_trace) and
+// prints the same causal surfaces the kernel exposes through
 // proc_read("latency"/"critpath"): e2e percentiles, the per-stage
 // share/queue table, the critical-path summary, and the slowest spans'
-// full waterfalls. An optional metrics dump (MetricsRegistry::text())
-// adds an infrastructure summary — engine-queue health (depth, peak) and
-// the NIC doorbell/burst pipeline — so one command answers both "where
-// did the time go" and "what was the machinery doing".
+// full waterfalls. An optional metrics dump (the MetricsRegistry::text()
+// of core::System::metrics()) adds an infrastructure summary — engine-queue
+// health (depth, peak), idle-poll elision and the NIC doorbell/burst
+// pipeline — so one command answers both "where did the time go" and
+// "what was the machinery doing".
 //
 // Usage:
-//   cord-inspect <trace.csv|trace.json> [metrics.txt]
+//   cord-inspect <trace.json> [metrics.txt]
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -35,22 +35,13 @@ bool read_file(const char* path, std::string& out) {
   return true;
 }
 
-/// First non-whitespace byte decides the format: '{' or '[' is the Chrome
-/// JSON exporter, anything else is the records CSV.
-bool looks_like_json(const std::string& text) {
-  for (char c : text) {
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') continue;
-    return c == '{' || c == '[';
-  }
-  return false;
-}
-
 /// Print the infrastructure lines of a MetricsRegistry::text() dump:
-/// engine-queue health, NIC doorbell/burst counters, and causal gauges.
-/// Lines look like "name value" or "name{tenant=N} value".
+/// engine-queue health, idle-poll elision, NIC doorbell/burst counters,
+/// and causal gauges. Lines look like "name value" or
+/// "name{tenant=N} value".
 void print_machinery(const std::string& metrics_text) {
-  static constexpr const char* kPrefixes[] = {"engine.", "nic.", "causal.",
-                                              "kernel.watchdog"};
+  static constexpr const char* kPrefixes[] = {"engine.", "sim.", "nic.",
+                                              "causal."};
   std::printf("machinery (from metrics dump):\n");
   std::size_t pos = 0;
   std::size_t shown = 0;
@@ -68,15 +59,16 @@ void print_machinery(const std::string& metrics_text) {
       }
     }
   }
-  if (shown == 0) std::printf("  (no engine./nic./causal. metrics found)\n");
+  if (shown == 0) {
+    std::printf("  (no engine./sim./nic./causal. metrics found)\n");
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2 || argc > 3) {
-    std::fprintf(stderr, "usage: %s <trace.csv|trace.json> [metrics.txt]\n",
-                 argv[0]);
+    std::fprintf(stderr, "usage: %s <trace.json> [metrics.txt]\n", argv[0]);
     return 2;
   }
   std::string text;
@@ -84,21 +76,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cord-inspect: cannot read %s\n", argv[1]);
     return 2;
   }
-  const bool json = looks_like_json(text);
-  const std::vector<trace::Record> records =
-      json ? trace::parse_chrome_trace(text) : trace::parse_records_csv(text);
+  const std::vector<trace::Record> records = trace::parse_chrome_trace(text);
   if (records.empty()) {
-    std::fprintf(stderr, "cord-inspect: no trace records in %s (%s)\n",
-                 argv[1], json ? "chrome-json" : "csv");
+    std::fprintf(stderr, "cord-inspect: no trace records in %s\n", argv[1]);
     return 1;
   }
 
   trace::causal::Aggregator agg;
   agg.ingest(records);
 
-  std::printf("trace: %s (%s, %zu records, %llu completed spans, %zu "
+  std::printf("trace: %s (%zu records, %llu completed spans, %zu "
               "incomplete)\n\n",
-              argv[1], json ? "chrome-json" : "csv", records.size(),
+              argv[1], records.size(),
               static_cast<unsigned long long>(agg.spans()),
               agg.pending_spans());
   std::printf("%s\n", agg.latency_report().c_str());
