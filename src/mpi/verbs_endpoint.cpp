@@ -52,8 +52,6 @@ sim::Task<> VerbsEndpoint::wire(VerbsEndpoint& a, VerbsEndpoint& b) {
   if (rc != 0) throw std::runtime_error("wire: connect b failed");
   a.qps_[b.rank_] = qa;
   b.qps_[a.rank_] = qb;
-  a.qpn_to_peer_[qa->qpn()] = b.rank_;
-  b.qpn_to_peer_[qb->qpn()] = a.rank_;
 }
 
 sim::Task<std::uint32_t> VerbsEndpoint::acquire_slot() {
@@ -114,7 +112,7 @@ sim::Task<> VerbsEndpoint::send(int dst, int tag, std::span<const std::byte> dat
     co_return;
   }
   if (data.size() <= cfg_.eager_threshold) {
-    WireHeader hdr{kKindEager, tag, data.size(), 0, 0, 0, 0};
+    WireHeader hdr{kKindEager, tag, data.size(), 0, 0, 0, rank_};
     co_await post_slot_message(dst, hdr, data);
     co_return;
   }
@@ -122,7 +120,8 @@ sim::Task<> VerbsEndpoint::send(int dst, int tag, std::span<const std::byte> dat
   const nic::MemoryRegion* mr = co_await get_mr(data.data(), data.size());
   const std::uint64_t cookie = next_cookie_++;
   awaiting_fin_.insert(cookie);
-  WireHeader hdr{kKindRts, tag, data.size(), cookie, uptr(data.data()), mr->rkey, 0};
+  WireHeader hdr{kKindRts, tag, data.size(), cookie, uptr(data.data()),
+                 mr->rkey, rank_};
   co_await post_slot_message(dst, hdr, {});
   co_await progress_until([&] { return !awaiting_fin_.contains(cookie); },
                           "rendezvous FIN");
@@ -148,7 +147,7 @@ sim::Task<> VerbsEndpoint::flush_deferred_fins() {
   while (!deferred_fins_.empty() && !free_slots_.empty()) {
     const DeferredFin fin = deferred_fins_.front();
     deferred_fins_.pop_front();
-    WireHeader hdr{kKindFin, 0, 0, fin.cookie, 0, 0, 0};
+    WireHeader hdr{kKindFin, 0, 0, fin.cookie, 0, 0, rank_};
     co_await post_slot_message(fin.dst, hdr, {});
   }
 }
@@ -209,9 +208,12 @@ sim::Task<bool> VerbsEndpoint::finish_progress(bool poll_recv) {
     const std::byte* buf = recv_slot(slot);
     WireHeader hdr;
     std::memcpy(&hdr, buf, sizeof(WireHeader));
-    const auto peer_it = qpn_to_peer_.find(c.qp_num);
-    if (peer_it == qpn_to_peer_.end()) throw std::runtime_error("unknown QP");
-    const int src = peer_it->second;
+    // The header names the sender; its QP to us must be the CQE's.
+    const int src = hdr.src;
+    if (src < 0 || src >= world_size_ || qps_[src] == nullptr ||
+        qps_[src]->qpn() != c.qp_num) {
+      throw std::runtime_error("unknown QP");
+    }
     switch (hdr.kind) {
       case kKindEager:
         deliver_eager(src, hdr.tag,

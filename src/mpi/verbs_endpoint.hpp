@@ -55,7 +55,7 @@ class VerbsEndpoint : public Endpoint {
     std::uint64_t cookie = 0;
     std::uint64_t addr = 0;
     std::uint32_t rkey = 0;
-    std::uint32_t pad = 0;
+    std::int32_t src = 0;  // sender rank, checked against the CQE's QP
   };
   static constexpr std::uint32_t kKindEager = 0;
   static constexpr std::uint32_t kKindRts = 1;
@@ -109,8 +109,7 @@ class VerbsEndpoint : public Endpoint {
   nic::CompletionQueue* scq_ = nullptr;
   nic::CompletionQueue* rcq_ = nullptr;
   nic::SharedReceiveQueue* srq_ = nullptr;
-  std::vector<nic::QueuePair*> qps_;          // by peer rank
-  std::map<std::uint32_t, int> qpn_to_peer_;  // local qpn -> peer rank
+  std::vector<nic::QueuePair*> qps_;  // by peer rank
 
   std::vector<std::byte> send_arena_;
   std::vector<std::byte> recv_arena_;

@@ -7,7 +7,9 @@
 // published per-class operation counts; `verify` mode runs real
 // arithmetic where practical (EP's Gaussian deviates, IS's full
 // distributed sort) and data-integrity/invariant checks everywhere else.
-// See DESIGN.md §8 for the documented approximations.
+// Only `verify` mode generates IS's keys; a timed run sends the same
+// counts of unfilled keys. See DESIGN.md §9 for the documented
+// approximations.
 //
 // Communication-intensity summary (drives the Fig. 6 shape):
 //   EP — almost none (3 small allreduces at the end);

@@ -123,7 +123,6 @@ const Kernel::TenantMetrics& Kernel::tenant_metrics(TenantId tenant) {
     tm.polls = &metrics_.counter("kernel.tenant.polls", tenant);
     tm.tx_bytes = &metrics_.counter("kernel.tenant.tx_bytes", tenant);
     tm.completions = &metrics_.counter("kernel.tenant.completions", tenant);
-    tm.crossings = &metrics_.counter("kernel.tenant.crossings", tenant);
     tm.syscall_ns = &metrics_.histogram("kernel.tenant.syscall_ns", tenant);
   }
   return tm;
@@ -227,7 +226,6 @@ sim::Task<int> Kernel::send_crossing(Core& core, TenantId tenant,
   // Copy of the handle struct: tenant_metrics_ may reallocate while this
   // coroutine is suspended, but the pointed-to registry entries are stable.
   const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
   tm.post_sends->add(n);
   trace::Tracer* tr = engine_->tracer();
   // Every WR runs the full chain. A denied WR's errno goes straight into
@@ -291,7 +289,6 @@ sim::Task<int> Kernel::recv_crossing(Core& core, TenantId tenant,
   const sim::Time t0 = engine_->now();
   const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
   const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
   tm.post_recvs->add(n);
   trace::Tracer* tr = engine_->tracer();
   sim::Time cpu = static_cast<sim::Time>(n) * cfg_.cord_post_work;
@@ -353,7 +350,6 @@ sim::Task<std::size_t> Kernel::poll_cq(Core& core, TenantId tenant,
   const sim::Time t0 = engine_->now();
   const std::uint8_t node = static_cast<std::uint8_t>(nic_->node());
   const TenantMetrics tm = tenant_metrics(tenant);
-  tm.crossings->add();
   tm.polls->add();
   trace::Tracer* tr = engine_->tracer();
   if (tr != nullptr) [[unlikely]] {

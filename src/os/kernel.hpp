@@ -195,7 +195,6 @@ class Kernel {
     trace::Counter* polls = nullptr;
     trace::Counter* tx_bytes = nullptr;
     trace::Counter* completions = nullptr;
-    trace::Counter* crossings = nullptr;
     sim::LogHistogram* syscall_ns = nullptr;
   };
   /// Dense by tenant id (tenants are small integers in this repo).

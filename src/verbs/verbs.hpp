@@ -50,10 +50,6 @@ struct ContextOptions {
   os::TenantId tenant = 0;
 };
 
-/// Error returned by wait_* helpers when nothing completes within the
-/// virtual-time timeout (indicates a deadlocked workload).
-inline constexpr int kErrTimedOut = -110;  // ETIMEDOUT
-
 class Context {
  public:
   Context(os::Host& host, std::size_t core_idx, ContextOptions opts = {})
@@ -114,11 +110,13 @@ class Context {
                                  std::span<const nic::RecvWr> wrs);
 
   /// Busy-poll until one completion arrives (charges spin time — this is
-  /// the polling pillar). Fails with kErrTimedOut after `timeout`.
+  /// the polling pillar). Throws std::runtime_error when nothing completes
+  /// within `timeout` of virtual time (a deadlocked workload).
   sim::Task<nic::Cqe> wait_one(nic::CompletionQueue& cq,
                                sim::Time timeout = sim::sec(30));
   /// Interrupt-driven completion wait (the "polling removed" path):
-  /// arm the CQ, sleep, get woken by the IRQ, then harvest.
+  /// arm the CQ, sleep, get woken by the IRQ, then harvest. Times out as
+  /// wait_one does.
   sim::Task<nic::Cqe> wait_one_event(nic::CompletionQueue& cq,
                                      sim::Time timeout = sim::sec(30));
 
