@@ -14,12 +14,13 @@
 
 namespace {
 
+using cord::perftest::ConnMode;
 using cord::perftest::NoisyParams;
 using cord::perftest::NoisyResult;
 using cord::perftest::ScaleParams;
 using cord::perftest::ScaleResult;
 
-ScaleResult scale_point(std::size_t connections, cord::os::ConnMode mode) {
+ScaleResult scale_point(std::size_t connections, ConnMode mode) {
   ScaleParams p;
   p.connections = connections;
   p.conn_mode = mode;
@@ -37,13 +38,13 @@ int main(int argc, char** argv) {
   const std::string out = argc > 1 ? argv[1] : "BENCH_tenancy.json";
 
   // --- Connection-scale sweep: exclusive mode over the cliff ------------
-  const ScaleResult e1k = scale_point(1024, cord::os::ConnMode::kExclusive);
-  const ScaleResult e4k = scale_point(4096, cord::os::ConnMode::kExclusive);
-  const ScaleResult e16k = scale_point(16384, cord::os::ConnMode::kExclusive);
+  const ScaleResult e1k = scale_point(1024, ConnMode::kExclusive);
+  const ScaleResult e4k = scale_point(4096, ConnMode::kExclusive);
+  const ScaleResult e16k = scale_point(16384, ConnMode::kExclusive);
   const double cliff_ratio = e16k.avg_us / e1k.avg_us;
 
   // --- Shared mode at a million logical connections ---------------------
-  const ScaleResult s1m = scale_point(1000000, cord::os::ConnMode::kShared);
+  const ScaleResult s1m = scale_point(1000000, ConnMode::kShared);
 
   // --- Noisy neighbor: bypass vs CoRD + isolation chain -----------------
   NoisyParams np;  // defaults: 4 victims, 768 attacker QPs, 512-entry caches

@@ -19,7 +19,6 @@ SystemConfig system_l() {
   c.cpu.syscall_crossing = sim::ns(180);
   c.cpu.memcpy_bandwidth = sim::Bandwidth::gbyte_per_sec(7.5);
 
-  c.kernel = os::KernelConfig{};
   c.cord_inline_support = true;
   c.cord_poll_via_kernel = true;
   return c;
@@ -57,7 +56,6 @@ SystemConfig system_a() {
   c.cpu.syscall_jitter = 0.30; // noisy neighbours, hypervisor scheduling
   c.cpu.memcpy_bandwidth = sim::Bandwidth::gbyte_per_sec(12.0);
 
-  c.kernel = os::KernelConfig{};
   c.cord_inline_support = false;  // the paper's prototype gap on system A
   c.cord_poll_via_kernel = true;
   return c;
@@ -79,7 +77,7 @@ System::System(SystemConfig cfg, std::size_t host_count)
   for (std::size_t i = 0; i < host_count; ++i) {
     hosts_.push_back(std::make_unique<os::Host>(
         engine_, network_, registry_, static_cast<nic::NodeId>(i), cfg_.nic,
-        cfg_.cpu, cfg_.kernel));
+        cfg_.cpu));
   }
   // Engine-health gauges, read live (no per-event bookkeeping). The clamp
   // gauge counts events scheduled into the past and clamped to now() — a
@@ -110,10 +108,9 @@ System::System(SystemConfig cfg, std::size_t host_count)
   metrics_.callback_gauge("sim.poll_catchups", [this] {
     return static_cast<std::int64_t>(engine_.poll_catchups());
   });
-  // System-wide NIC doorbell/burst totals, summed over hosts at read
-  // time: each Kernel exposes its own host's counts through
-  // proc_read("metrics"), so fleet-level dashboards don't have to crawl
-  // every host.
+  // NIC doorbell/burst/segment totals, summed over hosts at read time.
+  // This is the only registry of these names; one host's counts are its
+  // Nic::counters().
   const auto nic_sum = [this](std::uint64_t nic::NicCounters::*field) {
     std::int64_t total = 0;
     for (const auto& h : hosts_) {

@@ -39,7 +39,6 @@ struct SystemConfig {
   sim::Time loopback_delay = sim::ns(150);
   nic::NicConfig nic;
   os::CpuModel cpu;
-  os::KernelConfig kernel;
   /// Whether this system's CoRD prototype supports inline sends.
   bool cord_inline_support = true;
   /// Default for routing poll_cq through the kernel in CoRD mode.

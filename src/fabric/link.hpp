@@ -47,11 +47,6 @@ class Link {
         bandwidth_(bw),
         propagation_(propagation) {}
 
-  NodeId a() const { return a_; }
-  NodeId b() const { return b_; }
-  sim::Time propagation() const { return propagation_; }
-  sim::Bandwidth bandwidth() const { return bandwidth_; }
-
   sim::Resource* tx_from(NodeId src) {
     if (src == a_) return &a_to_b_;
     if (src == b_) return &b_to_a_;

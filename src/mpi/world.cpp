@@ -49,7 +49,7 @@ sim::Task<> World::setup_verbs() {
     verbs::Context ctx(host, static_cast<std::size_t>(core_idx), opts);
     auto ep = std::make_unique<VerbsEndpoint>(r, nranks_, std::move(ctx), ec);
     eps.push_back(ep.get());
-    ranks_.push_back(std::make_unique<Rank>(*this, r, std::move(ep)));
+    ranks_.push_back(std::make_unique<Rank>(r, std::move(ep)));
   }
   for (VerbsEndpoint* ep : eps) co_await ep->setup();
   for (int i = 0; i < nranks_; ++i) {
@@ -72,7 +72,7 @@ sim::Task<> World::setup_sockets() {
         static_cast<std::size_t>(local_core[h]++));
     auto ep = std::make_unique<SocketEndpoint>(r, nranks_, core, *stacks_[h]);
     eps.push_back(ep.get());
-    ranks_.push_back(std::make_unique<Rank>(*this, r, std::move(ep)));
+    ranks_.push_back(std::make_unique<Rank>(r, std::move(ep)));
   }
   for (int i = 0; i < nranks_; ++i) {
     for (int j = i + 1; j < nranks_; ++j) {

@@ -51,12 +51,9 @@ T apply_op(Op op, T a, T b) {
   return a;
 }
 
-class World;
-
 class Rank {
  public:
-  Rank(World& world, int id, std::unique_ptr<Endpoint> ep)
-      : world_(&world), id_(id), ep_(std::move(ep)) {}
+  Rank(int id, std::unique_ptr<Endpoint> ep) : id_(id), ep_(std::move(ep)) {}
 
   int id() const { return id_; }
   int size() const { return ep_->world_size(); }
@@ -108,7 +105,6 @@ class Rank {
   int coll_tag() { return kCollTagBase + (coll_seq_++ & 0xFFFFFF); }
   static constexpr int kCollTagBase = 1 << 28;
 
-  World* world_;
   int id_;
   std::unique_ptr<Endpoint> ep_;
   std::uint32_t coll_seq_ = 0;

@@ -554,8 +554,6 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
     }
     if (reliable) ctrl_complete(src, engine_->now(), src_qpn, meta_of(*wr));
   };
-  // A heap fallback would allocate once per message.
-  static_assert(sim::InlineFn::fits_inline<decltype(deliver)>);
   engine_->call_at(done, std::move(deliver));
 }
 

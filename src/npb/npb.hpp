@@ -45,7 +45,6 @@ struct RunConfig {
 
 struct Result {
   sim::Time elapsed = 0;
-  bool verified = false;
   /// Traffic actually emitted through the transport by all ranks.
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;

@@ -22,7 +22,6 @@ Result run(mpi::World& world, const RunConfig& cfg) {
   const internal::BodyContext ctx{cfg.cls, cfg.verify, cfg.iterations};
   const mpi::World::Traffic before = world.traffic();
   Result result;
-  result.verified = true;
   result.elapsed = world.run([&ctx, &cfg](mpi::Rank& r) -> sim::Task<> {
     switch (cfg.kernel) {
       case Kernel::kEP: co_await internal::ep_body(r, ctx); break;

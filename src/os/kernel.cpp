@@ -9,8 +9,8 @@
 
 namespace cord::os {
 
-Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
-    : engine_(&engine), nic_(&nic), cfg_(cfg) {
+Kernel::Kernel(sim::Engine& engine, nic::Nic& nic)
+    : engine_(&engine), nic_(&nic) {
   // Live views of the kernel's own counters — read-time callbacks, so the
   // hot path keeps plain integer increments.
   metrics_.callback_gauge("kernel.syscalls", [this] {
@@ -35,32 +35,10 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg)
     return static_cast<std::int64_t>(batch_max_wrs_);
   });
   // The engine is the System's, shared by every host, so its engine.* and
-  // sim.* gauges live once, in core::System::metrics().
+  // sim.* gauges live once, in core::System::metrics(), as do the NIC
+  // doorbell/burst/segment sums over hosts; one host's counts are its
+  // Nic::counters().
   //
-  // This host's NIC doorbell/burst pipeline: how many doorbells rang, how
-  // many posts they absorbed, and how many WQEs each drain event processed
-  // (see nic::NicCounters).
-  metrics_.callback_gauge("nic.doorbells", [this] {
-    return static_cast<std::int64_t>(nic_->counters().doorbells);
-  });
-  metrics_.callback_gauge("nic.doorbells_coalesced", [this] {
-    return static_cast<std::int64_t>(nic_->counters().doorbells_coalesced);
-  });
-  metrics_.callback_gauge("nic.sq_bursts", [this] {
-    return static_cast<std::int64_t>(nic_->counters().sq_bursts);
-  });
-  metrics_.callback_gauge("nic.sq_burst_wrs", [this] {
-    return static_cast<std::int64_t>(nic_->counters().sq_burst_wrs);
-  });
-  metrics_.callback_gauge("nic.sq_fused_batches", [this] {
-    return static_cast<std::int64_t>(nic_->counters().sq_fused_batches);
-  });
-  metrics_.callback_gauge("nic.seg_msgs", [this] {
-    return static_cast<std::int64_t>(nic_->counters().seg_msgs);
-  });
-  metrics_.callback_gauge("nic.seg_chunks", [this] {
-    return static_cast<std::int64_t>(nic_->counters().seg_chunks);
-  });
   // On-NIC context-cache health (ICM model, nic/icm.hpp). All zero while
   // the cache is unbounded (the default); under a bounded configuration
   // the miss/eviction rates are the first thing to read when a host's
@@ -131,12 +109,12 @@ const Kernel::TenantMetrics& Kernel::tenant_metrics(TenantId tenant) {
 sim::Task<> Kernel::ioctl(Core& core, sim::Time cmd_cost) {
   ++syscalls_;
   ++ops_serviced_;
-  const sim::Time cost = core.syscall_cost() + cfg_.ioctl_serialize + cmd_cost;
+  const sim::Time cost = core.syscall_cost() + kIoctlSerialize + cmd_cost;
   co_await core.work(cost, Work::kKernel);
 }
 
 sim::Task<nic::ProtectionDomainId> Kernel::alloc_pd(Core& core) {
-  co_await ioctl(core, cfg_.control_cmd);
+  co_await ioctl(core, kControlCmd);
   co_return nic_->alloc_pd();
 }
 
@@ -157,7 +135,7 @@ sim::Task<const nic::MemoryRegion*> Kernel::reg_mr(Core& core, TenantId tenant,
   // Registration also pins pages: charge a per-page cost on top of the
   // firmware command (page-table walk + pinning, ~120 ns/page).
   const auto pages = static_cast<sim::Time>((len + 4095) / 4096);
-  co_await ioctl(core, cfg_.control_cmd + pages * sim::ns(120) + v.cpu_cost);
+  co_await ioctl(core, kControlCmd + pages * sim::ns(120) + v.cpu_cost);
   if (v.pace_delay > 0) co_await core.idle(v.pace_delay);
   co_return &nic_->register_mr(pd, addr, len, access);
 }
@@ -166,14 +144,14 @@ sim::Task<bool> Kernel::dereg_mr(Core& core, TenantId tenant, std::uint32_t lkey
   const DataplaneOp op{DataplaneOp::Kind::kDeregMr, tenant, 0,
                        nic::Opcode::kSend, 0, 0};
   const PolicyVerdict v = policies_.evaluate(op, engine_->now());
-  co_await ioctl(core, cfg_.control_cmd + v.cpu_cost);
+  co_await ioctl(core, kControlCmd + v.cpu_cost);
   if (!v.allow) co_return false;
   co_return nic_->deregister_mr(lkey);
 }
 
 sim::Task<nic::CompletionQueue*> Kernel::create_cq(Core& core,
                                                    std::uint32_t capacity) {
-  co_await ioctl(core, cfg_.control_cmd);
+  co_await ioctl(core, kControlCmd);
   nic::CompletionQueue* cq = nic_->create_cq(capacity);
   // Install the interrupt path: an armed CQ receiving a completion raises
   // an IRQ; the kernel's handler wakes whoever sleeps on the CQ.
@@ -191,25 +169,25 @@ sim::Task<nic::CompletionQueue*> Kernel::create_cq(Core& core,
 }
 
 sim::Task<nic::QueuePair*> Kernel::create_qp(Core& core, const nic::QpConfig& cfg) {
-  co_await ioctl(core, cfg_.control_cmd);
+  co_await ioctl(core, kControlCmd);
   co_return nic_->create_qp(cfg);
 }
 
 sim::Task<nic::SharedReceiveQueue*> Kernel::create_srq(Core& core,
                                                        nic::ProtectionDomainId pd,
                                                        std::uint32_t capacity) {
-  co_await ioctl(core, cfg_.control_cmd);
+  co_await ioctl(core, kControlCmd);
   co_return nic_->create_srq(pd, capacity);
 }
 
 sim::Task<int> Kernel::modify_qp(Core& core, nic::QueuePair& qp,
                                  nic::QpState target, nic::AddressHandle dest) {
-  co_await ioctl(core, cfg_.control_cmd);
+  co_await ioctl(core, kControlCmd);
   co_return nic_->modify_qp(qp, target, dest);
 }
 
 sim::Task<> Kernel::destroy_qp(Core& core, std::uint32_t qpn) {
-  co_await ioctl(core, cfg_.control_cmd);
+  co_await ioctl(core, kControlCmd);
   nic_->destroy_qp(qpn);
 }
 
@@ -230,7 +208,7 @@ sim::Task<int> Kernel::send_crossing(Core& core, TenantId tenant,
   trace::Tracer* tr = engine_->tracer();
   // Every WR runs the full chain. A denied WR's errno goes straight into
   // rcs; 0 marks an admitted one until the NIC's rc replaces it.
-  sim::Time cpu = static_cast<sim::Time>(n) * cfg_.cord_post_work;
+  sim::Time cpu = static_cast<sim::Time>(n) * kCordPostWork;
   sim::Time pace = 0;
   bool admitted = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -291,7 +269,7 @@ sim::Task<int> Kernel::recv_crossing(Core& core, TenantId tenant,
   const TenantMetrics tm = tenant_metrics(tenant);
   tm.post_recvs->add(n);
   trace::Tracer* tr = engine_->tracer();
-  sim::Time cpu = static_cast<sim::Time>(n) * cfg_.cord_post_work;
+  sim::Time cpu = static_cast<sim::Time>(n) * kCordPostWork;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t bytes = wrs[i].sge.length;
     if (tr != nullptr) [[unlikely]] {
@@ -366,7 +344,7 @@ sim::Task<std::size_t> Kernel::poll_cq(Core& core, TenantId tenant,
   if (tr != nullptr && n > 0) [[unlikely]] {
     tr->record(trace::Point::kCqePoll, 0, cq.cqn(), tenant, node, n);
   }
-  co_await core.work(core.syscall_cost() + cfg_.cord_poll_work + v.cpu_cost +
+  co_await core.work(core.syscall_cost() + kCordPollWork + v.cpu_cost +
                          static_cast<sim::Time>(n) * core.model().poll_hit,
                      Work::kKernel);
   const sim::Time elapsed = engine_->now() - t0;

@@ -32,26 +32,13 @@
 
 namespace cord::os {
 
-struct KernelConfig {
-  /// Serialization + deserialization of ioctl argument structures.
-  sim::Time ioctl_serialize = sim::ns(350);
-  /// Firmware/command cost of creating or modifying a verbs object.
-  sim::Time control_cmd = sim::us(5);
-  /// Kernel-level driver work per CoRD post operation (on top of the
-  /// user-kernel crossing).
-  sim::Time cord_post_work = sim::ns(120);
-  /// Kernel-level driver work per CoRD poll operation.
-  sim::Time cord_poll_work = sim::ns(60);
-};
-
 class Kernel {
  public:
-  Kernel(sim::Engine& engine, nic::Nic& nic, KernelConfig cfg = {});
+  Kernel(sim::Engine& engine, nic::Nic& nic);
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
   nic::Nic& nic() { return *nic_; }
-  const KernelConfig& config() const { return cfg_; }
   PolicyChain& policies() { return policies_; }
 
   // --- Control plane (ioctl path; same for bypass and CoRD) ------------
@@ -197,6 +184,16 @@ class Kernel {
     trace::Counter* completions = nullptr;
     sim::LogHistogram* syscall_ns = nullptr;
   };
+  /// Serialization + deserialization of ioctl argument structures.
+  static constexpr sim::Time kIoctlSerialize = sim::ns(350);
+  /// Firmware/command cost of creating or modifying a verbs object.
+  static constexpr sim::Time kControlCmd = sim::us(5);
+  /// Kernel-level driver work per CoRD post operation (on top of the
+  /// user-kernel crossing).
+  static constexpr sim::Time kCordPostWork = sim::ns(120);
+  /// Kernel-level driver work per CoRD poll operation.
+  static constexpr sim::Time kCordPollWork = sim::ns(60);
+
   /// Dense by tenant id (tenants are small integers in this repo).
   const TenantMetrics& tenant_metrics(TenantId tenant);
   /// Full ioctl round trip: crossing + serialization + command.
@@ -229,7 +226,6 @@ class Kernel {
 
   sim::Engine* engine_;
   nic::Nic* nic_;
-  KernelConfig cfg_;
   PolicyChain policies_;
   std::map<std::uint32_t, std::unique_ptr<sim::Signal>> cq_signals_;
   std::uint64_t syscalls_ = 0;
@@ -252,12 +248,11 @@ class Kernel {
 class Host {
  public:
   Host(sim::Engine& engine, fabric::Network& network, nic::NicRegistry& registry,
-       nic::NodeId node, const nic::NicConfig& nic_cfg, const CpuModel& cpu,
-       KernelConfig kernel_cfg = {})
+       nic::NodeId node, const nic::NicConfig& nic_cfg, const CpuModel& cpu)
       : engine_(&engine),
         cpu_model_(cpu),
         nic_(engine, network, registry, node, nic_cfg),
-        kernel_(engine, nic_, kernel_cfg) {}
+        kernel_(engine, nic_) {}
 
   sim::Engine& engine() { return *engine_; }
   nic::Nic& nic() { return nic_; }

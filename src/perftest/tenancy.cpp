@@ -1,5 +1,6 @@
 #include "perftest/tenancy.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -21,9 +22,9 @@ verbs::DataplaneMode mode_of(bool cord) {
   return cord ? verbs::DataplaneMode::kCord : verbs::DataplaneMode::kBypass;
 }
 
-/// A connected RC QP pair, wired with direct NIC state transitions like
-/// ConnectionService::wire (out-of-band control plane: establishment cost
-/// is out of scope for these steady-state scenarios).
+/// A connected RC QP pair, wired with direct NIC state transitions
+/// (out-of-band control plane: establishment cost is out of scope for
+/// these steady-state scenarios).
 nic::QueuePair* link(os::Host& a, os::Host& b, nic::QpConfig qca,
                      nic::QpConfig qcb) {
   nic::QueuePair* qa = a.nic().create_qp(qca);
@@ -63,10 +64,31 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
   cfg.nic.icm_qp_capacity = p.icm_qp_capacity;
   cfg.nic.icm_mr_capacity = p.icm_mr_capacity;
   core::System sys(cfg);
+  os::Host& cli = sys.host(0);
+  os::Host& srv = sys.host(1);
 
-  os::ConnectionService cli(sys.host(0), p.conn_mode, p.shared_qp_pool);
-  os::ConnectionService srv(sys.host(1), p.conn_mode, p.shared_qp_pool);
-  os::ConnectionService::wire(cli, srv, p.connections);
+  // Each side's PD and its one CQ, then the physical QP pairs. Exclusive
+  // mode wires one pair per logical connection; shared mode wires the
+  // pool and maps connection c onto pair c % phys, so the NIC holds only
+  // the pool's contexts however many connections there are.
+  const nic::ProtectionDomainId pd_c = cli.nic().alloc_pd();
+  nic::CompletionQueue* cq_c = cli.nic().create_cq(4096);
+  const nic::ProtectionDomainId pd_s = srv.nic().alloc_pd();
+  nic::CompletionQueue* cq_s = srv.nic().create_cq(4096);
+  const std::size_t phys =
+      p.conn_mode == ConnMode::kShared
+          ? std::min<std::size_t>(std::max(p.shared_qp_pool, 1u), p.connections)
+          : p.connections;
+  std::vector<nic::QueuePair*> qps;
+  qps.reserve(phys);
+  for (std::size_t i = 0; i < phys; ++i) {
+    qps.push_back(link(cli, srv, {nic::QpType::kRC, pd_c, cq_c, cq_c},
+                       {nic::QpType::kRC, pd_s, cq_s, cq_s}));
+  }
+  std::vector<LogicalConn> conns(p.connections);
+  for (std::size_t c = 0; c < p.connections; ++c) {
+    conns[c] = LogicalConn{srv.node(), static_cast<std::uint32_t>(c % phys), 0};
+  }
 
   // One source MR per physical QP client-side: in exclusive mode the WQE
   // fetch then touches as many MR contexts as there are connections (the
@@ -75,19 +97,19 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
   std::vector<std::byte> src(p.msg_size, std::byte{0xA5});
   std::vector<std::byte> sink(p.msg_size, std::byte{0});
   std::vector<const nic::MemoryRegion*> mrs;
-  mrs.reserve(cli.physical_count());
-  for (std::size_t i = 0; i < cli.physical_count(); ++i) {
-    mrs.push_back(
-        &sys.host(0).nic().register_mr(cli.pd(), src.data(), src.size(), 0));
+  mrs.reserve(phys);
+  for (std::size_t i = 0; i < phys; ++i) {
+    mrs.push_back(&cli.nic().register_mr(pd_c, src.data(), src.size(), 0));
   }
-  const nic::MemoryRegion& sink_mr = sys.host(1).nic().register_mr(
-      srv.pd(), sink.data(), sink.size(),
+  const nic::MemoryRegion& sink_mr = srv.nic().register_mr(
+      pd_s, sink.data(), sink.size(),
       nic::kAccessLocalWrite | nic::kAccessRemoteWrite);
 
   ScaleResult result;
   result.latency_us.reserve(p.ops);
   sys.engine().spawn(
-      [](core::System& sys, os::ConnectionService& cli,
+      [](core::System& sys, std::vector<LogicalConn>& conns,
+         std::vector<nic::QueuePair*>& qps, nic::CompletionQueue& cq,
          std::vector<const nic::MemoryRegion*>& mrs,
          const nic::MemoryRegion& sink_mr, std::uintptr_t src_addr,
          std::uintptr_t sink_addr, const ScaleParams& p,
@@ -100,44 +122,43 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
         std::uint32_t outstanding = 0;
         while (done < p.ops) {
           while (outstanding < p.window && posted < p.ops) {
-            const auto c = static_cast<os::ConnectionService::ConnId>(
-                posted % p.connections);
-            nic::QueuePair& qp = cli.physical(c);
+            LogicalConn& lc = conns[posted % p.connections];
+            ++lc.ops;
             SendWr wr;
             wr.wr_id = posted;
             wr.opcode = nic::Opcode::kRdmaWrite;
             wr.sge = {src_addr, static_cast<std::uint32_t>(p.msg_size),
-                      mrs[cli.conn(c).phys]->lkey};
+                      mrs[lc.phys]->lkey};
             wr.remote_addr = sink_addr;
             wr.rkey = sink_mr.rkey;
             post_t[posted] = eng.now();
-            const int rc = co_await ctx.post_send(qp, std::move(wr));
+            const int rc = co_await ctx.post_send(*qps[lc.phys], std::move(wr));
             if (rc != 0) throw std::runtime_error("scale post_send failed");
             ++posted;
             ++outstanding;
           }
-          const Cqe wc = check(co_await ctx.wait_one(cli.cq()), "scale");
+          const Cqe wc = check(co_await ctx.wait_one(cq), "scale");
           result.latency_us.add(sim::to_us(eng.now() - post_t[wc.wr_id]));
           ++done;
           --outstanding;
         }
-      }(sys, cli, mrs, sink_mr, uptr(src.data()), uptr(sink.data()), p,
-        result));
+      }(sys, conns, qps, *cq_c, mrs, sink_mr, uptr(src.data()),
+        uptr(sink.data()), p, result));
   sys.engine().run();
 
   result.avg_us = result.latency_us.mean();
   result.p50_us = result.latency_us.percentile(50);
   result.p99_us = result.latency_us.percentile(99);
-  const nic::IcmCache::Stats qs = sys.host(0).nic().icm_qp_cache().stats();
-  const nic::IcmCache::Stats ms = sys.host(0).nic().icm_mr_cache().stats();
+  const nic::IcmCache::Stats qs = cli.nic().icm_qp_cache().stats();
+  const nic::IcmCache::Stats ms = cli.nic().icm_mr_cache().stats();
   result.icm_qp_hits = qs.hits;
   result.icm_qp_misses = qs.misses;
   result.icm_qp_evictions = qs.evictions;
   result.icm_mr_hits = ms.hits;
   result.icm_mr_misses = ms.misses;
   result.icm_mr_evictions = ms.evictions;
-  result.physical_qps = cli.physical_count();
-  result.conn_table_bytes = cli.conn_table_bytes();
+  result.physical_qps = phys;
+  result.conn_table_bytes = conns.size() * sizeof(LogicalConn);
   result.clamped_events = sys.engine().clamped_events();
   if (result.latency_us.count() == 0) {
     throw std::runtime_error("scale test produced no samples");

@@ -8,8 +8,9 @@
 //                         ICM cache (nic/icm.hpp) every doorbell and WQE
 //                         fetch pays a host-memory context fetch — the
 //                         connection-count latency cliff. Shared mode
-//                         (os/conn.hpp) bounds the context working set
-//                         (and host memory) with a fixed physical pool.
+//                         (DCT/RDMAvisor-style) multiplexes the logical
+//                         connections onto a fixed physical pool, which
+//                         bounds the context working set and host memory.
 //
 //   run_noisy_neighbor  — V victim tenants ping a quiet host while an
 //                         attacker tenant on the same NIC floods doorbells
@@ -22,16 +23,30 @@
 //                         attacker and restores the victims' tail latency.
 #pragma once
 
+#include <cstdint>
+
 #include "core/system.hpp"
-#include "os/conn.hpp"
 #include "sim/stats.hpp"
 
 namespace cord::perftest {
 
+/// Exclusive: one physical QP per logical connection (classic RC).
+/// Shared: logical connections map round-robin onto a bounded QP pool.
+enum class ConnMode : std::uint8_t { kExclusive, kShared };
+
+/// The entire per-connection state in shared mode: 16 bytes, so a million
+/// logical connections cost 16 MB of host memory and no NIC context
+/// beyond the fixed pool.
+struct LogicalConn {
+  nic::NodeId dst = 0;     ///< destination host
+  std::uint32_t phys = 0;  ///< index of the backing physical QP
+  std::uint64_t ops = 0;   ///< posts mapped through this connection
+};
+
 struct ScaleParams {
   /// Logical connections from client (host 0) to server (host 1).
   std::size_t connections = 1024;
-  os::ConnMode conn_mode = os::ConnMode::kExclusive;
+  ConnMode conn_mode = ConnMode::kExclusive;
   std::uint32_t shared_qp_pool = 64;
   /// On-NIC context-cache capacities (0 = unbounded, the model off).
   std::uint32_t icm_qp_capacity = 0;

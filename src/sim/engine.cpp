@@ -316,8 +316,9 @@ void Engine::bound_place(std::size_t i) {
 }
 
 std::vector<Engine::PollStorage>& Engine::poll_storage_cache() {
-  thread_local std::vector<PollStorage> cache;
-  return cache;
+  // Immortal, like the frame arena: an engine may outlive static storage.
+  static auto* cache = new std::vector<PollStorage>;
+  return *cache;
 }
 
 void Engine::take_poll_storage() {
@@ -355,8 +356,8 @@ void Engine::return_poll_storage() {
 }
 
 std::vector<Engine::Slab>& Engine::slab_cache() {
-  thread_local std::vector<Slab> cache;
-  return cache;
+  static auto* cache = new std::vector<Slab>;  // immortal, as above
+  return *cache;
 }
 
 Engine::FnSlot* Engine::grow_slots() {
@@ -399,7 +400,7 @@ Engine::~Engine() {
   };
   for (const Item& item : heap_.heap_items()) clear_parked(item);
   if (heap_.has_cached()) clear_parked(heap_.cached());
-  // Retire slabs (now guaranteed all-empty) to the thread-local cache
+  // Retire slabs (now guaranteed all-empty) to the process-wide cache
   // instead of freeing them; see slab_cache().
   auto& cache = slab_cache();
   std::size_t cached = 0;

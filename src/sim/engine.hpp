@@ -291,7 +291,7 @@ class Engine {
 
   /// Pooled parking space for one scheduled callback. Slots live in
   /// fixed-size slabs (stable addresses) and recycle via freelist; retired
-  /// slabs are cached per-thread across engine instances.
+  /// slabs are cached process-wide across engine instances.
   struct FnSlot {
     InlineFn fn;
     FnSlot* next_free = nullptr;
@@ -464,7 +464,7 @@ class Engine {
   static constexpr std::size_t kMaxNodes = std::size_t{1} << 16;
   static constexpr std::size_t kMaxDone = std::size_t{1} << 16;
 
-  /// The lanes' vectors, reserved once per thread and recycled across
+  /// The lanes' vectors, reserved once per process and recycled across
   /// engines like the FnSlot slabs. They never grow mid-run, so parking
   /// leaves the malloc heap the rest of the model sees untouched: the MPI
   /// registration cache keys on buffer addresses, and buffers that land
@@ -530,7 +530,7 @@ class Engine {
     std::size_t count = 0;
   };
 
-  /// Thread-local cache of retired slabs. The simulator is single-threaded
+  /// Process-wide cache of retired slabs. The simulator is single-threaded
   /// by design, and tests/benches construct thousands of short-lived
   /// engines; recycling slabs avoids a malloc/free pair per slab per
   /// engine — and, more importantly, stops glibc from trimming the freed
@@ -580,7 +580,7 @@ class Engine {
   // below glibc's 128 KiB mmap threshold (an over-threshold slab would be
   // served by mmap/munmap plus fresh page faults on every allocation).
   static constexpr std::size_t kMaxSlabSlots = 512;
-  // Upper bound on slots parked in the thread-local slab cache (~1 MiB).
+  // Upper bound on slots parked in the process-wide slab cache (~1 MiB).
   static constexpr std::size_t kMaxCachedSlots = 8192;
 
   EventHeap heap_;

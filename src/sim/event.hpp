@@ -19,8 +19,6 @@ class Latch {
   Latch(const Latch&) = delete;
   Latch& operator=(const Latch&) = delete;
 
-  bool triggered() const { return triggered_; }
-
   void trigger() {
     if (triggered_) return;
     triggered_ = true;

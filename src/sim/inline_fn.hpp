@@ -1,11 +1,11 @@
-// InlineFn: a move-only `void()` callable with a small-buffer optimisation
+// InlineFn: a move-only `void()` callable stored in a fixed inline buffer
 // sized for the simulator's hot paths. Every event the NIC schedules
 // (`Engine::call_at`) used to heap-allocate a `std::function` control
 // block; InlineFn stores captures up to `kCapacity` bytes inline in the
-// event-queue slot itself, so steady-state simulation performs zero
-// allocations per event. Callables larger than the buffer (or with
-// throwing moves) transparently fall back to the heap — correctness never
-// depends on fitting.
+// event-queue slot itself, so simulation performs zero allocations per
+// event. A callable that does not fit (or whose move may throw) is a
+// compile error, not a silent per-event allocation: simulated results
+// depend on malloc addresses through the MPI registration cache.
 //
 // Unlike `std::function`, InlineFn accepts move-only callables (captures
 // holding pooled work-request handles, unique_ptrs, moved-in buffers).
@@ -13,46 +13,41 @@
 
 #include <cstddef>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace cord::sim {
 
-template <std::size_t Capacity>
-class BasicInlineFn {
+class InlineFn {
  public:
-  static constexpr std::size_t kCapacity = Capacity;
+  /// 80 bytes covers every capture list on the NIC data plane (the
+  /// largest — the send-arrival delivery continuation — packs to exactly
+  /// 80 bytes with pooled work-request handles).
+  static constexpr std::size_t kCapacity = 80;
 
-  /// True when a callable of type F is stored inline (no allocation).
-  template <typename F>
-  static constexpr bool fits_inline =
-      sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
-      (std::is_nothrow_move_constructible_v<F> || std::is_trivially_copyable_v<F>);
-
-  BasicInlineFn() = default;
-  BasicInlineFn(std::nullptr_t) {}  // NOLINT(runtime/explicit)
+  InlineFn() = default;
+  InlineFn(std::nullptr_t) {}  // NOLINT(runtime/explicit)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, BasicInlineFn> &&
+                !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_v<std::decay_t<F>&>>>
-  BasicInlineFn(F&& f) {  // NOLINT(runtime/explicit)
+  InlineFn(F&& f) {  // NOLINT(runtime/explicit)
     emplace(std::forward<F>(f));
   }
 
-  BasicInlineFn(BasicInlineFn&& o) noexcept { move_from(o); }
-  BasicInlineFn& operator=(BasicInlineFn&& o) noexcept {
+  InlineFn(InlineFn&& o) noexcept { move_from(o); }
+  InlineFn& operator=(InlineFn&& o) noexcept {
     if (this != &o) {
       reset();
       move_from(o);
     }
     return *this;
   }
-  BasicInlineFn(const BasicInlineFn&) = delete;
-  BasicInlineFn& operator=(const BasicInlineFn&) = delete;
-  ~BasicInlineFn() { reset(); }
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
+  ~InlineFn() { reset(); }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
@@ -67,16 +62,12 @@ class BasicInlineFn {
   /// they are guaranteed null.
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, BasicInlineFn> &&
+                !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_v<std::decay_t<F>&>>>
   void assign(F&& f) {
     if (!trivial_state()) [[unlikely]] reset();
     emplace(std::forward<F>(f));
   }
-
-  /// True when the stored callable lives on the heap (over-capacity
-  /// fallback); exposed for tests and allocation accounting.
-  bool on_heap() const { return heap_; }
 
   /// Destroy the stored callable (if any) and become empty.
   void clear() noexcept { reset(); }
@@ -86,7 +77,7 @@ class BasicInlineFn {
   /// subsequent assign() may skip the reset. A stale invoke_ is harmless —
   /// emplace() always overwrites it.
   bool trivial_state() const {
-    return destroy_ == nullptr && relocate_ == nullptr && !heap_;
+    return destroy_ == nullptr && relocate_ == nullptr;
   }
 
  private:
@@ -100,49 +91,42 @@ class BasicInlineFn {
   template <typename F>
   void emplace(F&& f) {
     using D = std::decay_t<F>;
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
-      if constexpr (!std::is_trivially_copyable_v<D>) {
-        relocate_ = [](void* dst, void* src) noexcept {
-          D* s = std::launder(reinterpret_cast<D*>(src));
-          ::new (dst) D(std::move(*s));
-          s->~D();
-        };
-      }
-      if constexpr (!std::is_trivially_destructible_v<D>) {
-        destroy_ = [](void* p) noexcept {
-          std::launder(reinterpret_cast<D*>(p))->~D();
-        };
-      }
-    } else {
-      // Over-capacity fallback: the buffer holds only a pointer. The
-      // pointer itself is trivially relocatable, so relocate_ stays null.
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      heap_ = true;
-      invoke_ = [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); };
+    static_assert(sizeof(D) <= kCapacity &&
+                      alignof(D) <= alignof(std::max_align_t) &&
+                      (std::is_nothrow_move_constructible_v<D> ||
+                       std::is_trivially_copyable_v<D>),
+                  "callable does not fit InlineFn: shrink its captures "
+                  "(or raise kCapacity) and keep its move noexcept");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    invoke_ = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
+    if constexpr (!std::is_trivially_copyable_v<D>) {
+      relocate_ = [](void* dst, void* src) noexcept {
+        D* s = std::launder(reinterpret_cast<D*>(src));
+        ::new (dst) D(std::move(*s));
+        s->~D();
+      };
+    }
+    if constexpr (!std::is_trivially_destructible_v<D>) {
       destroy_ = [](void* p) noexcept {
-        delete *std::launder(reinterpret_cast<D**>(p));
+        std::launder(reinterpret_cast<D*>(p))->~D();
       };
     }
   }
 
-  void move_from(BasicInlineFn& o) noexcept {
+  void move_from(InlineFn& o) noexcept {
     invoke_ = o.invoke_;
     relocate_ = o.relocate_;
     destroy_ = o.destroy_;
-    heap_ = o.heap_;
     if (o.invoke_ != nullptr) {
       if (o.relocate_ != nullptr) {
         o.relocate_(buf_, o.buf_);
       } else {
-        std::memcpy(buf_, o.buf_, Capacity);
+        std::memcpy(buf_, o.buf_, kCapacity);
       }
     }
     o.invoke_ = nullptr;
     o.relocate_ = nullptr;
     o.destroy_ = nullptr;
-    o.heap_ = false;
   }
 
   void reset() noexcept {
@@ -150,19 +134,12 @@ class BasicInlineFn {
     invoke_ = nullptr;
     relocate_ = nullptr;
     destroy_ = nullptr;
-    heap_ = false;
   }
 
-  alignas(std::max_align_t) std::byte buf_[Capacity];
+  alignas(std::max_align_t) std::byte buf_[kCapacity];
   Invoke invoke_ = nullptr;
   Relocate relocate_ = nullptr;
   Destroy destroy_ = nullptr;
-  bool heap_ = false;
 };
-
-/// 80 bytes covers every capture list on the NIC data plane (the largest —
-/// the send-arrival delivery continuation — packs to exactly 80 bytes with
-/// pooled work-request handles).
-using InlineFn = BasicInlineFn<80>;
 
 }  // namespace cord::sim

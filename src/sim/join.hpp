@@ -20,8 +20,6 @@ class Joinable {
   Joinable(const Joinable&) = delete;
   Joinable& operator=(const Joinable&) = delete;
 
-  bool finished() const { return done_.triggered(); }
-
   /// Wait for the task to finish; rethrows its exception, if any.
   Task<> join() {
     co_await done_.wait();

@@ -27,9 +27,8 @@ constexpr Time us(std::int64_t v) { return v * kMicrosecond; }
 constexpr Time ms(std::int64_t v) { return v * kMillisecond; }
 constexpr Time sec(std::int64_t v) { return v * kSecond; }
 
-/// Fractional helpers (round to nearest picosecond).
+/// Fractional helper (rounds to the nearest picosecond).
 inline Time ns_d(double v) { return static_cast<Time>(std::llround(v * kNanosecond)); }
-inline Time us_d(double v) { return static_cast<Time>(std::llround(v * kMicrosecond)); }
 
 constexpr double to_ns(Time t) { return static_cast<double>(t) / kNanosecond; }
 constexpr double to_us(Time t) { return static_cast<double>(t) / kMicrosecond; }

@@ -5,9 +5,10 @@
 // kernel (and any policy) registers metrics here, and observers read them
 // through `Kernel::proc_read` without touching the application — the
 // paper's observability claim made concrete. Each fact has one registry:
-// a Kernel's holds its host's kernel.*, nic.* and policy metrics, and
+// a Kernel's holds its host's kernel.*, nic.icm.* and policy metrics, and
 // core::System::metrics() holds the one engine's engine.* and sim.*
-// gauges, the system-wide nic.* sums and the causal.* views.
+// gauges, the nic.* doorbell/burst/segment sums over hosts and the
+// causal.* views.
 //
 // Registration is a map lookup (cold path); updates go through retained
 // pointers (hot path: one increment). Entries live in a std::map, so

@@ -1,6 +1,6 @@
 // Tests for the allocation-free simulator fast path: event-queue
 // determinism (same-timestamp insertion order, past-time clamping),
-// InlineFn semantics (move-only captures, over-capacity heap fallback),
+// InlineFn semantics (move-only captures),
 // MrTable slot recycling, WrPool recycling, the coroutine frame arena,
 // and a perftest-shaped smoke
 // test pinned to exact pre-optimisation outputs (bit-for-bit: any change
@@ -95,7 +95,6 @@ TEST(InlineFn, MoveOnlyCaptureStaysInline) {
   auto p = std::make_unique<int>(7);
   sim::InlineFn fn([q = std::move(p)]() { *q += 1; });
   EXPECT_TRUE(static_cast<bool>(fn));
-  EXPECT_FALSE(fn.on_heap());
   sim::InlineFn moved = std::move(fn);
   EXPECT_FALSE(static_cast<bool>(fn));
   moved();
@@ -103,34 +102,13 @@ TEST(InlineFn, MoveOnlyCaptureStaysInline) {
   EXPECT_FALSE(static_cast<bool>(moved));
 }
 
-TEST(InlineFn, OverCapacityCaptureFallsBackToHeap) {
-  struct Big {
-    std::byte blob[sim::InlineFn::kCapacity + 64] = {};
-    int* out = nullptr;
-  };
-  static_assert(!sim::InlineFn::fits_inline<Big>);
-  int result = 0;
-  Big big;
-  big.out = &result;
-  sim::InlineFn fn([big]() { *big.out = 9; });
-  EXPECT_TRUE(fn.on_heap());
-  sim::InlineFn moved = std::move(fn);  // heap pointer relocates trivially
-  EXPECT_TRUE(moved.on_heap());
-  moved();
-  EXPECT_EQ(result, 9);
-}
-
-TEST(InlineFn, EngineRunsMoveOnlyAndOversizedCallbacks) {
+TEST(InlineFn, EngineRunsMoveOnlyCallbacks) {
   sim::Engine engine;
   int sum = 0;
   auto p = std::make_unique<int>(5);
   engine.call_in(sim::ns(1), [&sum, q = std::move(p)] { sum += *q; });
-  struct Fat {
-    std::byte pad[200];
-  };
-  engine.call_in(sim::ns(2), [&sum, fat = Fat{}] { sum += sizeof(fat); });
   engine.run();
-  EXPECT_EQ(sum, 205);
+  EXPECT_EQ(sum, 5);
 }
 
 // --- MrTable -----------------------------------------------------------

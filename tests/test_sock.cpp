@@ -130,7 +130,7 @@ TEST(Socket, PerNodeKernelPathIsSharedAcrossConnections) {
   // scaling linearly.
   // A 400 Gbit/s wire so the node's kernel path (not the link) binds.
   struct FastWireFixture : TwoHostFixture {
-    FastWireFixture() : TwoHostFixture({}, {}, {}, 400.0) {}
+    FastWireFixture() : TwoHostFixture({}, {}, 400.0) {}
     SocketStack stack0{*host0, network};
     SocketStack stack1{*host1, network};
   };

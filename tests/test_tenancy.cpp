@@ -135,7 +135,7 @@ TEST(NoisyNeighbor, ShapingIsDeterministicRunToRun) {
 TEST(ConnScale, SharedModeBoundsMemoryAndContexts) {
   ScaleParams p;
   p.connections = 200000;
-  p.conn_mode = os::ConnMode::kShared;
+  p.conn_mode = perftest::ConnMode::kShared;
   p.shared_qp_pool = 32;
   p.window = 8;
   p.ops = 1000;
@@ -143,7 +143,7 @@ TEST(ConnScale, SharedModeBoundsMemoryAndContexts) {
   p.icm_mr_capacity = 512;
   const ScaleResult r = perftest::run_conn_scale(core::system_l(), p);
   EXPECT_EQ(r.physical_qps, 32u) << "the pool, not the logical count";
-  EXPECT_EQ(r.conn_table_bytes, 200000u * sizeof(os::ConnectionService::LogicalConn))
+  EXPECT_EQ(r.conn_table_bytes, 200000u * sizeof(perftest::LogicalConn))
       << "16 B per logical connection";
   // The physical working set (32 QPs, 32 MRs) fits the cache: only cold
   // misses, no steady-state context thrash at 200k logical connections.
@@ -164,6 +164,8 @@ TEST(ConnScale, ExclusiveModeHitsTheContextCliff) {
   const core::SystemConfig cfg = core::system_l();
   const ScaleResult a = perftest::run_conn_scale(cfg, fits);
   const ScaleResult b = perftest::run_conn_scale(cfg, thrash);
+  EXPECT_EQ(a.physical_qps, 256u) << "one QP per logical connection";
+  EXPECT_EQ(a.conn_table_bytes, 256u * sizeof(perftest::LogicalConn));
   EXPECT_EQ(a.icm_qp_misses, 256u) << "cold misses only below capacity";
   EXPECT_EQ(a.icm_qp_evictions, 0u);
   EXPECT_GE(b.icm_qp_misses, static_cast<std::uint64_t>(0.9 * 4096))

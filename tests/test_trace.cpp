@@ -574,18 +574,25 @@ TEST(SystemMetrics, NicGaugesMirrorDoorbellAndBurstCounters) {
   EXPECT_EQ(sys.metrics().gauge_value("nic.seg_msgs"), 10);
   EXPECT_EQ(sys.metrics().gauge_value("nic.seg_chunks"), 10);
 
-  // Per-host mirror through the kernel's /proc-style metrics read: host 0
-  // did all the sending, host 1 none.
-  os::Kernel& k0 = sys.host(0).kernel();
-  const std::string dump = k0.proc_read("metrics");
-  for (const char* name :
-       {"nic.doorbells", "nic.doorbells_coalesced", "nic.sq_bursts",
-        "nic.sq_burst_wrs", "nic.sq_fused_batches", "nic.seg_msgs",
-        "nic.seg_chunks"}) {
-    EXPECT_NE(dump.find(name), std::string::npos) << name;
+  // Per-host counts are each NIC's own counters: host 0 did all the
+  // sending, host 1 none.
+  const nic::NicCounters& c0 = sys.host(0).nic().counters();
+  const nic::NicCounters& c1 = sys.host(1).nic().counters();
+  EXPECT_EQ(c0.doorbells, 10u);
+  EXPECT_EQ(c0.sq_burst_wrs, 10u);
+  EXPECT_EQ(c1.doorbells, 0u);
+  EXPECT_EQ(c1.sq_burst_wrs, 0u);
+  // The System is the names' only registry: no host kernel repeats them.
+  for (std::size_t h = 0; h < sys.host_count(); ++h) {
+    const std::string dump = sys.host(h).kernel().proc_read("metrics");
+    for (const char* name :
+         {"nic.doorbells", "nic.doorbells_coalesced", "nic.sq_bursts",
+          "nic.sq_burst_wrs", "nic.sq_fused_batches", "nic.seg_msgs",
+          "nic.seg_chunks"}) {
+      EXPECT_EQ(dump.find(name), std::string::npos)
+          << "host " << h << ": " << name;
+    }
   }
-  EXPECT_EQ(k0.metrics().gauge_value("nic.sq_burst_wrs"), 10);
-  EXPECT_EQ(sys.host(1).kernel().metrics().gauge_value("nic.sq_burst_wrs"), 0);
 }
 
 }  // namespace

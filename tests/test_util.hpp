@@ -44,15 +44,14 @@ struct TwoHostFixture {
   std::unique_ptr<os::Host> host1;
 
   explicit TwoHostFixture(os::CpuModel cpu = {}, nic::NicConfig nic_cfg = {},
-                          os::KernelConfig kernel_cfg = {},
                           double wire_gbps = 100.0) {
     network.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
     network.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
     network.connect(0, 1, sim::Bandwidth::gbit_per_sec(wire_gbps), sim::ns(150));
     host0 = std::make_unique<os::Host>(engine, network, registry, 0, nic_cfg,
-                                       cpu, kernel_cfg);
+                                       cpu);
     host1 = std::make_unique<os::Host>(engine, network, registry, 1, nic_cfg,
-                                       cpu, kernel_cfg);
+                                       cpu);
   }
 };
 
