@@ -79,7 +79,8 @@ BENCHMARK(BM_ScheduleDispatch_CausalIdle);
 /// micro_sim's BM_NicEndToEndMessage so numbers are comparable).
 struct SendFixture {
   sim::Engine engine;
-  fabric::Network net{engine};
+  fabric::Network net{engine, 2, sim::Bandwidth::gbit_per_sec(100.0),
+                      sim::ns(150)};
   nic::NicRegistry reg;
   nic::Nic n0{engine, net, reg, 0, {}};
   nic::Nic n1{engine, net, reg, 1, {}};
@@ -92,9 +93,6 @@ struct SendFixture {
   const nic::MemoryRegion* rmr = nullptr;
 
   SendFixture() {
-    net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-    net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-    net.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
     auto pd0 = n0.alloc_pd();
     auto pd1 = n1.alloc_pd();
     cq0 = n0.create_cq(1u << 20);

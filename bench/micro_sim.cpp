@@ -125,8 +125,8 @@ BENCHMARK(BM_MrTableCheckLocal);
 
 void BM_NicFindQp(benchmark::State& state) {
   sim::Engine engine;
-  fabric::Network net(engine);
-  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
+  fabric::Network net(engine, 1, sim::Bandwidth::gbit_per_sec(100.0),
+                      sim::ns(150));
   nic::NicRegistry reg;
   nic::Nic n0(engine, net, reg, 0, {});
   auto pd = n0.alloc_pd();
@@ -187,10 +187,8 @@ BENCHMARK(BM_ResourceReserve);
 
 void BM_NicEndToEndMessage(benchmark::State& state) {
   sim::Engine engine;
-  fabric::Network net(engine);
-  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
+  fabric::Network net(engine, 2, sim::Bandwidth::gbit_per_sec(100.0),
+                      sim::ns(150));
   nic::NicRegistry reg;
   nic::Nic n0(engine, net, reg, 0, {});
   nic::Nic n1(engine, net, reg, 1, {});
@@ -235,10 +233,8 @@ void BM_NicBurst(benchmark::State& state) {
   const auto bytes = static_cast<std::uint32_t>(state.range(1));
   const auto depth = static_cast<std::size_t>(state.range(2));
   sim::Engine engine;
-  fabric::Network net(engine);
-  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
+  fabric::Network net(engine, 2, sim::Bandwidth::gbit_per_sec(100.0),
+                      sim::ns(150));
   nic::NicRegistry reg;
   nic::Nic n0(engine, net, reg, 0, {});
   nic::Nic n1(engine, net, reg, 1, {});

@@ -62,18 +62,9 @@ SystemConfig system_a() {
 }
 
 System::System(SystemConfig cfg, std::size_t host_count)
-    : cfg_(std::move(cfg)), network_(engine_), tracer_(engine_) {
-  for (std::size_t i = 0; i < host_count; ++i) {
-    network_.add_node(static_cast<nic::NodeId>(i), cfg_.loopback_bandwidth,
-                      cfg_.loopback_delay);
-  }
-  for (std::size_t i = 0; i < host_count; ++i) {
-    for (std::size_t j = i + 1; j < host_count; ++j) {
-      network_.connect(static_cast<nic::NodeId>(i),
-                       static_cast<nic::NodeId>(j), cfg_.wire_bandwidth,
-                       cfg_.wire_propagation);
-    }
-  }
+    : cfg_(std::move(cfg)),
+      network_(engine_, host_count, cfg_.wire_bandwidth, cfg_.wire_propagation),
+      tracer_(engine_) {
   for (std::size_t i = 0; i < host_count; ++i) {
     hosts_.push_back(std::make_unique<os::Host>(
         engine_, network_, registry_, static_cast<nic::NodeId>(i), cfg_.nic,

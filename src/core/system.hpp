@@ -35,8 +35,6 @@ struct SystemConfig {
   std::string name;
   sim::Bandwidth wire_bandwidth = sim::Bandwidth::gbit_per_sec(100.0);
   sim::Time wire_propagation = sim::ns(150);
-  sim::Bandwidth loopback_bandwidth = sim::Bandwidth::gbit_per_sec(200.0);
-  sim::Time loopback_delay = sim::ns(150);
   nic::NicConfig nic;
   os::CpuModel cpu;
   /// Whether this system's CoRD prototype supports inline sends.

@@ -1,18 +1,17 @@
-// Fabric between NICs: point-to-point links and per-node loopbacks.
+// Fabric between NICs: a direct wire between every pair of hosts and a
+// loopback per host.
 //
-// A Link is full duplex: each direction is an independent FIFO Resource at
-// the wire bandwidth plus a fixed propagation delay. The paper's two
-// evaluation systems are back-to-back two-node setups (a single link plus
-// per-NIC loopback paths); larger systems wire every host pair directly,
-// so every path is exactly one hop.
+// Each direction of a wire is an independent FIFO Resource at the wire
+// bandwidth plus a fixed propagation delay. The paper's two evaluation
+// systems are back-to-back two-node setups (a single link plus per-NIC
+// loopback paths); larger systems wire every host pair directly, so every
+// path is exactly one hop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <deque>
 #include <stdexcept>
-#include <string>
-#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -21,6 +20,11 @@
 namespace cord::fabric {
 
 using NodeId = std::uint32_t;
+
+/// Traffic from a node to itself still traverses the NIC, bounded by PCIe.
+inline constexpr sim::Bandwidth kLoopbackBandwidth =
+    sim::Bandwidth::gbit_per_sec(200.0);
+inline constexpr sim::Time kLoopbackDelay = sim::ns(150);
 
 /// The directed one-hop path from a source host to a destination host: a
 /// direction of a direct wire, or a node's loopback.
@@ -36,95 +40,35 @@ struct Path {
   }
 };
 
-class Link {
- public:
-  Link(sim::Engine& engine, NodeId a, NodeId b, sim::Bandwidth bw,
-       sim::Time propagation)
-      : a_(a),
-        b_(b),
-        a_to_b_(engine),
-        b_to_a_(engine),
-        bandwidth_(bw),
-        propagation_(propagation) {}
-
-  sim::Resource* tx_from(NodeId src) {
-    if (src == a_) return &a_to_b_;
-    if (src == b_) return &b_to_a_;
-    throw std::invalid_argument("node not on this link");
-  }
-
-  Path path_from(NodeId src) {
-    return Path{tx_from(src), bandwidth_, propagation_};
-  }
-
- private:
-  NodeId a_;
-  NodeId b_;
-  sim::Resource a_to_b_;
-  sim::Resource b_to_a_;
-  sim::Bandwidth bandwidth_;
-  sim::Time propagation_;
-};
-
-/// The set of links and per-node loopback paths.
+/// Nodes 0..nodes-1, each pair joined by a wire of the given bandwidth and
+/// propagation delay.
 class Network {
  public:
-  explicit Network(sim::Engine& engine) : engine_(&engine) {}
-
-  /// Create a bidirectional link between two nodes. Reconnecting an
-  /// existing pair throws: replacing the Link would dangle the Path
-  /// resources already handed to NICs mid-simulation.
-  void connect(NodeId a, NodeId b, sim::Bandwidth bw, sim::Time propagation) {
-    const auto key = ordered(a, b);
-    if (links_.contains(key)) {
-      throw std::invalid_argument(
-          "Network::connect: nodes " + std::to_string(a) + " and " +
-          std::to_string(b) +
-          " are already linked (reconnecting would invalidate Path "
-          "resources held by NICs)");
-    }
-    links_[key] = std::make_unique<Link>(*engine_, a, b, bw, propagation);
-  }
-
-  /// Register a host node and configure its loopback characteristics
-  /// (traffic from a node to itself still traverses the NIC, bounded by
-  /// PCIe).
-  void add_node(NodeId n, sim::Bandwidth loopback_bw, sim::Time loopback_delay) {
-    auto [it, inserted] = loopback_.try_emplace(n);
-    if (inserted) it->second.resource = std::make_unique<sim::Resource>(*engine_);
-    it->second.bandwidth = loopback_bw;
-    it->second.delay = loopback_delay;
+  Network(sim::Engine& engine, std::size_t nodes, sim::Bandwidth wire_bandwidth,
+          sim::Time wire_propagation)
+      : nodes_(nodes), bandwidth_(wire_bandwidth), propagation_(wire_propagation) {
+    for (std::size_t i = 0; i < nodes * nodes; ++i) tx_.emplace_back(engine);
   }
 
   /// The directed path from `src` to `dst`: the node's loopback when they
-  /// are equal, else the direct link between them. Throws
-  /// std::invalid_argument for an unknown node or a missing link.
+  /// are equal, else that direction of the wire between them. Throws
+  /// std::invalid_argument for an unknown node.
   Path path(NodeId src, NodeId dst) {
-    if (src == dst) {
-      auto it = loopback_.find(src);
-      if (it == loopback_.end()) throw std::invalid_argument("unknown node");
-      return Path{it->second.resource.get(), it->second.bandwidth,
-                  it->second.delay};
+    if (src >= nodes_ || dst >= nodes_) {
+      throw std::invalid_argument("unknown node");
     }
-    auto it = links_.find(ordered(src, dst));
-    if (it == links_.end()) throw std::invalid_argument("no link between nodes");
-    return it->second->path_from(src);
+    sim::Resource* tx = &tx_[src * nodes_ + dst];
+    if (src == dst) return Path{tx, kLoopbackBandwidth, kLoopbackDelay};
+    return Path{tx, bandwidth_, propagation_};
   }
 
  private:
-  static std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
-    return a < b ? std::pair{a, b} : std::pair{b, a};
-  }
-
-  struct Loopback {
-    std::unique_ptr<sim::Resource> resource;
-    sim::Bandwidth bandwidth;
-    sim::Time delay = 0;
-  };
-
-  sim::Engine* engine_;
-  std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
-  std::map<NodeId, Loopback> loopback_;
+  std::size_t nodes_;
+  sim::Bandwidth bandwidth_;
+  sim::Time propagation_;
+  /// One Resource per ordered (src, dst) pair, row-major; the diagonal is
+  /// each node's loopback. A deque, since a Resource cannot move.
+  std::deque<sim::Resource> tx_;
 };
 
 }  // namespace cord::fabric

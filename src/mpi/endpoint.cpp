@@ -28,7 +28,7 @@ sim::Task<std::size_t> Endpoint::recv(int src, int tag, std::span<std::byte> out
       }
       PostedRecv pr{src, tag, out, 0, true, false};
       posted_.push_back(&pr);
-      co_await start_pull(pr, rts.cookie);
+      co_await start_pull(pr, rts);
       co_await progress_until([&] { return pr.done; }, "recv (rendezvous)");
       posted_.remove(&pr);
       co_return pr.got;
@@ -84,7 +84,7 @@ sim::Time Endpoint::IdleLoop::step() {
   return kWake;
 }
 
-Endpoint::PostedRecv* Endpoint::deliver_rts(PendingRts rts) {
+Endpoint::PostedRecv* Endpoint::deliver_rts(const PendingRts& rts) {
   for (PostedRecv* pr : posted_) {
     if (!pr->matched && pr->src == rts.src && pr->tag == rts.tag) {
       if (rts.size > pr->out.size()) {

@@ -172,10 +172,21 @@ class Endpoint {
     std::vector<std::byte> data;
   };
 
-  /// Implementation hook: an RTS for a rendezvous transfer matched a
-  /// posted receive — start pulling `size` bytes. `rts_cookie` identifies
-  /// the transfer to the concrete endpoint.
-  virtual sim::Task<> start_pull(PostedRecv& pr, std::uint64_t rts_cookie) = 0;
+  /// A rendezvous announcement (RTS): `size` bytes at the sender's
+  /// `addr`/`rkey`, identified by the sender-local `cookie`. Stored once,
+  /// in pending_rts_, until a receive matches it.
+  struct PendingRts {
+    int src = 0;
+    int tag = 0;
+    std::uint64_t size = 0;
+    std::uint64_t cookie = 0;
+    std::uint64_t addr = 0;
+    std::uint32_t rkey = 0;
+  };
+
+  /// Implementation hook: an RTS matched a posted receive — start pulling
+  /// its bytes. Implementations copy `rts` before their first suspension.
+  virtual sim::Task<> start_pull(PostedRecv& pr, const PendingRts& rts) = 0;
 
   /// Called by implementations when an eager payload arrives (and by
   /// self-sends). Accrues the receive-side copy into pending_copy_cost_,
@@ -183,15 +194,9 @@ class Endpoint {
   void deliver_eager(int src, int tag, std::span<const std::byte> payload);
 
   /// Called by implementations when a rendezvous announcement arrives.
-  struct PendingRts {
-    int src = 0;
-    int tag = 0;
-    std::uint64_t size = 0;
-    std::uint64_t cookie = 0;
-  };
   /// Returns the matched posted receive (caller then invokes start_pull),
   /// or nullptr if the RTS is stored as pending.
-  PostedRecv* deliver_rts(PendingRts rts);
+  PostedRecv* deliver_rts(const PendingRts& rts);
 
   /// Deadlock guard: a blocking operation that makes no progress for this
   /// much virtual time indicates a hung workload and throws.

@@ -114,8 +114,7 @@ sim::Task<bool> SocketEndpoint::progress_once() {
       co_await core().work(core().syscall_cost(), os::Work::kKernel);
       if (ready_.empty()) {
         co_await epoll_signal_->wait();
-        co_await core().work(core().model().interrupt_handling +
-                                 core().model().wakeup_latency,
+        co_await core().work(os::kInterruptHandling + os::kWakeupLatency,
                              os::Work::kKernel);
       }
       core().poll_group().notify();

@@ -56,7 +56,7 @@ class SocketEndpoint : public Endpoint {
     bool busy = false;  // a send is serializing on this peer's socket
   };
 
-  sim::Task<> start_pull(PostedRecv&, std::uint64_t) override {
+  sim::Task<> start_pull(PostedRecv&, const PendingRts&) override {
     throw std::runtime_error("sockets have no rendezvous path");
   }
   bool can_park() const override {

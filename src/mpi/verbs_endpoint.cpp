@@ -9,28 +9,31 @@ std::uintptr_t uptr(const void* p) { return reinterpret_cast<std::uintptr_t>(p);
 }  // namespace
 
 VerbsEndpoint::VerbsEndpoint(int rank, int world_size, verbs::Context ctx,
-                             Config cfg)
-    : rank_(rank), world_size_(world_size), ctx_(std::move(ctx)), cfg_(cfg) {
+                             std::uint32_t srq_slots)
+    : rank_(rank),
+      world_size_(world_size),
+      ctx_(std::move(ctx)),
+      srq_slots_(srq_slots) {
   qps_.resize(world_size_, nullptr);
 }
 
 sim::Task<> VerbsEndpoint::setup() {
   pd_ = co_await ctx_.alloc_pd();
-  const std::uint32_t cq_cap = 4 * (cfg_.srq_slots + kSendSlots) + 1024;
+  const std::uint32_t cq_cap = 4 * (srq_slots_ + kSendSlots) + 1024;
   scq_ = co_await ctx_.create_cq(cq_cap);
   rcq_ = co_await ctx_.create_cq(cq_cap);
   scq_->watch_pushes(&activity_, core().poll_group());
   rcq_->watch_pushes(&activity_, core().poll_group());
-  srq_ = co_await ctx_.create_srq(pd_, cfg_.srq_slots);
+  srq_ = co_await ctx_.create_srq(pd_, srq_slots_);
 
   send_arena_.resize(kSendSlots * slot_size());
-  recv_arena_.resize(cfg_.srq_slots * slot_size());
+  recv_arena_.resize(srq_slots_ * slot_size());
   send_mr_ = co_await ctx_.reg_mr(pd_, send_arena_.data(), send_arena_.size(),
                                   nic::kAccessLocalWrite);
   recv_mr_ = co_await ctx_.reg_mr(pd_, recv_arena_.data(), recv_arena_.size(),
                                   nic::kAccessLocalWrite);
   for (std::uint32_t s = 0; s < kSendSlots; ++s) free_slots_.push_back(s);
-  for (std::uint32_t s = 0; s < cfg_.srq_slots; ++s) {
+  for (std::uint32_t s = 0; s < srq_slots_; ++s) {
     const int rc = co_await ctx_.post_srq_recv(
         *srq_, {s, {uptr(recv_slot(s)), static_cast<std::uint32_t>(slot_size()),
                     recv_mr_->lkey}});
@@ -111,7 +114,7 @@ sim::Task<> VerbsEndpoint::send(int dst, int tag, std::span<const std::byte> dat
     co_await core().work(core().memcpy_time(data.size()), os::Work::kCompute);
     co_return;
   }
-  if (data.size() <= cfg_.eager_threshold) {
+  if (data.size() <= kEagerThreshold) {
     WireHeader hdr{kKindEager, tag, data.size(), 0, 0, 0, rank_};
     co_await post_slot_message(dst, hdr, data);
     co_return;
@@ -127,13 +130,11 @@ sim::Task<> VerbsEndpoint::send(int dst, int tag, std::span<const std::byte> dat
                           "rendezvous FIN");
 }
 
-sim::Task<> VerbsEndpoint::start_pull(PostedRecv& pr, std::uint64_t rts_cookie) {
-  const auto key = std::make_pair(pr.src, rts_cookie);
-  const RtsInfo info = rts_info_.at(key);
-  rts_info_.erase(key);
+sim::Task<> VerbsEndpoint::start_pull(PostedRecv& pr, const PendingRts& rts) {
+  const PendingRts info = rts;  // before the first suspension
   const nic::MemoryRegion* mr = co_await get_mr(pr.out.data(), pr.out.size());
   const std::uint64_t wr_id = next_read_wr_++;
-  reads_[wr_id] = ReadInFlight{&pr, info.src, rts_cookie, info.size};
+  reads_[wr_id] = ReadInFlight{&pr, info.src, info.cookie, info.size};
   nic::SendWr wr;
   wr.wr_id = wr_id;
   wr.opcode = nic::Opcode::kRdmaRead;
@@ -220,9 +221,10 @@ sim::Task<bool> VerbsEndpoint::finish_progress(bool poll_recv) {
                       {buf + sizeof(WireHeader), static_cast<std::size_t>(hdr.size)});
         break;
       case kKindRts: {
-        rts_info_[{src, hdr.cookie}] = RtsInfo{src, hdr.size, hdr.addr, hdr.rkey};
-        PostedRecv* pr = deliver_rts({src, hdr.tag, hdr.size, hdr.cookie});
-        if (pr != nullptr) co_await start_pull(*pr, hdr.cookie);
+        const PendingRts rts{src, hdr.tag, hdr.size, hdr.cookie, hdr.addr,
+                             hdr.rkey};
+        PostedRecv* pr = deliver_rts(rts);
+        if (pr != nullptr) co_await start_pull(*pr, rts);
         break;
       }
       case kKindFin:

@@ -27,12 +27,13 @@ namespace cord::mpi {
 
 class VerbsEndpoint : public Endpoint {
  public:
-  struct Config {
-    std::size_t eager_threshold = 4096;
-    std::uint32_t srq_slots = 1024;
-  };
+  /// Messages up to this many bytes go eagerly through a bounce slot;
+  /// larger ones by rendezvous.
+  static constexpr std::size_t kEagerThreshold = 4096;
 
-  VerbsEndpoint(int rank, int world_size, verbs::Context ctx, Config cfg);
+  /// `srq_slots` eager receive slots are pre-posted to the rank's SRQ.
+  VerbsEndpoint(int rank, int world_size, verbs::Context ctx,
+                std::uint32_t srq_slots);
 
   int rank() const override { return rank_; }
   int world_size() const override { return world_size_; }
@@ -63,12 +64,6 @@ class VerbsEndpoint : public Endpoint {
   static constexpr std::uint64_t kSendWrBase = 1ull << 20;
   static constexpr std::uint64_t kReadWrBase = 1ull << 21;
 
-  struct RtsInfo {
-    int src = 0;
-    std::uint64_t size = 0;
-    std::uint64_t addr = 0;
-    std::uint32_t rkey = 0;
-  };
   struct ReadInFlight {
     PostedRecv* pr = nullptr;
     int src = 0;
@@ -80,7 +75,7 @@ class VerbsEndpoint : public Endpoint {
     std::uint64_t cookie = 0;
   };
 
-  sim::Task<> start_pull(PostedRecv& pr, std::uint64_t rts_cookie) override;
+  sim::Task<> start_pull(PostedRecv& pr, const PendingRts& rts) override;
   bool can_park() const override;
   sim::Time charge_poll_miss() override { return ctx_.charge_poll_miss(); }
   sim::Task<bool> finish_progress(bool poll_recv) override;
@@ -88,7 +83,9 @@ class VerbsEndpoint : public Endpoint {
   /// Eager bounce slots for outgoing messages.
   static constexpr std::uint32_t kSendSlots = 64;
 
-  std::size_t slot_size() const { return cfg_.eager_threshold + sizeof(WireHeader); }
+  static constexpr std::size_t slot_size() {
+    return kEagerThreshold + sizeof(WireHeader);
+  }
   std::byte* send_slot(std::uint32_t s) { return send_arena_.data() + s * slot_size(); }
   std::byte* recv_slot(std::uint32_t s) { return recv_arena_.data() + s * slot_size(); }
 
@@ -103,7 +100,7 @@ class VerbsEndpoint : public Endpoint {
   int rank_;
   int world_size_;
   verbs::Context ctx_;
-  Config cfg_;
+  std::uint32_t srq_slots_;
 
   nic::ProtectionDomainId pd_ = 0;
   nic::CompletionQueue* scq_ = nullptr;
@@ -119,9 +116,6 @@ class VerbsEndpoint : public Endpoint {
 
   std::map<std::pair<std::uintptr_t, std::size_t>, const nic::MemoryRegion*>
       mr_cache_;
-  // Keyed by (source rank, sender-local cookie): cookies are only
-  // unique per sender.
-  std::map<std::pair<int, std::uint64_t>, RtsInfo> rts_info_;
   std::map<std::uint64_t, ReadInFlight> reads_;  // wr_id -> read
   std::set<std::uint64_t> awaiting_fin_;
   std::deque<DeferredFin> deferred_fins_;

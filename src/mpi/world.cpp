@@ -38,16 +38,22 @@ sim::Task<> World::setup_verbs() {
   const verbs::DataplaneMode mode = cfg_.net == NetMode::kCord
                                         ? verbs::DataplaneMode::kCord
                                         : verbs::DataplaneMode::kBypass;
-  VerbsEndpoint::Config ec{cfg_.eager_threshold, cfg_.srq_slots};
   std::vector<VerbsEndpoint*> eps;
   std::vector<int> local_core(system_->host_count(), 0);
   for (int r = 0; r < nranks_; ++r) {
     os::Host& host = system_->host(static_cast<std::size_t>(host_of(r)));
     const int core_idx = local_core[static_cast<std::size_t>(host_of(r))]++;
     verbs::ContextOptions opts = system_->options(mode, cfg_.tenant);
-    opts.poll_via_kernel = cfg_.cord_poll_via_kernel;
+    // CoRD ranks poll their CQs from user space. MPI libraries poll in a
+    // tight loop, so kernel-routed polls throttle rendezvous turnaround
+    // badly; the paper's NPB results (CoRD ~ 1.0 on communication-bound
+    // kernels) are only consistent with the CQ being polled from
+    // user-mapped memory while the posting verbs trap. The abl_poll_path
+    // bench quantifies the alternative.
+    opts.poll_via_kernel = false;
     verbs::Context ctx(host, static_cast<std::size_t>(core_idx), opts);
-    auto ep = std::make_unique<VerbsEndpoint>(r, nranks_, std::move(ctx), ec);
+    auto ep = std::make_unique<VerbsEndpoint>(r, nranks_, std::move(ctx),
+                                              cfg_.srq_slots);
     eps.push_back(ep.get());
     ranks_.push_back(std::make_unique<Rank>(r, std::move(ep)));
   }

@@ -27,16 +27,8 @@ enum class NetMode { kBypass, kCord, kIpoib };
 
 struct WorldConfig {
   NetMode net = NetMode::kBypass;
-  std::size_t eager_threshold = 4096;
   std::uint32_t srq_slots = 1024;
   os::TenantId tenant = 0;
-  /// CoRD only: route the progress engine's poll_cq through the kernel.
-  /// MPI libraries poll in a tight loop, so kernel-routed polls throttle
-  /// rendezvous turnaround badly; the paper's NPB results (CoRD ~ 1.0 on
-  /// communication-bound kernels) are only consistent with the CQ being
-  /// polled from user-mapped memory while the posting verbs trap. The
-  /// abl_poll_path bench quantifies the alternative.
-  bool cord_poll_via_kernel = false;
 };
 
 enum class Op { kSum, kMax, kMin };

@@ -180,7 +180,7 @@ void Nic::qp_set_error(QueuePair& qp, sim::Time error_at) {
   if (qp.state_ == QpState::kError) return;
   qp.state_ = QpState::kError;
   qp.counters_.errors++;
-  const sim::Time at = error_at + cfg_.cqe_write;
+  const sim::Time at = error_at + kCqeWrite;
   // Coalesced flush: every flushed CQE shares one timestamp and the
   // registrations below used to be consecutive seq numbers from one
   // synchronous loop — no foreign event could interleave between them —
@@ -217,7 +217,7 @@ int Nic::post_send(QueuePair& qp, SendWr wr) {
   if (qp.type() == QpType::kUD) {
     if (wr.opcode != Opcode::kSend && wr.opcode != Opcode::kSendWithImm)
       return kErrInvalid;
-    if (wr.sge.length > cfg_.mtu) return kErrInvalid;
+    if (wr.sge.length > kMtu) return kErrInvalid;
     if (registry_->find(wr.ud.node) == nullptr) return kErrInvalid;
   }
   if (is_atomic) {
@@ -266,7 +266,7 @@ void Nic::kick(QueuePair& qp, std::uint32_t trace_span) {
   // resident in the on-NIC ICM cache, the device stalls for a host-memory
   // fetch before it can schedule the SQ (the connection-count cliff).
   const sim::Time db = cfg_.doorbell_latency +
-                       (icm_qp_.touch(qp.qpn()) ? 0 : cfg_.icm_miss_latency);
+                       (icm_qp_.touch(qp.qpn()) ? 0 : kIcmMissLatency);
   if (trace::Tracer* tr = engine_->tracer()) [[unlikely]] {
     tr->record(trace::Point::kDoorbell, trace_span, qp.qpn(), 0,
                static_cast<std::uint8_t>(node_), 0, db);
@@ -331,11 +331,10 @@ sim::Time Nic::wqe_fetch_cost(const SendWr& wr, bool mr_ok) {
   // reference no MR context; failed protection checks abort before any
   // context fetch.
   if (wr.inline_data || payload_len(wr) == 0 || !mr_ok) {
-    return cfg_.wqe_processing;
+    return kWqeProcessing;
   }
-  return icm_mr_.touch(wr.sge.lkey)
-             ? cfg_.wqe_processing
-             : cfg_.wqe_processing + cfg_.icm_miss_latency;
+  return icm_mr_.touch(wr.sge.lkey) ? kWqeProcessing
+                                    : kWqeProcessing + kIcmMissLatency;
 }
 
 void Nic::retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts) {
@@ -344,7 +343,7 @@ void Nic::retry_send(std::uint32_t qpn, WrRef wr, std::uint32_t rnr_attempts) {
   if (qp->state_ != QpState::kRts) {
     // The QP failed while the WR waited out its RNR timer: it flushes.
     sender_complete(qpn, *wr, WcStatus::kWorkRequestFlushed,
-                    engine_->now() + cfg_.cqe_write);
+                    engine_->now() + kCqeWrite);
     return;
   }
   engine_->spawn([](Nic& nic, std::uint32_t qpn, WrRef wr,
@@ -400,7 +399,7 @@ sim::Time Nic::dma_fetch_time(std::uint64_t len) const {
   // Summed PCIe occupancy of the payload's MTU chunks — the same
   // segmentation schedule_chain reserves, reproduced arithmetically.
   sim::Time total = 0;
-  for_each_chunk(len, cfg_.mtu, [&](std::uint32_t chunk) {
+  for_each_chunk(len, kMtu, [&](std::uint32_t chunk) {
     total += cfg_.pcie_bandwidth.time_for(chunk);
   });
   return total;
@@ -412,7 +411,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
 
   if (!mr_ok) {
     sender_complete(qp.qpn(), wr, WcStatus::kLocalProtectionError,
-                    at + cfg_.cqe_write);
+                    at + kCqeWrite);
     qp_set_error(qp, at);
     return;
   }
@@ -422,7 +421,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   Nic* dst = registry_->find(dest.node);
   if (dst == nullptr) {
     sender_complete(qp.qpn(), wr, WcStatus::kRemoteInvalidRequest,
-                    at + cfg_.cqe_write);
+                    at + kCqeWrite);
     if (!is_ud) qp_set_error(qp, at);
     return;
   }
@@ -444,7 +443,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   TxTimes t;
   if (header_only) {
     const sim::Time arrive =
-        network_->path(node_, dst->node_).reserve(at, cfg_.header_bytes);
+        network_->path(node_, dst->node_).reserve(at, kHeaderBytes);
     t = {arrive, arrive};
   } else {
     t = schedule_chain(*dst, len, /*skip_src_dma=*/wr.inline_data, at);
@@ -454,7 +453,7 @@ void Nic::process_one(QueuePair& qp, SendWr wr, std::uint32_t rnr_attempts,
   }
   // An unreliable send gets no ACK: it completes at its wire egress.
   if (is_ud) {
-    sender_complete(sqpn, wr, WcStatus::kSuccess, t.wire_done + cfg_.cqe_write);
+    sender_complete(sqpn, wr, WcStatus::kSuccess, t.wire_done + kCqeWrite);
   }
   WrRef shared = wr_pool_.acquire(std::move(wr));
   engine_->call_at(t.wire_done,
@@ -517,7 +516,7 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
   const std::uint32_t grh =
       is_send && qp.type() == QpType::kUD ? kGrhBytes : 0;
   if (is_send && payload_len(*wr) + grh > rwr.sge.length) {
-    complete_at(engine_->now() + cfg_.cqe_write, qp.recv_cq(),
+    complete_at(engine_->now() + kCqeWrite, qp.recv_cq(),
                 Cqe{rwr.wr_id, WcStatus::kLocalLengthError, WcOpcode::kRecv, 0,
                     qp.qpn(), src_qpn, 0, false});
     qp_set_error(qp);
@@ -525,7 +524,7 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
     return;
   }
 
-  const sim::Time done = std::max(engine_->now(), delivered) + cfg_.rx_processing;
+  const sim::Time done = std::max(engine_->now(), delivered) + kRxProcessing;
   auto deliver = [this, wr = std::move(wr), rwr, &src, qpn = qp.qpn(), src_qpn,
                   grh, reliable, is_send, has_imm] {
     QueuePair* qp = find_qp(qpn);
@@ -540,7 +539,7 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
     qp->counters_.rx_msgs++;
     qp->counters_.rx_bytes += len;
     if (is_send || has_imm) {
-      complete_at(engine_->now() + cfg_.cqe_write, qp->recv_cq(),
+      complete_at(engine_->now() + kCqeWrite, qp->recv_cq(),
                   Cqe{rwr.wr_id, WcStatus::kSuccess,
                       is_send ? WcOpcode::kRecv : WcOpcode::kRecvRdmaWithImm,
                       static_cast<std::uint32_t>(len + grh), qpn, src_qpn,
@@ -548,7 +547,7 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
     }
     trace::Tracer* tr = engine_->tracer();
     if (tr != nullptr && is_send) [[unlikely]] {
-      tr->record_at(engine_->now() + cfg_.cqe_write, trace::Point::kCompletion,
+      tr->record_at(engine_->now() + kCqeWrite, trace::Point::kCompletion,
                     wr->trace_span, qpn, 0, static_cast<std::uint8_t>(node_),
                     len, 0, /*aux=*/1);
     }
@@ -560,7 +559,7 @@ void Nic::land(QueuePair& qp, WrRef wr, Nic& src, std::uint32_t src_qpn,
 void Nic::respond_read(WrRef wr, Nic& src, std::uint32_t src_qpn) {
   const std::uint64_t len = wr->sge.length;
   // Responder streams the data back; charge responder-side processing.
-  processing_.reserve(cfg_.rx_processing);
+  processing_.reserve(kRxProcessing);
   counters_.rx_msgs++;  // the read request itself
   TxTimes t = schedule_chain(src, len, /*skip_src_dma=*/false, engine_->now());
   counters_.tx_bytes += len;
@@ -569,8 +568,7 @@ void Nic::respond_read(WrRef wr, Nic& src, std::uint32_t src_qpn) {
       std::memcpy(mem(wr->sge.addr), mem(wr->remote_addr), len);
     src.counters_.rx_bytes += len;
     src.sender_complete(src_qpn, *wr, WcStatus::kSuccess,
-                        src.engine_->now() + src.cfg_.ack_processing +
-                            src.cfg_.cqe_write);
+                        src.engine_->now() + kAckProcessing + kCqeWrite);
   });
 }
 
@@ -578,7 +576,7 @@ void Nic::respond_atomic(WrRef wr, Nic& src, std::uint32_t src_qpn) {
   // Atomics serialize on the responder's processing pipeline; the
   // read-modify-write happens here, atomically with respect to all other
   // simulated accesses (single-threaded event execution).
-  const sim::Time done = processing_.reserve(cfg_.rx_processing);
+  const sim::Time done = processing_.reserve(kRxProcessing);
   std::uint64_t old_value;
   std::memcpy(&old_value, mem(wr->remote_addr), 8);
   std::uint64_t new_value = old_value;
@@ -593,13 +591,12 @@ void Nic::respond_atomic(WrRef wr, Nic& src, std::uint32_t src_qpn) {
   // the caller's 8-byte buffer and completes.
   engine_->call_at(done, [this, wr, old_value, &src, src_qpn] {
     const sim::Time arrive = network_->path(node_, src.node())
-                                 .reserve(engine_->now(), cfg_.ack_bytes + 8);
+                                 .reserve(engine_->now(), kAckBytes + 8);
     engine_->call_at(arrive, [psrc = &src, src_qpn, m = meta_of(*wr),
                               addr = wr->sge.addr, old_value] {
       std::memcpy(mem(addr), &old_value, 8);
       psrc->sender_complete(src_qpn, m, WcStatus::kSuccess,
-                            psrc->engine_->now() + psrc->cfg_.ack_processing +
-                                psrc->cfg_.cqe_write);
+                            psrc->engine_->now() + kAckProcessing + kCqeWrite);
     });
   });
 }
@@ -608,19 +605,19 @@ void Nic::nak(Nic& src, std::uint32_t src_qpn, const SendWr& wr,
               WcStatus status) {
   send_ctrl(src, engine_->now(), [&src, src_qpn, m = meta_of(wr), status] {
     src.sender_complete(src_qpn, m, status,
-                        src.engine_->now() + src.cfg_.cqe_write);
+                        src.engine_->now() + kCqeWrite);
     if (QueuePair* sqp = src.find_qp(src_qpn)) src.qp_set_error(*sqp);
   });
 }
 
 void Nic::rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
                   std::uint32_t attempts) {
-  if (attempts >= src.cfg_.rnr_retries) {
+  if (attempts >= kRnrRetries) {
     nak(src, src_qpn, *wr, WcStatus::kRnrRetryExceeded);
     return;
   }
   send_ctrl(src, engine_->now(), [&src, src_qpn, wr, attempts] {
-    src.engine_->call_in(src.cfg_.rnr_timer, [&src, src_qpn, wr, attempts] {
+    src.engine_->call_in(kRnrTimer, [&src, src_qpn, wr, attempts] {
       src.retry_send(src_qpn, wr, attempts + 1);
     });
   });
@@ -629,8 +626,8 @@ void Nic::rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
 void Nic::send_ctrl(Nic& dst, sim::Time earliest, sim::InlineFn fn) {
   // The ctrl packet serializes on the wire like any other chunk.
   const sim::Time arrive =
-      network_->path(node_, dst.node()).reserve(earliest, cfg_.ack_bytes);
-  engine_->call_at(arrive + dst.cfg_.ack_processing, std::move(fn));
+      network_->path(node_, dst.node()).reserve(earliest, kAckBytes);
+  engine_->call_at(arrive + kAckProcessing, std::move(fn));
 }
 
 Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dma,
@@ -638,8 +635,8 @@ Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dm
   const fabric::Path p = network_->path(node_, dst.node_);
   TxTimes t{at, at};
   counters_.seg_msgs++;
-  counters_.seg_chunks += chunk_count(bytes, cfg_.mtu);
-  for_each_chunk(bytes, cfg_.mtu, [&](std::uint32_t chunk) {
+  counters_.seg_chunks += chunk_count(bytes, kMtu);
+  for_each_chunk(bytes, kMtu, [&](std::uint32_t chunk) {
     // dma_latency is pipeline depth, not occupancy: reservations on the
     // shared DMA engine consume only the transfer time, and the fixed
     // latency shifts the readiness of every chunk afterwards. Folding the
@@ -652,7 +649,7 @@ Nic::TxTimes Nic::schedule_chain(Nic& dst, std::uint64_t bytes, bool skip_src_dm
             ? at
             : dma_rd_.reserve_at(at, cfg_.pcie_bandwidth.time_for(chunk)) +
                   cfg_.dma_latency;
-    t.wire_done = p.reserve(ready, chunk + cfg_.header_bytes);
+    t.wire_done = p.reserve(ready, chunk + kHeaderBytes);
     t.delivered = dst.dma_wr_.reserve_at(
                       t.wire_done, dst.cfg_.pcie_bandwidth.time_for(chunk)) +
                   dst.cfg_.dma_latency;
@@ -695,12 +692,12 @@ void Nic::ctrl_complete(Nic& requester, sim::Time earliest,
   // and executes the completion directly, so a successful ACK costs one
   // requester-side event instead of two.
   const sim::Time arrive =
-      network_->path(node_, requester.node()).reserve(earliest, cfg_.ack_bytes);
-  engine_->call_at(
-      arrive + requester.cfg_.ack_processing + requester.cfg_.cqe_write,
-      [req = &requester, requester_qpn, m] {
-        req->sender_complete_now(requester_qpn, m, WcStatus::kSuccess);
-      });
+      network_->path(node_, requester.node()).reserve(earliest, kAckBytes);
+  engine_->call_at(arrive + kAckProcessing + kCqeWrite,
+                   [req = &requester, requester_qpn, m] {
+                     req->sender_complete_now(requester_qpn, m,
+                                              WcStatus::kSuccess);
+                   });
 }
 
 }  // namespace cord::nic

@@ -184,7 +184,7 @@ class Nic {
   /// Local protection check a WQE must pass before transmission (inline
   /// and zero-length payloads skip the MR lookup).
   bool wqe_mr_ok(const SendWr& wr, ProtectionDomainId pd) const;
-  /// ICM charge for one WQE fetch: base wqe_processing plus the MR-context
+  /// ICM charge for one WQE fetch: base kWqeProcessing plus the MR-context
   /// miss penalty when the WQE references a memory region (non-inline,
   /// non-empty, protection-checked). Mutates icm_mr_ — call exactly once
   /// per fetch, in the order the fetches happen (pop order in the burst
@@ -222,8 +222,8 @@ class Nic {
   void nak(Nic& src, std::uint32_t src_qpn, const SendWr& wr, WcStatus status);
   /// The only RNR decision: NAK kRnrRetryExceeded once the requester's
   /// retry budget is spent (`attempts` retries already made, out of
-  /// NicConfig::rnr_retries), else retry_send one rnr_timer after the RNR
-  /// NAK reaches the requester.
+  /// kRnrRetries), else retry_send one kRnrTimer after the RNR NAK
+  /// reaches the requester.
   void rnr_nak(Nic& src, std::uint32_t src_qpn, WrRef wr,
                std::uint32_t attempts);
 
@@ -232,7 +232,7 @@ class Nic {
   void send_ctrl(Nic& dst, sim::Time earliest, sim::InlineFn fn);
   /// Success-path ACK: like send_ctrl + sender_complete, but fused into a
   /// single event on the requester at
-  ///   ack arrival + ack_processing + cqe_write
+  ///   ack arrival + kAckProcessing + kCqeWrite
   /// — the completion time both forms produce; the two-event form only
   /// computed it across an intermediate hop. Error/NAK/RNR paths keep
   /// send_ctrl, whose callback time anchors their retry/flush clocks.
@@ -298,7 +298,7 @@ class Nic {
 
   /// On-NIC context caches (ICM model). QP contexts are touched on every
   /// doorbell ring, MR contexts on every MR-referencing WQE fetch; misses
-  /// fold icm_miss_latency into the existing reservation timestamps.
+  /// fold kIcmMissLatency into the existing reservation timestamps.
   IcmCache icm_qp_;
   IcmCache icm_mr_;
 

@@ -20,6 +20,24 @@
 
 namespace cord::os {
 
+// CPU costs no testbed varies, at base frequency: Core charges them like
+// every other cost, so the DVFS model scales them.
+
+/// KPTI multiplies the syscall crossing (CR3 switch + TLB effects).
+inline constexpr double kKptiMultiplier = 3.0;
+/// Kernel IRQ entry + handler on interrupt-driven completion.
+inline constexpr sim::Time kInterruptHandling = sim::ns(1500);
+/// Waking a sleeping thread (scheduler + context switch).
+inline constexpr sim::Time kWakeupLatency = sim::ns(2500);
+/// Reading a (cached) completion-queue slot on a poll miss.
+inline constexpr sim::Time kPollMiss = sim::ns(25);
+/// Harvesting one CQE on a poll hit.
+inline constexpr sim::Time kPollHit = sim::ns(40);
+/// Building a WQE in the send path.
+inline constexpr sim::Time kWqeBuild = sim::ns(45);
+/// MMIO doorbell write (CPU side; the write is posted).
+inline constexpr sim::Time kDoorbellMmio = sim::ns(70);
+
 struct CpuModel {
   double base_ghz = 3.3;
   double turbo_ghz = 3.7;
@@ -31,26 +49,12 @@ struct CpuModel {
 
   /// User->kernel->user crossing (no KPTI, bare metal).
   sim::Time syscall_crossing = sim::ns(180);
-  /// KPTI multiplies the crossing cost (CR3 switch + TLB effects).
+  /// KPTI multiplies the crossing cost by kKptiMultiplier.
   bool kpti = false;
-  double kpti_multiplier = 3.0;
   /// Extra multiplicative cost for virtualized syscalls (system A).
   double virt_overhead = 0.0;
   /// Relative jitter (stddev / mean) on syscall cost; nonzero on system A.
   double syscall_jitter = 0.0;
-
-  /// Kernel IRQ entry + handler on interrupt-driven completion.
-  sim::Time interrupt_handling = sim::ns(1500);
-  /// Waking a sleeping thread (scheduler + context switch).
-  sim::Time wakeup_latency = sim::ns(2500);
-  /// Reading a (cached) completion-queue slot on a poll miss.
-  sim::Time poll_miss = sim::ns(25);
-  /// Harvesting one CQE on a poll hit.
-  sim::Time poll_hit = sim::ns(40);
-  /// Building a WQE in the send path.
-  sim::Time wqe_build = sim::ns(45);
-  /// MMIO doorbell write (CPU side; the write is posted).
-  sim::Time doorbell_mmio = sim::ns(70);
 };
 
 /// What a slice of CPU time was spent on — drives the DVFS model and the
@@ -111,7 +115,7 @@ class Core {
   sim::Time syscall_cost() {
     polls_.catch_up();
     double cost = static_cast<double>(model_.syscall_crossing);
-    if (model_.kpti) cost *= model_.kpti_multiplier;
+    if (model_.kpti) cost *= kKptiMultiplier;
     cost *= 1.0 + model_.virt_overhead;
     if (model_.syscall_jitter > 0.0) {
       const double factor =

@@ -238,7 +238,7 @@ sim::Task<int> Kernel::send_crossing(Core& core, TenantId tenant,
     // Shaped debts accumulate in the bucket, so the largest admitted delay
     // already covers every other WR: one pacing idle, then one doorbell.
     if (pace > 0) co_await core.idle(pace);
-    co_await core.work(core.model().doorbell_mmio, Work::kKernel);
+    co_await core.work(kDoorbellMmio, Work::kKernel);
   }
   int first_err = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -345,7 +345,7 @@ sim::Task<std::size_t> Kernel::poll_cq(Core& core, TenantId tenant,
     tr->record(trace::Point::kCqePoll, 0, cq.cqn(), tenant, node, n);
   }
   co_await core.work(core.syscall_cost() + kCordPollWork + v.cpu_cost +
-                         static_cast<sim::Time>(n) * core.model().poll_hit,
+                         static_cast<sim::Time>(n) * kPollHit,
                      Work::kKernel);
   const sim::Time elapsed = engine_->now() - t0;
   tm.syscall_ns->add(static_cast<std::uint64_t>(elapsed) / 1000);
@@ -385,8 +385,7 @@ sim::Task<> Kernel::wait_cq_event(Core& core, nic::CompletionQueue& cq) {
   if (cq.depth() > 0) co_return;  // re-check after arming (the usual dance)
   co_await cq_signal(cq).wait();
   // IRQ handler + scheduler wakeup on this core.
-  co_await core.work(core.model().interrupt_handling + core.model().wakeup_latency,
-                     Work::kKernel);
+  co_await core.work(kInterruptHandling + kWakeupLatency, Work::kKernel);
 }
 
 namespace {

@@ -19,6 +19,28 @@
 
 namespace cord::os {
 
+/// The balance of one token bucket, shared by the rate policies below. A
+/// fresh bucket starts full: without that, a tenant first seen at t=0 has
+/// zero tokens and zero elapsed time to refill them, and its very first op
+/// is denied under zero contention.
+struct TokenBucket {
+  double tokens = 0.0;
+  sim::Time last_refill = 0;
+  bool primed = false;
+
+  /// Credit the time since the last refill at `rate` tokens/s, capped at
+  /// `burst` (a fresh bucket fills to `burst`).
+  void refill(sim::Time now, double rate, double burst) {
+    if (!primed) {
+      tokens = burst;
+      last_refill = now;
+      primed = true;
+    }
+    tokens = std::min(burst, tokens + sim::to_sec(now - last_refill) * rate);
+    last_refill = now;
+  }
+};
+
 /// Per-tenant token bucket on posted send bytes.
 /// In shaping mode the verdict carries a pacing delay; in policing mode
 /// the op is denied with EAGAIN and the application must retry.
@@ -46,45 +68,31 @@ class QosTokenBucket final : public Policy {
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time now) override {
     if (op.kind != DataplaneOp::Kind::kPostSend) return {.cpu_cost = kCheckCost};
     Bucket& b = slot(op.tenant);
-    // A fresh bucket starts full. Without this a tenant first seen at
-    // t=0 has zero tokens and zero elapsed time to refill them, so
-    // police mode denies its very first op with EAGAIN under zero
-    // contention.
-    if (!b.primed) {
-      b.tokens = static_cast<double>(burst_bytes_);
-      b.last_refill = now;
-      b.primed = true;
-    }
     const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
-    // Refill.
-    const double elapsed_sec = sim::to_sec(now - b.last_refill);
-    b.tokens = std::min<double>(static_cast<double>(burst_bytes_),
-                                b.tokens + elapsed_sec * rate);
-    b.last_refill = now;
+    TokenBucket& tb = b.balance;
+    tb.refill(now, rate, static_cast<double>(burst_bytes_));
     const auto bytes = static_cast<double>(op.bytes);
     if (mode_ == Mode::kPolice) {
-      if (b.tokens < bytes) {
+      if (tb.tokens < bytes) {
         return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
       }
-      b.tokens -= bytes;
+      tb.tokens -= bytes;
       return {.cpu_cost = kCheckCost};
     }
     // Shape: the balance may go negative (debt); the pacing delay covers
     // exactly the debt, and the next refill credits the waited time
     // without double counting.
-    b.tokens -= bytes;
-    if (b.tokens >= 0.0) return {.cpu_cost = kCheckCost};
-    const auto delay = static_cast<sim::Time>(-b.tokens / rate * sim::kSecond);
+    tb.tokens -= bytes;
+    if (tb.tokens >= 0.0) return {.cpu_cost = kCheckCost};
+    const auto delay = static_cast<sim::Time>(-tb.tokens / rate * sim::kSecond);
     return {.cpu_cost = kCheckCost, .pace_delay = delay};
   }
 
  private:
   static constexpr sim::Time kCheckCost = sim::ns(35);
   struct Bucket {
-    double tokens = 0.0;
+    TokenBucket balance;
     double rate_override = 0.0;  ///< 0 = use the policy-wide default rate
-    sim::Time last_refill = 0;
-    bool primed = false;
   };
   Bucket& slot(TenantId t) {
     if (t >= buckets_.size()) buckets_.resize(t + 1);
@@ -198,23 +206,16 @@ class OpRateQuota final : public Policy {
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time now) override {
     if ((kinds_ & kind_bit(op.kind)) == 0) return {.cpu_cost = kCheckCost};
     Bucket& b = slot(op.tenant);
-    if (!b.primed) {  // fresh buckets start full (same fix as QoS bucket)
-      b.tokens = static_cast<double>(burst_ops_);
-      b.last_refill = now;
-      b.primed = true;
-    }
     const double rate = b.rate_override > 0.0 ? b.rate_override : rate_;
-    b.tokens = std::min<double>(static_cast<double>(burst_ops_),
-                                b.tokens + sim::to_sec(now - b.last_refill) * rate);
-    b.last_refill = now;
-    if (b.tokens < 1.0) {
+    b.balance.refill(now, rate, static_cast<double>(burst_ops_));
+    if (b.balance.tokens < 1.0) {
       ++denied_;
       if (registry_ != nullptr) {
         registry_->counter("policy.oprate.denied", op.tenant).add();
       }
       return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
     }
-    b.tokens -= 1.0;
+    b.balance.tokens -= 1.0;
     return {.cpu_cost = kCheckCost};
   }
 
@@ -223,10 +224,8 @@ class OpRateQuota final : public Policy {
  private:
   static constexpr sim::Time kCheckCost = sim::ns(30);
   struct Bucket {
-    double tokens = 0.0;
+    TokenBucket balance;
     double rate_override = 0.0;
-    sim::Time last_refill = 0;
-    bool primed = false;
   };
   Bucket& slot(TenantId t) {
     if (t >= buckets_.size()) buckets_.resize(t + 1);
@@ -279,22 +278,15 @@ class RegistrationQuota final : public Policy {
       }
       return {.allow = false, .error = -12 /*ENOMEM*/, .cpu_cost = kCheckCost};
     }
-    if (!b.primed) {
-      b.tokens = static_cast<double>(burst_regs_);
-      b.last_refill = now;
-      b.primed = true;
-    }
-    b.tokens = std::min<double>(static_cast<double>(burst_regs_),
-                                b.tokens + sim::to_sec(now - b.last_refill) * rate_);
-    b.last_refill = now;
-    if (b.tokens < 1.0) {
+    b.balance.refill(now, rate_, static_cast<double>(burst_regs_));
+    if (b.balance.tokens < 1.0) {
       ++denied_;
       if (registry_ != nullptr) {
         registry_->counter("policy.reg.denied", op.tenant).add();
       }
       return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
     }
-    b.tokens -= 1.0;
+    b.balance.tokens -= 1.0;
     ++b.live;
     return {.cpu_cost = kCheckCost};
   }
@@ -305,12 +297,10 @@ class RegistrationQuota final : public Policy {
  private:
   static constexpr sim::Time kCheckCost = sim::ns(30);
   struct Bucket {
-    double tokens = 0.0;
-    sim::Time last_refill = 0;
+    TokenBucket balance;
     std::uint32_t live = 0;
     std::uint32_t max_live_override = 0;
     bool has_live_override = false;
-    bool primed = false;
   };
   Bucket& slot(TenantId t) {
     if (t >= buckets_.size()) buckets_.resize(t + 1);

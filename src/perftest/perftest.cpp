@@ -154,8 +154,8 @@ sim::Task<std::size_t> event_harvest(verbs::Context& ctx, nic::CompletionQueue& 
   } else {
     // Event already delivered while we were busy: its IRQ + the event-fd
     // read still consumed this core.
-    co_await core.work(core.model().interrupt_handling +
-                           core.model().wakeup_latency + core.syscall_cost(),
+    co_await core.work(os::kInterruptHandling + os::kWakeupLatency +
+                           core.syscall_cost(),
                        os::Work::kKernel);
   }
   const std::size_t cap = std::min<std::size_t>(out.size(), 16);
@@ -222,7 +222,7 @@ sim::Task<> spin_on_byte(verbs::Context& ctx, const volatile std::byte* addr,
                          std::byte expected) {
   const Time deadline = ctx.core().engine().now() + sim::sec(30);
   while (*addr != expected) {
-    co_await ctx.core().work(ctx.core().model().poll_miss, os::Work::kSpin);
+    co_await ctx.core().work(os::kPollMiss, os::Work::kSpin);
     if (ctx.core().engine().now() >= deadline) {
       throw std::runtime_error("write_lat memory poll timed out");
     }
@@ -384,7 +384,7 @@ void validate(const Params& p) {
   if (p.transport == Transport::kUD && p.op != TestOp::kSend) {
     throw std::invalid_argument("UD supports only send/recv");
   }
-  if (p.transport == Transport::kUD && p.msg_size > 4096) {
+  if (p.transport == Transport::kUD && p.msg_size > nic::kMtu) {
     throw std::invalid_argument("UD messages are limited to the MTU");
   }
 }

@@ -16,6 +16,19 @@ using nic::Cqe;
 using nic::SendWr;
 using sim::Time;
 
+/// Payload of a scale write and of a victim ping.
+constexpr std::size_t kMsgSize = 64;
+/// Pause between a victim's pings.
+constexpr Time kVictimGap = sim::us(15);
+/// The attacker's write size and outstanding-write window.
+constexpr std::size_t kAttackerMsg = 256;
+constexpr std::uint32_t kAttackerWindow = 64;
+/// Attacker budgets when policies are installed.
+constexpr double kAttackerOpsPerSec = 250e3;   // OpRateQuota override
+constexpr double kAttackerBytesPerSec = 32e6;  // QosTokenBucket override (shape)
+constexpr std::uint32_t kMaxLiveMrs = 8;       // RegistrationQuota live cap
+constexpr double kRegsPerSec = 2000.0;         // RegistrationQuota refill
+
 std::uintptr_t uptr(const void* p) { return reinterpret_cast<std::uintptr_t>(p); }
 
 verbs::DataplaneMode mode_of(bool cord) {
@@ -87,15 +100,15 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
   }
   std::vector<LogicalConn> conns(p.connections);
   for (std::size_t c = 0; c < p.connections; ++c) {
-    conns[c] = LogicalConn{srv.node(), static_cast<std::uint32_t>(c % phys), 0};
+    conns[c] = LogicalConn{static_cast<std::uint32_t>(c % phys)};
   }
 
   // One source MR per physical QP client-side: in exclusive mode the WQE
   // fetch then touches as many MR contexts as there are connections (the
   // MR side of the context working set); shared mode touches only the
   // bounded pool's worth. One remote-writable sink server-side.
-  std::vector<std::byte> src(p.msg_size, std::byte{0xA5});
-  std::vector<std::byte> sink(p.msg_size, std::byte{0});
+  std::vector<std::byte> src(kMsgSize, std::byte{0xA5});
+  std::vector<std::byte> sink(kMsgSize, std::byte{0});
   std::vector<const nic::MemoryRegion*> mrs;
   mrs.reserve(phys);
   for (std::size_t i = 0; i < phys; ++i) {
@@ -108,7 +121,7 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
   ScaleResult result;
   result.latency_us.reserve(p.ops);
   sys.engine().spawn(
-      [](core::System& sys, std::vector<LogicalConn>& conns,
+      [](core::System& sys, const std::vector<LogicalConn>& conns,
          std::vector<nic::QueuePair*>& qps, nic::CompletionQueue& cq,
          std::vector<const nic::MemoryRegion*>& mrs,
          const nic::MemoryRegion& sink_mr, std::uintptr_t src_addr,
@@ -122,12 +135,11 @@ ScaleResult run_conn_scale(const core::SystemConfig& base,
         std::uint32_t outstanding = 0;
         while (done < p.ops) {
           while (outstanding < p.window && posted < p.ops) {
-            LogicalConn& lc = conns[posted % p.connections];
-            ++lc.ops;
+            const LogicalConn& lc = conns[posted % p.connections];
             SendWr wr;
             wr.wr_id = posted;
             wr.opcode = nic::Opcode::kRdmaWrite;
-            wr.sge = {src_addr, static_cast<std::uint32_t>(p.msg_size),
+            wr.sge = {src_addr, static_cast<std::uint32_t>(kMsgSize),
                       mrs[lc.phys]->lkey};
             wr.remote_addr = sink_addr;
             wr.rkey = sink_mr.rkey;
@@ -188,14 +200,14 @@ sim::Task<> victim_loop(core::System& sys, const NoisyParams& p,
     SendWr wr;
     wr.wr_id = i;
     wr.opcode = nic::Opcode::kRdmaWrite;
-    wr.sge = {src, static_cast<std::uint32_t>(p.msg_size), lkey};
+    wr.sge = {src, static_cast<std::uint32_t>(kMsgSize), lkey};
     wr.remote_addr = dst;
     wr.rkey = rkey;
     const int rc = co_await ctx.post_send(qp, std::move(wr));
     if (rc != 0) throw std::runtime_error("victim post_send failed");
     (void)check(co_await ctx.wait_one(cq), "victim");
     out.add(sim::to_us(eng.now() - t0));
-    co_await eng.delay(p.victim_gap);
+    co_await eng.delay(kVictimGap);
   }
 }
 
@@ -216,12 +228,11 @@ sim::Task<> attacker_loop(core::System& sys, const NoisyParams& p,
   std::uint32_t outstanding = 0;
   std::uint64_t wr_id = 0;
   while (true) {
-    while (eng.now() < p.duration && outstanding < p.attacker_window) {
+    while (eng.now() < p.duration && outstanding < kAttackerWindow) {
       SendWr wr;
       wr.wr_id = wr_id++;
       wr.opcode = nic::Opcode::kRdmaWrite;
-      wr.sge = {src, static_cast<std::uint32_t>(p.attacker_msg),
-                mrs[next]->lkey};
+      wr.sge = {src, static_cast<std::uint32_t>(kAttackerMsg), mrs[next]->lkey};
       wr.remote_addr = dst;
       wr.rkey = rkey;
       nic::QueuePair& qp = *qps[next];
@@ -295,7 +306,7 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
     auto& qos = static_cast<os::QosTokenBucket&>(
         chain.install(std::make_unique<os::QosTokenBucket>(
             12.5e9, std::uint64_t{1} << 20, os::QosTokenBucket::Mode::kShape)));
-    qos.set_tenant_rate(attacker, p.attacker_bytes_per_sec);
+    qos.set_tenant_rate(attacker, kAttackerBytesPerSec);
     // Op-rate fairness over the doorbell/poll flood vectors: generous
     // default (victims busy-poll their completions), attacker capped.
     auto& oprate = static_cast<os::OpRateQuota&>(
@@ -304,10 +315,10 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
             os::OpRateQuota::kind_bit(os::DataplaneOp::Kind::kPostSend) |
                 os::OpRateQuota::kind_bit(os::DataplaneOp::Kind::kPollCq),
             reg)));
-    oprate.set_tenant_rate(attacker, p.attacker_ops_per_sec);
+    oprate.set_tenant_rate(attacker, kAttackerOpsPerSec);
     // Registration churn: few live MRs, slow refill.
     chain.install(std::make_unique<os::RegistrationQuota>(
-        p.max_live_mrs, p.regs_per_sec, /*burst_regs=*/4, reg));
+        kMaxLiveMrs, kRegsPerSec, /*burst_regs=*/4, reg));
     // Reachability: victims may touch host 1, the attacker host 2.
     auto& acl = static_cast<os::SecurityAcl&>(
         chain.install(std::make_unique<os::SecurityAcl>()));
@@ -328,8 +339,8 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
 
   // Victims: one QP + CQ each to host 1, one shared source MR (a single
   // hot MR context — exactly what the attacker's thrash evicts).
-  std::vector<std::byte> vsrc(p.msg_size, std::byte{0x5A});
-  std::vector<std::byte> vsink(p.msg_size * p.victims, std::byte{0});
+  std::vector<std::byte> vsrc(kMsgSize, std::byte{0x5A});
+  std::vector<std::byte> vsink(kMsgSize * p.victims, std::byte{0});
   const nic::MemoryRegion& vsrc_mr =
       h0.nic().register_mr(pd0, vsrc.data(), vsrc.size(), 0);
   const nic::MemoryRegion& vsink_mr = h1.nic().register_mr(
@@ -347,8 +358,8 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
 
   // Attacker: many QPs to host 2 (more than the ICM QP cache holds), one
   // MR per QP (more than the MR cache holds), one shared CQ.
-  std::vector<std::byte> asrc(p.attacker_msg, std::byte{0xEE});
-  std::vector<std::byte> asink(p.attacker_msg, std::byte{0});
+  std::vector<std::byte> asrc(kAttackerMsg, std::byte{0xEE});
+  std::vector<std::byte> asink(kAttackerMsg, std::byte{0});
   const nic::MemoryRegion& asink_mr = h2.nic().register_mr(
       pd2, asink.data(), asink.size(),
       nic::kAccessLocalWrite | nic::kAccessRemoteWrite);
@@ -370,7 +381,7 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
   for (std::size_t v = 0; v < p.victims; ++v) {
     eng.spawn(victim_loop(sys, p, v, static_cast<os::TenantId>(1 + v),
                           *vqps[v], *vcqs[v], vsrc_mr.lkey, uptr(vsrc.data()),
-                          uptr(vsink.data()) + v * p.msg_size, vsink_mr.rkey,
+                          uptr(vsink.data()) + v * kMsgSize, vsink_mr.rkey,
                           per_victim[v]));
   }
   eng.spawn(attacker_loop(sys, p, attacker, aqps, *acq, amrs,

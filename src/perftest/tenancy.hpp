@@ -34,13 +34,11 @@ namespace cord::perftest {
 /// Shared: logical connections map round-robin onto a bounded QP pool.
 enum class ConnMode : std::uint8_t { kExclusive, kShared };
 
-/// The entire per-connection state in shared mode: 16 bytes, so a million
-/// logical connections cost 16 MB of host memory and no NIC context
+/// The entire per-connection state in shared mode: 4 bytes, so a million
+/// logical connections cost 4 MB of host memory and no NIC context
 /// beyond the fixed pool.
 struct LogicalConn {
-  nic::NodeId dst = 0;     ///< destination host
   std::uint32_t phys = 0;  ///< index of the backing physical QP
-  std::uint64_t ops = 0;   ///< posts mapped through this connection
 };
 
 struct ScaleParams {
@@ -51,9 +49,8 @@ struct ScaleParams {
   /// On-NIC context-cache capacities (0 = unbounded, the model off).
   std::uint32_t icm_qp_capacity = 0;
   std::uint32_t icm_mr_capacity = 0;
-  /// RDMA writes issued round-robin across the connections.
+  /// 64-byte RDMA writes issued round-robin across the connections.
   std::size_t ops = 20000;
-  std::size_t msg_size = 64;
   /// Outstanding-operation window (must not exceed `connections`).
   std::uint32_t window = 16;
   /// Issue through the CoRD kernel dataplane instead of bypass.
@@ -84,14 +81,10 @@ struct NoisyParams {
   /// each pinging host 1 with small signaled RDMA writes.
   std::size_t victims = 4;
   std::size_t victim_pings = 300;
-  sim::Time victim_gap = sim::us(15);
-  std::size_t msg_size = 64;
   /// Attacker tenant (id victims+1) floods host 2 over this many QPs —
   /// sized past icm_qp_capacity so every attacker doorbell misses and
   /// evicts victim contexts.
   std::size_t attacker_qps = 768;
-  std::size_t attacker_msg = 256;
-  std::uint32_t attacker_window = 64;
   /// Attacker runs until this virtual time (victims finish by count).
   sim::Time duration = sim::ms(5);
   /// On-NIC context-cache capacities for every NIC in the system.
@@ -102,11 +95,6 @@ struct NoisyParams {
   bool cord = false;
   /// Install the isolation chain on host 0's kernel.
   bool policies = false;
-  /// Attacker budgets when policies are installed.
-  double attacker_ops_per_sec = 250e3;   // OpRateQuota override
-  double attacker_bytes_per_sec = 32e6;  // QosTokenBucket override (shape)
-  std::uint32_t max_live_mrs = 8;        // RegistrationQuota live cap
-  double regs_per_sec = 2000.0;          // RegistrationQuota refill
 };
 
 struct NoisyResult {

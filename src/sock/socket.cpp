@@ -80,8 +80,7 @@ sim::Task<std::size_t> Socket::recv(os::Core& core, std::span<std::byte> out) {
   if (rx_bytes_ == 0) {
     // Sleep until data arrives; pay the interrupt + wakeup on arrival.
     co_await rx_signal_.wait();
-    co_await core.work(core.model().interrupt_handling +
-                           core.model().wakeup_latency,
+    co_await core.work(os::kInterruptHandling + os::kWakeupLatency,
                        os::Work::kKernel);
   }
   const std::size_t n = std::min(out.size(), rx_bytes_);

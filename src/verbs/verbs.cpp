@@ -72,7 +72,6 @@ sim::Task<int> Context::flush() {
 
 sim::Task<int> Context::post_send(nic::QueuePair& qp, nic::SendWr wr) {
   ++dataplane_ops_;
-  const os::CpuModel& m = core_->model();
   // A WR's span chain starts here: mint the correlation id at the API
   // boundary so every later record (syscall, policy, NIC) links back.
   if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
@@ -92,12 +91,12 @@ sim::Task<int> Context::post_send(nic::QueuePair& qp, nic::SendWr wr) {
   }
   // Building the WQE (plus the inline payload copy) happens in user space
   // in both modes; the drivers are "largely equivalent".
-  sim::Time build = m.wqe_build;
+  sim::Time build = os::kWqeBuild;
   if (wr.inline_data) build += core_->memcpy_time(wr.sge.length);
   co_await core_->work(build, os::Work::kCompute);
 
   if (opts_.mode == DataplaneMode::kBypass) {
-    co_await core_->work(m.doorbell_mmio, os::Work::kCompute);
+    co_await core_->work(os::kDoorbellMmio, os::Work::kCompute);
     co_return host_->nic().post_send(qp, std::move(wr));
   }
   if (batching()) {
@@ -117,14 +116,13 @@ sim::Task<int> Context::post_send(nic::QueuePair& qp, nic::SendWr wr) {
 sim::Task<int> Context::post_recv(nic::QueuePair& qp, nic::RecvWr wr) {
   if (batching()) (void)co_await flush();  // a recv ends the gather
   ++dataplane_ops_;
-  const os::CpuModel& m = core_->model();
   if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
     tr->record(trace::Point::kVerbsPostRecv, 0, qp.qpn(), opts_.tenant,
                node8(*host_), wr.sge.length);
   }
-  co_await core_->work(m.wqe_build, os::Work::kCompute);
+  co_await core_->work(os::kWqeBuild, os::Work::kCompute);
   if (opts_.mode == DataplaneMode::kBypass) {
-    co_await core_->work(m.doorbell_mmio, os::Work::kCompute);
+    co_await core_->work(os::kDoorbellMmio, os::Work::kCompute);
     co_return host_->nic().post_recv(qp, wr);
   }
   co_return co_await host_->kernel().post_recv(*core_, opts_.tenant, qp, wr);
@@ -134,10 +132,9 @@ sim::Task<int> Context::post_srq_recv(nic::SharedReceiveQueue& srq,
                                       nic::RecvWr wr) {
   if (batching()) (void)co_await flush();
   ++dataplane_ops_;
-  const os::CpuModel& m = core_->model();
-  co_await core_->work(m.wqe_build, os::Work::kCompute);
+  co_await core_->work(os::kWqeBuild, os::Work::kCompute);
   if (opts_.mode == DataplaneMode::kBypass) {
-    co_await core_->work(m.doorbell_mmio, os::Work::kCompute);
+    co_await core_->work(os::kDoorbellMmio, os::Work::kCompute);
     co_return host_->nic().post_srq_recv(srq, wr);
   }
   co_return co_await host_->kernel().post_srq_recv(*core_, opts_.tenant, srq, wr);
@@ -157,14 +154,13 @@ sim::Task<int> Context::post_recv_burst(nic::QueuePair& qp,
   }
   (void)co_await flush();  // a recv ends the gather
   dataplane_ops_ += wrs.size();
-  const os::CpuModel& m = core_->model();
   if (trace::Tracer* tr = core_->engine().tracer()) [[unlikely]] {
     for (const nic::RecvWr& wr : wrs) {
       tr->record(trace::Point::kVerbsPostRecv, 0, qp.qpn(), opts_.tenant,
                  node8(*host_), wr.sge.length);
     }
   }
-  co_await core_->work(static_cast<sim::Time>(wrs.size()) * m.wqe_build,
+  co_await core_->work(static_cast<sim::Time>(wrs.size()) * os::kWqeBuild,
                        os::Work::kCompute);
   std::vector<int> rcs(wrs.size(), 0);
   co_return co_await host_->kernel().submit_recv_batch(*core_, opts_.tenant, qp,
@@ -191,7 +187,7 @@ sim::Task<std::size_t> Context::poll_cq(nic::CompletionQueue& cq,
     tr->record(trace::Point::kVerbsPollCq, 0, cq.cqn(), opts_.tenant,
                node8(*host_), n);
   }
-  co_await core_->work(static_cast<sim::Time>(n) * core_->model().poll_hit,
+  co_await core_->work(static_cast<sim::Time>(n) * os::kPollHit,
                        os::Work::kCompute);
   co_return n;
 }

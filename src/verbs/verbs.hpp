@@ -92,7 +92,7 @@ class Context {
   /// poll loop (mpi::Endpoint::progress_until) replays misses with it.
   sim::Time charge_poll_miss() {
     ++dataplane_ops_;
-    return core_->charge(core_->model().poll_miss, os::Work::kSpin);
+    return core_->charge(os::kPollMiss, os::Work::kSpin);
   }
 
   // --- Batched submission (ContextOptions::tx_batch > 1, CoRD only) -----

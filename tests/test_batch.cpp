@@ -389,7 +389,7 @@ TEST(Batch, FlushRunsTheFullChainPerWr) {
   const os::CpuModel m;
   constexpr sim::Time kWrs = 4, kAdmitted = 2;
   EXPECT_EQ(flush.kernel, per_op.kernel - (kWrs - 1) * m.syscall_crossing -
-                              (kAdmitted - 1) * m.doorbell_mmio);
+                              (kAdmitted - 1) * os::kDoorbellMmio);
 }
 
 }  // namespace

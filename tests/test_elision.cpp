@@ -140,7 +140,7 @@ class Pair {
             r, 2,
             verbs::Context(sys_.host(static_cast<std::size_t>(r)), 0,
                            sys_.options(verbs::DataplaneMode::kBypass)),
-            VerbsEndpoint::Config{4096, 128});
+            /*srq_slots=*/128);
       }
       testing::run_task(sys_.engine(), [](Ep& a, Ep& b) -> sim::Task<> {
         co_await a.setup();
@@ -691,10 +691,9 @@ TEST(Elision, SocketWaitThroughEpollHandOffMatchesReference) {
     EXPECT_EQ(got, ref) << "d = " << d;
     EXPECT_GT(got.elided, 0u);
   }
-  const os::CpuModel& cpu = core::system_a().cpu;
   const Observation after = arrivals<ParkingSocketEndpoint>(sim::ms(1), false);
   EXPECT_GE(after.cores[0].kernel - before.cores[0].kernel,
-            cpu.interrupt_handling + cpu.wakeup_latency);
+            os::kInterruptHandling + os::kWakeupLatency);
 }
 
 template <typename Ep>

@@ -59,6 +59,44 @@ TEST(PointToPoint, RendezvousLargeMessage) {
   }
 }
 
+/// Element i of the buffer rank `rank` sends.
+int sender_pattern(int rank, std::size_t i) {
+  return rank * 1'000'003 + static_cast<int>(i);
+}
+
+TEST(PointToPoint, RendezvousAnnouncedBeforeTheReceiveIsPosted) {
+  // Ranks 0 and 2 each announce 128 KiB to rank 1, rank 2 50 us after
+  // rank 0. Rank 1's progress engine runs for 200 us before it posts a
+  // receive, so both RTSs wait as pending announcements, rank 0's first,
+  // each with its sender's first cookie (1). Rank 1 then receives from
+  // rank 2 first, and each pull must read its own sender's buffer.
+  for (NetMode net : {NetMode::kBypass, NetMode::kCord}) {
+    run_world(3, net, [](Rank& r) -> sim::Task<> {
+      constexpr std::size_t kN = 32 * 1024;  // 128 KiB of ints
+      if (r.id() != 1) {
+        std::vector<int> data(kN);
+        for (std::size_t i = 0; i < kN; ++i) data[i] = sender_pattern(r.id(), i);
+        if (r.id() == 2) co_await r.compute(sim::us(50));
+        co_await r.send<int>(1, 5, data);
+        co_return;
+      }
+      const sim::Time post_at = r.now() + sim::us(200);
+      while (r.now() < post_at) (void)co_await r.endpoint().progress_once();
+      for (const int src : {2, 0}) {
+        std::vector<int> out(kN);
+        if (co_await r.recv<int>(src, 5, out) != kN) {
+          throw std::runtime_error("short rendezvous message");
+        }
+        for (std::size_t i = 0; i < kN; ++i) {
+          if (out[i] != sender_pattern(src, i)) {
+            throw std::runtime_error("pulled another sender's buffer");
+          }
+        }
+      }
+    });
+  }
+}
+
 TEST(PointToPoint, UnexpectedMessagesBufferAndMatchLater) {
   run_world(2, NetMode::kBypass, [](Rank& r) -> sim::Task<> {
     if (r.id() == 0) {

@@ -26,16 +26,14 @@ using sim::Time;
 /// Two NICs connected back-to-back at 100 Gbit/s — a miniature "system L".
 struct TwoNodeFixture {
   sim::Engine engine;
-  fabric::Network network{engine};
+  fabric::Network network{engine, 2, sim::Bandwidth::gbit_per_sec(100.0),
+                          sim::ns(150)};
   NicRegistry registry;
   NicConfig cfg;
   std::unique_ptr<Nic> nic0;
   std::unique_ptr<Nic> nic1;
 
   explicit TwoNodeFixture(NicConfig c = {}) : cfg(c) {
-    network.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-    network.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-    network.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
     nic0 = std::make_unique<Nic>(engine, network, registry, 0, cfg);
     nic1 = std::make_unique<Nic>(engine, network, registry, 1, cfg);
   }
@@ -485,9 +483,9 @@ TEST(Rnr, ExhaustedRetriesFailTheSend) {
   Cqe sc = take_one(*p.scq0);
   EXPECT_EQ(sc.status, WcStatus::kRnrRetryExceeded);
   EXPECT_EQ(p.qp0->state(), QpState::kError);
-  // rnr_retries counts retries after the first attempt (IB's rnr_retry),
-  // so the responder turns the send away rnr_retries + 1 times.
-  EXPECT_EQ(p.qp1->counters().rnr_events, f.cfg.rnr_retries + 1);
+  // kRnrRetries counts retries after the first attempt (IB's rnr_retry),
+  // so the responder turns the send away kRnrRetries + 1 times.
+  EXPECT_EQ(p.qp1->counters().rnr_events, kRnrRetries + 1);
 }
 
 TEST(Flush, ErrorStateFlushesPostedWork) {
@@ -747,7 +745,6 @@ TEST(SqDepth, BackpressureWhenFull) {
 // --- MTU segmentation contract (nic/segment.hpp) -----------------------
 
 TEST(Segmentation, ChunkCountAtMtuBoundaries) {
-  constexpr std::uint32_t kMtu = 4096;
   EXPECT_EQ(chunk_count(0, kMtu), 1u) << "zero-length = one header-only chunk";
   EXPECT_EQ(chunk_count(1, kMtu), 1u);
   EXPECT_EQ(chunk_count(kMtu - 1, kMtu), 1u);
@@ -761,7 +758,6 @@ TEST(Segmentation, ChunkCountAtMtuBoundaries) {
 }
 
 TEST(Segmentation, ForEachChunkMatchesCountAndConservesBytes) {
-  constexpr std::uint32_t kMtu = 4096;
   for (const std::uint64_t bytes :
        {0ull, 1ull, 4095ull, 4096ull, 4097ull, 3ull * 4096, 3ull * 4096 + 1,
         1ull << 31}) {
@@ -788,9 +784,8 @@ TEST(Segmentation, NicCountersTrackExactChunkCounts) {
   // Sends straddling every MTU boundary case: 0, 1, MTU, k*MTU, k*MTU+1.
   TwoNodeFixture f;
   auto p = f.connect_rc();
-  const std::uint32_t mtu = f.cfg.mtu;
-  const std::vector<std::uint32_t> sizes = {0, 1, mtu, 3 * mtu, 3 * mtu + 1};
-  const std::uint32_t max_size = 3 * mtu + 1;
+  const std::vector<std::uint32_t> sizes = {0, 1, kMtu, 3 * kMtu, 3 * kMtu + 1};
+  const std::uint32_t max_size = 3 * kMtu + 1;
   std::vector<std::byte> src(max_size), dst(max_size);
   const auto& smr = f.nic0->register_mr(p.pd0, src.data(), src.size(), 0);
   const auto& rmr =
@@ -810,7 +805,7 @@ TEST(Segmentation, NicCountersTrackExactChunkCounts) {
                                  sizes[i], smr.lkey},
                          .signaled = true}),
               kOk);
-    want_chunks += chunk_count(sizes[i], mtu);
+    want_chunks += chunk_count(sizes[i], kMtu);
   }
   f.engine.run();
   std::vector<Cqe> wc(sizes.size() + 1);
@@ -826,8 +821,7 @@ TEST(Segmentation, BoundarySizeDeliveryTimesAreReproducible) {
   auto run = [] {
     TwoNodeFixture f;
     auto p = f.connect_rc();
-    const std::uint32_t mtu = f.cfg.mtu;
-    const std::uint32_t max_size = 3 * mtu + 1;
+    const std::uint32_t max_size = 3 * kMtu + 1;
     std::vector<std::byte> src(max_size), dst(max_size);
     const auto& smr = f.nic0->register_mr(p.pd0, src.data(), src.size(), 0);
     const auto& rmr =
@@ -838,7 +832,7 @@ TEST(Segmentation, BoundarySizeDeliveryTimesAreReproducible) {
       cq.arm();
     });
     p.scq0->arm();
-    for (const std::uint32_t size : {1u, mtu, 3 * mtu, 3 * mtu + 1}) {
+    for (const std::uint32_t size : {1u, kMtu, 3 * kMtu, 3 * kMtu + 1}) {
       EXPECT_EQ(f.nic1->post_recv(
                     *p.qp1,
                     RecvWr{size, {reinterpret_cast<std::uintptr_t>(dst.data()),
@@ -1319,45 +1313,51 @@ TEST(Rnr, RetryOnAFailedQpFlushesTheWr) {
   EXPECT_EQ(wc[1].wr_id, 2u);
   EXPECT_EQ(wc[1].status, WcStatus::kWorkRequestFlushed);
   EXPECT_EQ(wc[1].opcode, WcOpcode::kSend);
-  // The retry fires one rnr_timer after the RNR NAK reaches qp0 (shortly
-  // after the write's NAK) and the flush lands one cqe_write later.
+  // The retry fires one kRnrTimer after the RNR NAK reaches qp0 (shortly
+  // after the write's NAK) and the flush lands one kCqeWrite later.
   ASSERT_EQ(r.pushed[0].size(), 2u);
   EXPECT_EQ(r.pushed[0][1], 11175840);
-  EXPECT_GT(r.pushed[0][1], r.pushed[0][0] + r.f.cfg.rnr_timer);
+  EXPECT_GT(r.pushed[0][1], r.pushed[0][0] + kRnrTimer);
   EXPECT_EQ(r.rcq1->depth(), 0u);
   EXPECT_EQ(r.qp1->counters().rnr_events, 1u);
   EXPECT_EQ(r.qp0->state(), QpState::kError);
 }
 
-// --- Fabric wiring errors ---------------------------------------------------
+// --- Fabric ------------------------------------------------------------------
 
-TEST(Network, PathErrorsThrow) {
+TEST(Network, EveryPairIsOneHopWithItsOwnDirection) {
   sim::Engine e;
-  fabric::Network net(e);
-  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  // No wiring at all: an unknown loopback and a missing link both throw.
-  EXPECT_THROW(net.path(7, 7), std::invalid_argument);
-  EXPECT_THROW(net.path(0, 1), std::invalid_argument);
-}
-
-// Network::connect used to replace a Link silently, destroying the
-// Resources inside it while Paths handed to NICs still pointed at them.
-TEST(Network, DuplicateConnectThrows) {
-  sim::Engine e;
-  fabric::Network net(e);
-  net.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-  net.connect(0, 1, sim::Bandwidth::gbit_per_sec(100.0), sim::ns(150));
-  EXPECT_THROW(
-      net.connect(0, 1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(50)),
-      std::invalid_argument);
-  // The pair key is unordered: reconnecting in reverse is the same link.
-  EXPECT_THROW(
-      net.connect(1, 0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(50)),
-      std::invalid_argument);
-  // The original link (and any Path resource taken from it) is untouched.
-  EXPECT_EQ(net.path(0, 1).propagation, sim::ns(150));
+  const sim::Bandwidth wire = sim::Bandwidth::gbit_per_sec(100.0);
+  fabric::Network net(e, 3, wire, sim::ns(300));
+  for (fabric::NodeId a = 0; a < 3; ++a) {
+    for (fabric::NodeId b = 0; b < 3; ++b) {
+      const fabric::Path p = net.path(a, b);
+      // Each direction, and each node's loopback, is a resource of its own.
+      for (fabric::NodeId c = 0; c < 3; ++c) {
+        for (fabric::NodeId d = 0; d < 3; ++d) {
+          if (a != c || b != d) {
+            EXPECT_NE(p.tx, net.path(c, d).tx);
+          }
+        }
+      }
+      if (a == b) {
+        EXPECT_EQ(p.bandwidth.gbps(), fabric::kLoopbackBandwidth.gbps());
+        EXPECT_EQ(p.propagation, fabric::kLoopbackDelay);
+      } else {
+        EXPECT_EQ(p.bandwidth.gbps(), wire.gbps());
+        EXPECT_EQ(p.propagation, sim::ns(300));
+      }
+    }
+  }
+  // 1000 bytes take 80 ns at 100 Gbit/s; the reverse direction is idle.
+  EXPECT_EQ(net.path(0, 1).reserve(0, 1000), sim::ns(80) + sim::ns(300));
+  EXPECT_EQ(net.path(1, 0).reserve(0, 1000), sim::ns(80) + sim::ns(300));
+  // A loopback runs at 200 Gbit/s: 40 ns for the same 1000 bytes.
+  EXPECT_EQ(net.path(2, 2).reserve(0, 1000),
+            sim::ns(40) + fabric::kLoopbackDelay);
+  EXPECT_THROW(net.path(3, 3), std::invalid_argument);
+  EXPECT_THROW(net.path(0, 3), std::invalid_argument);
+  EXPECT_THROW(net.path(7, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(IcmCache, MissLatencyIsChargedPerDoorbell) {
   EXPECT_EQ(capped.icm_qp_evictions, 11u);
   EXPECT_EQ(capped.icm_qp_hits, 0u);
   EXPECT_NEAR(capped.avg_us - unbounded.avg_us,
-              sim::to_us(cfg.nic.icm_miss_latency), 1e-6)
+              sim::to_us(nic::kIcmMissLatency), 1e-6)
       << "every op pays exactly one QP-context fetch";
 }
 
@@ -143,8 +143,8 @@ TEST(ConnScale, SharedModeBoundsMemoryAndContexts) {
   p.icm_mr_capacity = 512;
   const ScaleResult r = perftest::run_conn_scale(core::system_l(), p);
   EXPECT_EQ(r.physical_qps, 32u) << "the pool, not the logical count";
-  EXPECT_EQ(r.conn_table_bytes, 200000u * sizeof(perftest::LogicalConn))
-      << "16 B per logical connection";
+  EXPECT_EQ(r.conn_table_bytes, 200000u * 4u)
+      << "4 B per logical connection: the index of its physical QP";
   // The physical working set (32 QPs, 32 MRs) fits the cache: only cold
   // misses, no steady-state context thrash at 200k logical connections.
   EXPECT_LE(r.icm_qp_misses, 32u);
@@ -172,7 +172,7 @@ TEST(ConnScale, ExclusiveModeHitsTheContextCliff) {
       << "round-robin over 4x capacity misses nearly every doorbell";
   // Each op pays a QP-context fetch on the doorbell and an MR-context
   // fetch on the WQE read: the cliff is two miss penalties per op.
-  EXPECT_GT(b.avg_us - a.avg_us, 0.8 * 2 * sim::to_us(cfg.nic.icm_miss_latency));
+  EXPECT_GT(b.avg_us - a.avg_us, 0.8 * 2 * sim::to_us(nic::kIcmMissLatency));
 }
 
 // --- Noisy neighbor: bypass cannot protect victims, CoRD policies can ---

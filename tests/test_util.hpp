@@ -38,16 +38,15 @@ inline void run_task(sim::Engine& engine, sim::Task<> task) {
 
 struct TwoHostFixture {
   sim::Engine engine;
-  fabric::Network network{engine};
+  fabric::Network network;
   nic::NicRegistry registry;
   std::unique_ptr<os::Host> host0;
   std::unique_ptr<os::Host> host1;
 
   explicit TwoHostFixture(os::CpuModel cpu = {}, nic::NicConfig nic_cfg = {},
-                          double wire_gbps = 100.0) {
-    network.add_node(0, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-    network.add_node(1, sim::Bandwidth::gbit_per_sec(200.0), sim::ns(150));
-    network.connect(0, 1, sim::Bandwidth::gbit_per_sec(wire_gbps), sim::ns(150));
+                          double wire_gbps = 100.0)
+      : network(engine, 2, sim::Bandwidth::gbit_per_sec(wire_gbps),
+                sim::ns(150)) {
     host0 = std::make_unique<os::Host>(engine, network, registry, 0, nic_cfg,
                                        cpu);
     host1 = std::make_unique<os::Host>(engine, network, registry, 1, nic_cfg,

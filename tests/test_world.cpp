@@ -1,5 +1,5 @@
-// MPI World mechanics: rank placement, traffic accounting, configuration
-// knobs (eager threshold, kernel-routed polls), and error propagation.
+// MPI World mechanics: rank placement, traffic accounting, the eager /
+// rendezvous split, CoRD's user-space polls, and error propagation.
 #include <gtest/gtest.h>
 
 #include "mpi/world.hpp"
@@ -41,47 +41,52 @@ TEST(World, RankExceptionPropagatesOutOfRun) {
       std::logic_error);
 }
 
-TEST(World, EagerThresholdKnobChangesProtocol) {
-  // With a tiny eager threshold, a 1 KiB message must travel by
-  // rendezvous: the NIC sees an extra control round trip (RTS + read +
-  // FIN) compared to the one-shot eager send.
-  auto messages_for = [](std::size_t threshold) {
+TEST(World, MessagesAboveTheEagerThresholdTravelByRendezvous) {
+  // A message of kEagerThreshold bytes goes in one eager send; one byte
+  // more travels by rendezvous: an RTS, the receiver's RDMA read and a
+  // FIN, two NIC messages more.
+  auto messages_for = [](std::size_t bytes) {
     core::System sys(core::system_l(), 2);
-    World world(sys, 2, {.eager_threshold = threshold});
-    (void)world.run([](Rank& r) -> sim::Task<> {
-      std::vector<std::byte> buf(1024);
+    World world(sys, 2, {});
+    (void)world.run([bytes](Rank& r) -> sim::Task<> {
+      std::vector<std::byte> buf(bytes);
       if (r.id() == 0) {
         co_await r.send<std::byte>(1, 1, buf);
       } else {
-        (void)co_await r.recv<std::byte>(0, 1, buf);
+        const std::size_t got = co_await r.recv<std::byte>(0, 1, buf);
+        if (got != bytes) throw std::runtime_error("short message");
       }
     });
     return world.traffic().messages;
   };
-  EXPECT_GT(messages_for(128), messages_for(4096))
-      << "rendezvous needs more wire messages than eager";
+  constexpr std::size_t kEager = VerbsEndpoint::kEagerThreshold;
+  EXPECT_EQ(messages_for(kEager + 1), messages_for(kEager) + 2);
 }
 
-TEST(World, KernelRoutedPollsGenerateSyscallStorm) {
-  auto syscalls_for = [](bool poll_via_kernel) {
-    core::System sys(core::system_l(), 2);
-    World world(sys, 2,
-                {.net = NetMode::kCord, .cord_poll_via_kernel = poll_via_kernel});
-    (void)world.run([](Rank& r) -> sim::Task<> {
-      std::vector<std::byte> buf(256);
-      const int peer = r.id() ^ 1;
-      for (int i = 0; i < 10; ++i) {
-        co_await r.sendrecv<std::byte>(peer, 1, buf, peer, 1, buf);
-      }
-    });
-    return sys.host(0).kernel().syscall_count() +
-           sys.host(1).kernel().syscall_count();
-  };
-  // The absolute counts are dominated by the SRQ prefill (1024 posted
-  // receives per rank, each a CoRD syscall); the poll routing must add a
-  // clear increment on top.
-  EXPECT_GT(syscalls_for(true), syscalls_for(false) + 100)
-      << "routing poll_cq through the kernel adds per-poll syscalls";
+TEST(World, CordRanksPollTheirCqsFromUserSpace) {
+  // System L routes CoRD polls through the kernel by default; an MPI
+  // world overrides that (abl_poll_path prices the kernel-routed polls).
+  core::System sys(core::system_l(), 2);
+  ASSERT_TRUE(sys.options(verbs::DataplaneMode::kCord).poll_via_kernel);
+  World world(sys, 2, {.net = NetMode::kCord});
+  (void)world.run([](Rank& r) -> sim::Task<> {
+    std::vector<std::byte> buf(256);
+    const int peer = r.id() ^ 1;
+    for (int i = 0; i < 10; ++i) {
+      co_await r.sendrecv<std::byte>(peer, 1, buf, peer, 1, buf);
+    }
+  });
+  for (std::size_t h = 0; h < 2; ++h) {
+    const trace::MetricsRegistry& m = sys.host(h).kernel().metrics();
+    const auto count = [&m](const char* name) {
+      const trace::Counter* c = m.find_counter(name, 0);
+      return c == nullptr ? 0 : c->value;
+    };
+    EXPECT_GT(count("kernel.tenant.post_sends"), 0u)
+        << "the posting verbs trap on host " << h;
+    EXPECT_EQ(count("kernel.tenant.polls"), 0u)
+        << "no poll entered the kernel on host " << h;
+  }
 }
 
 TEST(World, TenantIdReachesThePolicyLayer) {
