@@ -57,36 +57,36 @@ void append_stage_table(std::string& out, const CriticalPath& cp,
 
 void Aggregator::ingest(std::span<const Record> records,
                         std::optional<std::uint8_t> origin) {
-  // Stage 1: append WR-scoped records to their span's pending chain.
+  // Stage 1: append every WR-scoped record of the call to its span's
+  // pending chain, noting each sender completion as it arrives.
+  std::vector<std::uint32_t> completed;
   for (const Record& r : records) {
     if (r.span == 0) continue;
-    auto [it, inserted] = pending_.try_emplace(r.span);
-    it->second.push_back(r);
-    if (inserted && pending_.size() > kMaxPendingSpans) {
-      // Bounded staging: evict the lowest span id (deterministic; old
-      // ids are the spans least likely to still complete).
-      pending_.erase(pending_.begin());
-      ++pending_evicted_;
+    pending_[r.span].push_back(r);
+    if (r.point == Point::kCompletion && r.aux == 0) {
+      completed.push_back(r.span);
     }
   }
-  // Stage 2: finalize every chain whose sender completion has arrived.
-  // Completed waterfalls are observed in content order, so one-shot
-  // whole-trace ingests do not depend on record emission order.
+  // Stage 2: finalize those chains. Completed waterfalls are observed in
+  // content order, so one-shot whole-trace ingests do not depend on
+  // record emission order.
   std::vector<Waterfall> done;
-  std::vector<std::uint32_t> done_spans;
-  for (const auto& [span, chain] : pending_) {
-    const bool complete = std::any_of(
-        chain.begin(), chain.end(), [](const Record& r) {
-          return r.point == Point::kCompletion && r.aux == 0;
-        });
-    if (!complete) continue;
-    auto w = build_waterfall(chain);
+  for (std::uint32_t span : completed) {
+    const auto it = pending_.find(span);
+    if (it == pending_.end()) continue;  // a second sender completion
+    auto w = build_waterfall(it->second);
     if (w && (!origin || w->src_node == *origin)) done.push_back(*w);
-    done_spans.push_back(span);
+    pending_.erase(it);
   }
-  for (std::uint32_t span : done_spans) pending_.erase(span);
   std::sort(done.begin(), done.end(), waterfall_before);
   for (const Waterfall& w : done) observe(w);
+  // Stage 3: bound what stays incomplete. Evict the lowest span ids
+  // (deterministic; old ids are the spans least likely to still
+  // complete), never a chain this call completed.
+  while (pending_.size() > kMaxPendingSpans) {
+    pending_.erase(pending_.begin());
+    ++pending_evicted_;
+  }
 }
 
 void Aggregator::observe(const Waterfall& w) {

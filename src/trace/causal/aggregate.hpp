@@ -76,6 +76,8 @@ class Aggregator {
   /// Feed records (any subset of a stream, in stream order across calls).
   /// Spans are staged until their sender completion arrives, then built
   /// and observed. Safe to call repeatedly with successive stream slices.
+  /// The pending bound applies once the call's chains are finalized, so
+  /// one call never evicts a span it completes.
   /// With `origin`, only spans posted on that node (Waterfall::src_node)
   /// are observed; the others are dropped once complete.
   void ingest(std::span<const Record> records,

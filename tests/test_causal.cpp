@@ -4,8 +4,10 @@
 // System surfaces they feed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -291,6 +293,34 @@ TEST(Aggregator, IncrementalIngestMatchesOneShot) {
   EXPECT_EQ(inc.spans(), one.spans());
   EXPECT_EQ(inc.latency_report(), one.latency_report());
   EXPECT_EQ(inc.critpath_report(), one.critpath_report());
+}
+
+TEST(Aggregator, OneCallIngestKeepsEveryCompletedSpan) {
+  // More chains than the pending bound, all complete, in one call: the
+  // bound applies only to chains still incomplete once the call is done.
+  constexpr std::uint32_t kSpans = 70'000;
+  static_assert(kSpans > causal::Aggregator::kMaxPendingSpans);
+  std::vector<trace::Record> all;
+  for (std::uint32_t i = 1; i <= kSpans; ++i) {
+    const auto chain =
+        simple_span(i, 1000 * i, 100 * (1 + i % 50), /*tenant=*/i % 3);
+    all.insert(all.end(), chain.begin(), chain.end());
+  }
+  causal::Aggregator one;
+  one.ingest(all);
+  EXPECT_EQ(one.spans(), kSpans);
+  EXPECT_EQ(one.pending_evicted(), 0u);
+  EXPECT_EQ(one.pending_spans(), 0u);
+
+  causal::Aggregator sliced;
+  constexpr std::size_t kSlice = 1u << 14;
+  for (std::size_t i = 0; i < all.size(); i += kSlice) {
+    sliced.ingest(std::span<const trace::Record>(all).subspan(
+        i, std::min(kSlice, all.size() - i)));
+  }
+  EXPECT_EQ(sliced.spans(), kSpans);
+  EXPECT_EQ(one.latency_report(), sliced.latency_report());
+  EXPECT_EQ(one.critpath_report(), sliced.critpath_report());
 }
 
 TEST(Aggregator, PerTenantAndPerQpHistograms) {
