@@ -63,7 +63,7 @@ void BM_ScheduleDispatch_CausalIdle(benchmark::State& state) {
   sim::Engine engine;
   trace::Tracer tracer(engine);  // constructed, never enabled
   trace::causal::Aggregator causal;
-  causal.set_default_slo({99.0, sim::us(1)});  // watchdog armed, never fed
+  causal.set_slo(/*tenant=*/0, {99.0, sim::us(1)});  // watchdog armed, never fed
   std::uint64_t fired = 0;
   for (auto _ : state) {
     engine.call_in(sim::ns(10), [&] { ++fired; });

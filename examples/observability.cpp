@@ -3,12 +3,11 @@
 // Two applications talk over CoRD while the "operator" — pure kernel-side
 // code, no application cooperation — watches per-tenant traffic through
 // the kernel's metrics registry (`Kernel::proc_read`), a StatsCollector
-// policy mirrored into the same registry, and per-QP counters, then
-// enforces a security decision by revoking one connection mid-run. The
-// whole CoRD phase runs with the tracer armed, and the capture is
-// exported as Chrome trace-event JSON (load it in https://ui.perfetto.dev
-// to see each work request's post → syscall → policy → doorbell → DMA →
-// wire → completion span chain).
+// policy, and per-QP counters, then enforces a security decision by
+// revoking one connection mid-run. The whole CoRD phase runs with the
+// tracer armed, and the capture is exported as Chrome trace-event JSON
+// (load it in https://ui.perfetto.dev to see each work request's post →
+// syscall → policy → doorbell → DMA → wire → completion span chain).
 //
 // The control: the same traffic in bypass mode leaves the kernel blind —
 // zero syscalls, zero per-tenant metrics. That contrast is the paper's
@@ -122,10 +121,9 @@ int main() {
   core::System sys(core::system_l(), 2);
   os::Kernel& kernel = sys.host(0).kernel();
 
-  // Operator side: install a stats policy mirrored into the kernel's
-  // metrics registry. Pure kernel configuration.
-  auto& stats = static_cast<os::StatsCollector&>(kernel.policies().install(
-      std::make_unique<os::StatsCollector>(kernel.metrics())));
+  // Operator side: install a stats policy. Pure kernel configuration.
+  auto& stats = static_cast<os::StatsCollector&>(
+      kernel.policies().install(std::make_unique<os::StatsCollector>()));
 
   // Arm the tracer for the whole phase: every WR leaves a span chain.
   sys.tracer().set_enabled(true);
@@ -188,8 +186,9 @@ int main() {
       pos = eol == std::string::npos ? cp.size() : eol + 1;
     }
   }
-  const std::uint64_t violations_bad = kernel.causal().watchdog_violations(9);
-  const std::uint64_t violations_good = kernel.causal().watchdog_violations(7);
+  const trace::causal::Aggregator view = kernel.causal();
+  const std::uint64_t violations_bad = view.watchdog_violations(9);
+  const std::uint64_t violations_good = view.watchdog_violations(7);
   std::printf("\n  watchdog: tenant 9 violations=%llu (SLO p99 <= 5 us, "
               "unmeetable at 64 KiB), tenant 7 violations=%llu\n",
               static_cast<unsigned long long>(violations_bad),

@@ -130,14 +130,11 @@ System::System(SystemConfig cfg, std::size_t host_count)
   metrics_.callback_gauge("nic.seg_chunks", [nic_sum] {
     return nic_sum(&nic::NicCounters::seg_chunks);
   });
-  // Causal-layer health: spans analyzed, watchdog firings, and the global
-  // p99 end-to-end latency — all views of the aggregate analyze_causal()
-  // last built (zero until it runs; no data-path cost ever).
+  // Causal-layer health: spans analyzed and the global p99 end-to-end
+  // latency, both views of the aggregate analyze_causal() last built (zero
+  // until it runs; no data-path cost ever).
   metrics_.callback_gauge("causal.spans", [this] {
     return static_cast<std::int64_t>(causal_.spans());
-  });
-  metrics_.callback_gauge("causal.watchdog_violations", [this] {
-    return static_cast<std::int64_t>(causal_.watchdog_violations());
   });
   metrics_.callback_gauge("causal.p99_e2e_ns", [this] {
     return static_cast<std::int64_t>(causal_.e2e().percentile(99.0) / 1e3);
@@ -145,7 +142,7 @@ System::System(SystemConfig cfg, std::size_t host_count)
 }
 
 const trace::causal::Aggregator& System::analyze_causal() {
-  causal_.clear();
+  causal_ = {};
   causal_.ingest(tracer_.snapshot());
   return causal_;
 }

@@ -74,15 +74,10 @@ class System {
   /// Records the tracer dropped (ring overflow).
   std::uint64_t trace_dropped() const { return tracer_.dropped(); }
 
-  /// Rebuild the system-wide causal aggregate from the current trace
-  /// (clears previous observations; SLO configuration is kept). Feeds the
-  /// causal.* gauges in metrics().
+  /// Rebuild the system-wide causal aggregate from one ingest of the
+  /// whole trace (every host's spans), replacing the previous one. Feeds
+  /// the causal.* gauges in metrics().
   const trace::causal::Aggregator& analyze_causal();
-  /// The causal aggregate as last built by analyze_causal() (empty until
-  /// the first call). Configure SLOs here before running:
-  /// `causal().set_slo(...)` — const_cast-free via the non-const overload.
-  trace::causal::Aggregator& causal() { return causal_; }
-  const trace::causal::Aggregator& causal() const { return causal_; }
 
   /// System-wide metrics, the only registry of the one engine's gauges:
   /// engine.* (events processed, events scheduled into the past and

@@ -61,33 +61,22 @@ Kernel::Kernel(sim::Engine& engine, nic::Nic& nic)
   metrics_.callback_gauge("nic.icm.mr_evictions", [this] {
     return static_cast<std::int64_t>(nic_->icm_mr_cache().stats().evictions);
   });
-  // Tail-latency watchdog firings (causal layer). The refresh happens at
-  // read time, so an armed-but-unread watchdog still costs nothing on the
-  // data path.
+  // Tail-latency watchdog firings (causal layer), counted at read time,
+  // so an armed-but-unread watchdog costs nothing on the data path.
   metrics_.callback_gauge("kernel.watchdog_violations", [this] {
-    refresh_causal();
-    return static_cast<std::int64_t>(causal_.watchdog_violations());
+    return static_cast<std::int64_t>(causal().watchdog_violations());
   });
 }
 
-void Kernel::refresh_causal() const {
-  trace::Tracer* tr = engine_->tracer();
-  if (tr == nullptr) return;
-  if (tr->size() < causal_cursor_) {
-    // Tracer was cleared since the last refresh; start over.
-    causal_.clear();
-    causal_cursor_ = 0;
-  }
-  if (tr->size() == causal_cursor_) return;
-  std::vector<trace::Record> batch;
-  batch.reserve(tr->size() - causal_cursor_);
-  for (std::size_t i = causal_cursor_; i < tr->size(); ++i) {
-    batch.push_back((*tr)[i]);
-  }
-  causal_cursor_ = tr->size();
+trace::causal::Aggregator Kernel::causal() const {
+  trace::causal::Aggregator agg;
+  for (const auto& [tenant, slo] : slos_) agg.set_slo(tenant, slo);
   // The System's one tracer holds every host's records; this kernel's
   // view keeps the spans its own host posted.
-  causal_.ingest(batch, static_cast<std::uint8_t>(nic_->node()));
+  if (const trace::Tracer* tr = engine_->tracer()) {
+    agg.ingest(tr->snapshot(), static_cast<std::uint8_t>(nic_->node()));
+  }
+  return agg;
 }
 
 const Kernel::TenantMetrics& Kernel::tenant_metrics(TenantId tenant) {
@@ -444,21 +433,14 @@ std::string Kernel::proc_read(std::string_view path) const {
     append_tenant_line(out, metrics_, t);
     return out;
   }
-  if (path == "latency") {
-    refresh_causal();
-    return causal_.latency_report();
-  }
-  if (path == "critpath") {
-    refresh_causal();
-    return causal_.critpath_report();
-  }
+  if (path == "latency") return causal().latency_report();
+  if (path == "critpath") return causal().critpath_report();
   constexpr std::string_view kLatency = "latency/";
   if (path.size() > kLatency.size() &&
       path.substr(0, kLatency.size()) == kLatency) {
-    refresh_causal();
     const std::uint32_t t = static_cast<std::uint32_t>(
         std::atoi(std::string(path.substr(kLatency.size())).c_str()));
-    return causal_.tenant_report(t);
+    return causal().tenant_report(t);
   }
   constexpr std::string_view kQp = "qp/";
   if (path.size() > kQp.size() && path.substr(0, kQp.size()) == kQp) {

@@ -12,7 +12,9 @@
 //
 // The kernel also owns interrupt delivery for armed CQs (the
 // "polling removed" path) and the OS-control operations CoRD enables
-// (revoking a QP, reading per-QP traffic counters).
+// (revoking a QP, reading per-QP traffic counters, and the causal latency
+// view of its host's spans). Of the causal layer it keeps only the armed
+// SLOs: every read builds the view afresh from the whole trace.
 #pragma once
 
 #include <algorithm>
@@ -149,29 +151,23 @@ class Kernel {
   ///                      per-stage share/queue table (trace-derived)
   ///   "latency/<id>"     one tenant's causal latency report
   ///   "critpath"         critical-path summary + slowest-span waterfalls
-  /// Unknown paths return the empty string. The latency surfaces are
-  /// pull-based: reading them drains any new records from this engine's
-  /// tracer into the causal aggregator (zero cost on the data path; they
-  /// report "no trace data" while tracing is disarmed).
+  /// Unknown paths return the empty string. The latency surfaces, like
+  /// the kernel.watchdog_violations gauge, read causal(): nothing runs on
+  /// the data path, and they report no completed spans while tracing is
+  /// disarmed.
   std::string proc_read(std::string_view path) const;
 
   // --- causal latency attribution / tail-latency watchdog ---------------
   /// Arm the tail-latency watchdog for one tenant: fire when the tenant's
   /// observed `percentile` of end-to-end latency exceeds `budget`.
   void set_latency_slo(TenantId tenant, double percentile, sim::Time budget) {
-    causal_.set_slo(tenant, {percentile, budget});
+    slos_[tenant] = {percentile, budget};
   }
-  /// The causal aggregator, refreshed from the tracer first (same pull
-  /// path the proc surfaces use).
-  const trace::causal::Aggregator& causal() const {
-    refresh_causal();
-    return causal_;
-  }
-  /// Watchdog firings recorded so far (refreshes first).
-  std::span<const trace::causal::WatchdogEvent> watchdog_events() const {
-    refresh_causal();
-    return causal_.watchdog_events();
-  }
+  /// A fresh causal aggregate of the spans this host posted, built with
+  /// the armed SLOs from one ingest of the engine tracer's whole trace, so
+  /// it does not depend on when or how often it is read. Empty while
+  /// tracing is disarmed.
+  trace::causal::Aggregator causal() const;
 
  private:
   /// Hot-path metric handles for one tenant (pointers into metrics_, which
@@ -199,10 +195,6 @@ class Kernel {
   /// Full ioctl round trip: crossing + serialization + command.
   sim::Task<> ioctl(Core& core, sim::Time cmd_cost);
   sim::Signal& cq_signal(nic::CompletionQueue& cq);
-  /// Drain records the engine's tracer appended since the last refresh
-  /// into the causal aggregator, keeping only spans this kernel's host
-  /// posted (no-op while tracing is disarmed).
-  void refresh_causal() const;
 
   /// The one send crossing behind post_send (n = 1) and
   /// submit_send_batch: one syscall charge, per-WR driver work and full
@@ -236,11 +228,8 @@ class Kernel {
   std::uint64_t interrupts_ = 0;
   trace::MetricsRegistry metrics_;
   std::vector<TenantMetrics> tenant_metrics_;
-  /// Causal latency aggregation (pull-based: fed by refresh_causal from
-  /// the proc surfaces, never from the data path). Mutable so the const
-  /// read paths can lazily drain the tracer.
-  mutable trace::causal::Aggregator causal_;
-  mutable std::size_t causal_cursor_ = 0;
+  /// Tail-latency SLOs armed by set_latency_slo, applied to every causal().
+  std::map<TenantId, trace::causal::SloConfig> slos_;
 };
 
 /// A host: one NIC, one kernel, N cores. Benchmark processes and MPI

@@ -15,7 +15,6 @@
 
 #include "os/policy.hpp"
 #include "sim/stats.hpp"
-#include "trace/metrics.hpp"
 
 namespace cord::os {
 
@@ -188,13 +187,6 @@ class OpRateQuota final : public Policy {
   /// pass through untouched (still paying the check cost).
   OpRateQuota(double ops_per_sec, std::uint64_t burst_ops, std::uint32_t kinds)
       : rate_(ops_per_sec), burst_ops_(burst_ops), kinds_(kinds) {}
-  /// Mirror per-tenant denial counts into `registry` (counter
-  /// `policy.oprate.denied`, label = tenant) so isolation violations
-  /// surface through Kernel::proc_read alongside the kernel's metrics.
-  OpRateQuota(double ops_per_sec, std::uint64_t burst_ops, std::uint32_t kinds,
-              trace::MetricsRegistry& registry)
-      : rate_(ops_per_sec), burst_ops_(burst_ops), kinds_(kinds),
-        registry_(&registry) {}
 
   std::string_view name() const override { return "op-rate-quota"; }
 
@@ -210,9 +202,6 @@ class OpRateQuota final : public Policy {
     b.balance.refill(now, rate, static_cast<double>(burst_ops_));
     if (b.balance.tokens < 1.0) {
       ++denied_;
-      if (registry_ != nullptr) {
-        registry_->counter("policy.oprate.denied", op.tenant).add();
-      }
       return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
     }
     b.balance.tokens -= 1.0;
@@ -236,7 +225,6 @@ class OpRateQuota final : public Policy {
   std::uint32_t kinds_;
   std::uint64_t denied_ = 0;
   std::vector<Bucket> buckets_;
-  trace::MetricsRegistry* registry_ = nullptr;
 };
 
 /// Isolation: per-tenant memory-registration quota. Caps the number of
@@ -250,10 +238,6 @@ class RegistrationQuota final : public Policy {
   RegistrationQuota(std::uint32_t max_live_mrs, double regs_per_sec,
                     std::uint64_t burst_regs)
       : max_live_(max_live_mrs), rate_(regs_per_sec), burst_regs_(burst_regs) {}
-  RegistrationQuota(std::uint32_t max_live_mrs, double regs_per_sec,
-                    std::uint64_t burst_regs, trace::MetricsRegistry& registry)
-      : max_live_(max_live_mrs), rate_(regs_per_sec), burst_regs_(burst_regs),
-        registry_(&registry) {}
 
   std::string_view name() const override { return "registration-quota"; }
 
@@ -273,17 +257,11 @@ class RegistrationQuota final : public Policy {
     const std::uint32_t cap = b.has_live_override ? b.max_live_override : max_live_;
     if (b.live >= cap) {
       ++denied_;
-      if (registry_ != nullptr) {
-        registry_->counter("policy.reg.denied", op.tenant).add();
-      }
       return {.allow = false, .error = -12 /*ENOMEM*/, .cpu_cost = kCheckCost};
     }
     b.balance.refill(now, rate_, static_cast<double>(burst_regs_));
     if (b.balance.tokens < 1.0) {
       ++denied_;
-      if (registry_ != nullptr) {
-        registry_->counter("policy.reg.denied", op.tenant).add();
-      }
       return {.allow = false, .error = -11 /*EAGAIN*/, .cpu_cost = kCheckCost};
     }
     b.balance.tokens -= 1.0;
@@ -311,7 +289,6 @@ class RegistrationQuota final : public Policy {
   std::uint64_t burst_regs_;
   std::uint64_t denied_ = 0;
   std::vector<Bucket> buckets_;
-  trace::MetricsRegistry* registry_ = nullptr;
 };
 
 /// Observability: per-tenant op/byte counters, harvested without touching
@@ -320,17 +297,8 @@ class RegistrationQuota final : public Policy {
 /// Tenants are small dense integers in this repo, so the store is a flat
 /// vector indexed by tenant id — the per-op path is one bounds check and
 /// an indexed load, matching the O(1) data-plane lookups elsewhere.
-/// Optionally mirrors into a MetricsRegistry (under `policy.stats.*`) so
-/// the counters surface through `Kernel::proc_read` alongside the
-/// kernel's own metrics.
 class StatsCollector final : public Policy {
  public:
-  StatsCollector() = default;
-  /// Mirror every update into `registry` (counters named
-  /// `policy.stats.{post_sends,post_recvs,polls,bytes}`, label = tenant).
-  explicit StatsCollector(trace::MetricsRegistry& registry)
-      : registry_(&registry) {}
-
   std::string_view name() const override { return "stats-collector"; }
 
   struct TenantStats {
@@ -340,7 +308,6 @@ class StatsCollector final : public Policy {
     std::uint64_t bytes = 0;
     std::uint64_t reg_mrs = 0;
     std::uint64_t dereg_mrs = 0;
-    bool seen = false;
   };
 
   PolicyVerdict on_op(const DataplaneOp& op, sim::Time) override {
@@ -349,60 +316,34 @@ class StatsCollector final : public Policy {
       case DataplaneOp::Kind::kPostSend:
         ++s.post_sends;
         s.bytes += op.bytes;
-        if (registry_ != nullptr) {
-          registry_->counter("policy.stats.post_sends", op.tenant).add();
-          registry_->counter("policy.stats.bytes", op.tenant).add(op.bytes);
-        }
         break;
       case DataplaneOp::Kind::kPostRecv:
         ++s.post_recvs;
-        if (registry_ != nullptr) {
-          registry_->counter("policy.stats.post_recvs", op.tenant).add();
-        }
         break;
       case DataplaneOp::Kind::kPollCq:
         ++s.polls;
-        if (registry_ != nullptr) {
-          registry_->counter("policy.stats.polls", op.tenant).add();
-        }
         break;
       case DataplaneOp::Kind::kRegMr:
         ++s.reg_mrs;
-        if (registry_ != nullptr) {
-          registry_->counter("policy.stats.reg_mrs", op.tenant).add();
-        }
         break;
       case DataplaneOp::Kind::kDeregMr:
         ++s.dereg_mrs;
-        if (registry_ != nullptr) {
-          registry_->counter("policy.stats.dereg_mrs", op.tenant).add();
-        }
         break;
     }
     return {.cpu_cost = kCheckCost};
   }
 
   const TenantStats& tenant(TenantId t) { return slot(t); }
-  /// Snapshot of (tenant, stats) for every tenant seen, ascending order.
-  std::vector<std::pair<TenantId, TenantStats>> all() const {
-    std::vector<std::pair<TenantId, TenantStats>> out;
-    for (TenantId t = 0; t < stats_.size(); ++t) {
-      if (stats_[t].seen) out.emplace_back(t, stats_[t]);
-    }
-    return out;
-  }
 
  private:
   static constexpr sim::Time kCheckCost = sim::ns(30);
 
   TenantStats& slot(TenantId t) {
     if (t >= stats_.size()) stats_.resize(t + 1);
-    stats_[t].seen = true;
     return stats_[t];
   }
 
   std::vector<TenantStats> stats_;
-  trace::MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace cord::os

@@ -301,7 +301,6 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
 
   if (p.policies) {
     os::PolicyChain& chain = h0.kernel().policies();
-    trace::MetricsRegistry& reg = h0.kernel().metrics();
     // Bandwidth shaping: line rate by default, the attacker squeezed.
     auto& qos = static_cast<os::QosTokenBucket&>(
         chain.install(std::make_unique<os::QosTokenBucket>(
@@ -313,12 +312,11 @@ NoisyResult run_noisy_neighbor(const core::SystemConfig& base,
         chain.install(std::make_unique<os::OpRateQuota>(
             5e6, 64,
             os::OpRateQuota::kind_bit(os::DataplaneOp::Kind::kPostSend) |
-                os::OpRateQuota::kind_bit(os::DataplaneOp::Kind::kPollCq),
-            reg)));
+                os::OpRateQuota::kind_bit(os::DataplaneOp::Kind::kPollCq))));
     oprate.set_tenant_rate(attacker, kAttackerOpsPerSec);
     // Registration churn: few live MRs, slow refill.
     chain.install(std::make_unique<os::RegistrationQuota>(
-        kMaxLiveMrs, kRegsPerSec, /*burst_regs=*/4, reg));
+        kMaxLiveMrs, kRegsPerSec, /*burst_regs=*/4));
     // Reachability: victims may touch host 1, the attacker host 2.
     auto& acl = static_cast<os::SecurityAcl&>(
         chain.install(std::make_unique<os::SecurityAcl>()));

@@ -94,7 +94,6 @@ void Aggregator::observe(const Waterfall& w) {
   e2e_.add(e2e);
   TenantStats& ts = tenants_[w.tenant];
   ts.e2e.add(e2e);
-  qps_[w.qpn].add(e2e);
   for (std::size_t i = 0; i < kStageCount; ++i) {
     const std::uint64_t span = static_cast<std::uint64_t>(w.stages[i].span);
     stage_[i].add(span);
@@ -102,15 +101,14 @@ void Aggregator::observe(const Waterfall& w) {
   }
   critical_.add(w);
   // Top-K slowest reservoir (full waterfalls for the tail).
-  if (top_k_ > 0) {
-    const auto pos = std::upper_bound(top_.begin(), top_.end(), w, slower);
-    if (pos != top_.end() || top_.size() < top_k_) {
-      top_.insert(pos, w);
-      if (top_.size() > top_k_) top_.pop_back();
-    }
+  const auto pos = std::upper_bound(top_.begin(), top_.end(), w, slower);
+  if (pos != top_.end() || top_.size() < kTopK) {
+    top_.insert(pos, w);
+    if (top_.size() > kTopK) top_.pop_back();
   }
-  // Tail-latency watchdog: evaluated online at the span's (virtual)
-  // completion time, after folding the span into the tenant's histogram.
+  // Tail-latency watchdog: evaluated as the span is observed, stamped with
+  // its (virtual) completion time, after folding the span into the
+  // tenant's histogram.
   const SloConfig* slo = slo_for(w.tenant);
   if (slo != nullptr && slo->budget > 0) {
     const double px = ts.e2e.percentile(slo->percentile);
@@ -125,27 +123,9 @@ void Aggregator::observe(const Waterfall& w) {
   }
 }
 
-void Aggregator::clear() {
-  e2e_ = {};
-  stage_ = {};
-  tenants_.clear();
-  qps_.clear();
-  critical_ = {};
-  top_.clear();
-  events_.clear();
-  violations_ = 0;
-  pending_.clear();
-  pending_evicted_ = 0;
-}
-
 const sim::LogHistogram* Aggregator::tenant_e2e(std::uint32_t tenant) const {
   const auto it = tenants_.find(tenant);
   return it == tenants_.end() ? nullptr : &it->second.e2e;
-}
-
-const sim::LogHistogram* Aggregator::qp_e2e(std::uint32_t qpn) const {
-  const auto it = qps_.find(qpn);
-  return it == qps_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::uint32_t> Aggregator::tenants() const {
@@ -162,8 +142,7 @@ std::uint64_t Aggregator::watchdog_violations(std::uint32_t tenant) const {
 
 const SloConfig* Aggregator::slo_for(std::uint32_t tenant) const {
   const auto it = slos_.find(tenant);
-  if (it != slos_.end()) return &it->second;
-  return has_default_slo_ ? &default_slo_ : nullptr;
+  return it == slos_.end() ? nullptr : &it->second;
 }
 
 std::string Aggregator::latency_report() const {
