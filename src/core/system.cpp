@@ -76,6 +76,11 @@ System::System(SystemConfig cfg, std::size_t host_count)
   metrics_.callback_gauge("engine.events_processed", [this] {
     return static_cast<std::int64_t>(engine_.events_processed());
   });
+  // Timed waits resumed in place; added to events_processed, the events a
+  // queue-only engine would have dispatched.
+  metrics_.callback_gauge("engine.resumed_in_place", [this] {
+    return static_cast<std::int64_t>(engine_.resumed_in_place());
+  });
   metrics_.callback_gauge("engine.clamped_events", [this] {
     return static_cast<std::int64_t>(engine_.clamped_events());
   });

@@ -26,8 +26,11 @@
 //    are replayed in one pass only when something they depend on is read
 //    or changed, each in the exact (t, seq) slot its event would have
 //    taken, and only the step that finds work is dispatched.
+//  * A timed wait whose wake-up would be the next pop resumes in place,
+//    in the same (t, seq) slot, without touching the queue (DESIGN.md §10).
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <limits>
@@ -146,9 +149,36 @@ class Engine {
     queue_push(Item{clamp_to_now(t), next_seq_++,
                     reinterpret_cast<std::uintptr_t>(h.address())});
   }
-  /// Resume `h` after `delay`.
-  void schedule_in(Time delay, std::coroutine_handle<> h) {
-    schedule_at(now_ + delay, h);
+
+  /// Waits one dispatch may resume in place. Their chain never returns to
+  /// dispatch(), and where symmetric transfer is not a tail call (ASan,
+  /// TSan, -O0) every Task that starts or ends inside it leaves a frame on
+  /// the native stack; the next wait is queued, which unwinds them
+  /// (DESIGN.md §10).
+  static constexpr std::uint32_t kMaxInPlace = 256;
+
+  /// The await_suspend of every timed wait of the running coroutine `h`
+  /// (DESIGN.md §10). Its wake-up at `t` (clamped to now()) takes the next
+  /// seq, as schedule_at(t, h) would. If that item would be the next pop,
+  /// no dispatch log is open and this dispatch has resumed fewer than
+  /// kMaxInPlace waits, the clock moves to it and this returns false: `h`
+  /// goes on in place. Else it queues the item (returns true).
+  bool suspend_until(Time t, std::coroutine_handle<> h) {
+    assert(in_coroutine_ && !replaying_);
+    const Item item{clamp_to_now(t), next_seq_++,
+                    reinterpret_cast<std::uintptr_t>(h.address())};
+    // done_ logs every dispatch from the first park until the drain loop
+    // has no lane left, including the dispatch of the last one to wake.
+    if (done_.empty() && in_place_ < kMaxInPlace &&
+        (pending_ == 0 || item.t < heap_.top().t)) {
+      now_ = item.t;
+      cur_seq_ = item.seq;
+      ++in_place_;
+      ++resumed_in_place_;
+      return false;
+    }
+    queue_push(item);
+    return true;
   }
 
   /// Run `fn` at absolute time `t` (used for device callbacks,
@@ -197,8 +227,13 @@ class Engine {
 
   /// Number of detached roots that have not finished yet.
   std::size_t live_roots() const { return roots_.size(); }
-  /// Total events processed (for the engine microbenchmarks).
+  /// Total events processed: queue pops dispatched (for the engine
+  /// microbenchmarks).
   std::uint64_t events_processed() const { return events_processed_; }
+  /// Timed waits that resumed in place instead of as an event
+  /// (suspend_until). events_processed() + resumed_in_place() is the count
+  /// of events a queue-only engine would have dispatched.
+  std::uint64_t resumed_in_place() const { return resumed_in_place_; }
   /// Events whose requested time lay in the past and were clamped to
   /// now(). Non-zero values indicate a model bug worth investigating.
   std::uint64_t clamped_events() const { return clamped_events_; }
@@ -233,7 +268,9 @@ class Engine {
       Engine& engine;
       Time d;
       bool await_ready() const { return false; }
-      void await_suspend(std::coroutine_handle<> h) { engine.schedule_in(d, h); }
+      bool await_suspend(std::coroutine_handle<> h) {
+        return engine.suspend_until(engine.now_ + d, h);
+      }
       void await_resume() const {}
     };
     return Awaiter{*this, d};
@@ -245,16 +282,18 @@ class Engine {
       Engine& engine;
       Time t;
       bool await_ready() const { return t <= engine.now(); }
-      void await_suspend(std::coroutine_handle<> h) { engine.schedule_at(t, h); }
+      bool await_suspend(std::coroutine_handle<> h) {
+        return engine.suspend_until(t, h);
+      }
       void await_resume() const {}
     };
     return Awaiter{*this, t};
   }
 
   /// Awaitable: suspend the calling coroutine as the parked poller `p` of
-  /// `group`. Its first step falls after `delay`, in the slot
-  /// schedule_in(delay) would have taken; the coroutine resumes when a step
-  /// returns Poller::kWake.
+  /// `group`. Its first step falls after `delay`, in the slot delay(delay)
+  /// would have taken; the coroutine resumes when a step returns
+  /// Poller::kWake.
   auto park(Poller& p, PollGroup& group, Time delay) {
     struct Awaiter {
       Engine& engine;
@@ -571,8 +610,15 @@ class Engine {
       slot->fn();
       release_slot(slot);
     } else {
+      in_place_ = 0;
+#ifndef NDEBUG
+      in_coroutine_ = true;
+#endif
       std::coroutine_handle<>::from_address(reinterpret_cast<void*>(payload))
           .resume();
+#ifndef NDEBUG
+      in_coroutine_ = false;
+#endif
     }
   }
 
@@ -594,10 +640,15 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_root_id_ = 1;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t resumed_in_place_ = 0;
+  std::uint32_t in_place_ = 0;     // waits resumed in place this dispatch
   std::uint64_t clamped_events_ = 0;
   std::uint64_t cur_seq_ = 0;       // the dispatch in progress (Point)
   std::uint32_t cur_prev_ = kEvent;
   bool replaying_ = false;         // inside a step: hooks do nothing
+#ifndef NDEBUG
+  bool in_coroutine_ = false;      // dispatch() is resuming a coroutine
+#endif
   std::vector<Poller*> lanes_;     // every parked poller
   std::vector<Poller*> armed_;     // heap by armed_later()
   std::vector<Poller*> bounds_;    // lazy lanes, min-heap by bound_

@@ -39,8 +39,8 @@ class Resource {
         res.busy_total_ += busy;
         return finish <= now;
       }
-      void await_suspend(std::coroutine_handle<> h) {
-        res.engine_->schedule_at(finish, h);
+      bool await_suspend(std::coroutine_handle<> h) {
+        return res.engine_->suspend_until(finish, h);
       }
       /// Returns the completion time of this slot.
       Time await_resume() const { return finish; }

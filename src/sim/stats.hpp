@@ -107,7 +107,8 @@ class LogHistogram {
   std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
 
   /// Approximate percentile, p in [0, 100]: walks buckets to the one
-  /// containing the target rank, then interpolates linearly inside it.
+  /// containing the target rank, then interpolates linearly inside it,
+  /// clamped to [min(), max()] so it never leaves the samples' range.
   double percentile(double p) const {
     if (count_ == 0) return 0.0;
     const double rank = p / 100.0 * static_cast<double>(count_ - 1);
@@ -119,7 +120,8 @@ class LogHistogram {
         const double lo = i == 0 ? 0.0 : static_cast<double>(1ull << (i - 1));
         const double hi = i == 0 ? 1.0 : lo * 2.0;
         const double frac = (rank - seen) / in_bucket;
-        return std::min(lo + (hi - lo) * frac, static_cast<double>(max()));
+        return std::clamp(lo + (hi - lo) * frac, static_cast<double>(min()),
+                          static_cast<double>(max()));
       }
       seen += in_bucket;
     }

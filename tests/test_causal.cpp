@@ -388,6 +388,26 @@ TEST(Aggregator, WatchdogQuietWhenUnderBudget) {
   EXPECT_TRUE(agg.watchdog_events().empty());
 }
 
+TEST(Aggregator, WatchdogFiresWhenEverySpanIsOverBudget) {
+  // Every span takes 7,736 ps, over a p50 budget of 7,000 ps. Interpolating
+  // inside the [4,096, 8,192) bucket alone would put p50 at 4,096-6,144 ps,
+  // under the budget; the percentile stays inside the samples instead.
+  causal::Aggregator agg;
+  agg.set_slo(/*tenant=*/9, {50.0, /*budget=*/7000});
+  std::vector<trace::Record> all;
+  for (std::uint32_t i = 1; i <= 8; ++i) {
+    const auto chain = simple_span(i, 10'000 * i, 7736, /*tenant=*/9);
+    all.insert(all.end(), chain.begin(), chain.end());
+  }
+  agg.ingest(all);
+  const sim::LogHistogram* e2e = agg.tenant_e2e(9);
+  ASSERT_NE(e2e, nullptr);
+  for (const double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_EQ(e2e->percentile(p), 7736.0) << "p" << p;
+  }
+  EXPECT_EQ(agg.watchdog_violations(9), 8u);
+}
+
 // ---------------------------------------------------------------------------
 // Kernel and System surfaces
 // ---------------------------------------------------------------------------

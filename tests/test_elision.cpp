@@ -452,11 +452,12 @@ TEST(Elision, SendSideChargesBetweenParkedReceiveStepsMatchReference) {
 // the other, then System::metrics() by gauge and by its text dump, while
 // rank 0's receive loop is parked (the message comes 40 us later). Each
 // read catches the parked loop up on its own: the core and verb count equal
-// the reference's at that instant, and events plus replayed steps equal the
-// reference's events.
+// the reference's at that instant, and events plus waits resumed in place
+// plus replayed steps equal the reference's events plus waits resumed in
+// place.
 
 struct Reading {
-  std::uint64_t work = 0;  // events + sim.polls_elided (the reference's events)
+  std::uint64_t work = 0;  // events + resumed in place + sim.polls_elided
   std::int64_t sys_elided = 0;
   std::int64_t dump_elided = 0;
   CoreState core;
@@ -488,7 +489,8 @@ std::vector<Reading> read_while_parked(const std::vector<sim::Time>& reads,
     std::memcpy(&r.core.load_bits, &load, sizeof load);
     if (!ops_first) r.core.ops = p.ep(0).context().dataplane_ops();
     r.sys_elided = p.system().metrics().gauge_value("sim.polls_elided");
-    r.work = e.events_processed() + static_cast<std::uint64_t>(r.sys_elided);
+    r.work = e.events_processed() + e.resumed_in_place() +
+             static_cast<std::uint64_t>(r.sys_elided);
     r.dump_elided = metric_line(p.system().metrics().text(), "sim.polls_elided");
     out.push_back(r);
   };
@@ -764,10 +766,11 @@ TEST(Elision, GaugesCountElidedPollsAndWakes) {
 }
 
 TEST(Elision, EventsPlusReplayedStepsArePinned) {
-  // Engine events plus replayed poll steps of the perfbench smoke points
-  // (16 ranks, one iteration). Elision moves work between the two terms
-  // but never changes their sum; a change that moves a sum changes the
-  // simulated program and must update it here on purpose.
+  // Engine events, waits resumed in place and replayed poll steps of the
+  // perfbench smoke points (16 ranks, one iteration). Elision and in-place
+  // resumption move work between the three terms but never change their
+  // sum; a change that moves a sum changes the simulated program and must
+  // update it here on purpose.
   struct Pin {
     npb::Kernel kernel;
     NetMode net;
@@ -790,7 +793,8 @@ TEST(Elision, EventsPlusReplayedStepsArePinned) {
     (void)npb::run(world, npb::RunConfig{pin.kernel, npb::Class::kB,
                                          /*verify=*/false, 1});
     const sim::Engine& e = sys.engine();
-    EXPECT_EQ(e.events_processed() + e.polls_elided(), pin.steps)
+    EXPECT_EQ(e.events_processed() + e.resumed_in_place() + e.polls_elided(),
+              pin.steps)
         << npb::to_string(pin.kernel) << " net " << static_cast<int>(pin.net);
     EXPECT_GT(e.polls_elided(), 0u);
   }
@@ -798,7 +802,7 @@ TEST(Elision, EventsPlusReplayedStepsArePinned) {
 
 TEST(Elision, PerftestPollingIsNeverElided) {
   // perftest's wait loops poll through verbs::Context::wait_one, which
-  // never parks.
+  // never parks; a poll whose wake-up is the next event resumes in place.
   core::System sys(core::system_l(), 2);
   verbs::Context c0(sys.host(0), 0, sys.options(verbs::DataplaneMode::kBypass));
   verbs::Context c1(sys.host(1), 0, sys.options(verbs::DataplaneMode::kBypass));
@@ -826,6 +830,7 @@ TEST(Elision, PerftestPollingIsNeverElided) {
   EXPECT_EQ(sys.metrics().gauge_value("sim.poll_wakes"), 0);
   EXPECT_EQ(sys.metrics().gauge_value("sim.poll_catchups"), 0);
   EXPECT_GT(sys.engine().events_processed(), 0u);
+  EXPECT_GT(sys.engine().resumed_in_place(), 0u);
 }
 
 }  // namespace

@@ -1085,6 +1085,8 @@ struct PinRun {
     f.engine.call_at(t, [this, wr_id, len] { recv(wr_id, len); });
   }
 
+  /// `events` counts the waits resumed in place too: the engine's events
+  /// had every wait been queued.
   std::string run() {
     f.engine.run();
     char line[256];
@@ -1092,7 +1094,8 @@ struct PinRun {
                   "end=%lld events=%llu trace=%zu:%016llx rnr=%llu qp0=%s "
                   "qp1=%s",
                   static_cast<long long>(f.engine.now()),
-                  static_cast<unsigned long long>(f.engine.events_processed()),
+                  static_cast<unsigned long long>(f.engine.events_processed() +
+                                                  f.engine.resumed_in_place()),
                   tracer.size(),
                   static_cast<unsigned long long>(trace_digest(tracer)),
                   static_cast<unsigned long long>(qp1->counters().rnr_events),

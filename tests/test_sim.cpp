@@ -1,8 +1,8 @@
 // Unit tests for the discrete-event simulation core: engine ordering
 // (including a randomized differential against a reference order), parked
 // pollers and their lazy catch-up (a randomized differential against one
-// event per step), coroutine task composition, latches/signals, FIFO
-// resources, RNG determinism, and statistics.
+// event per step), waits resumed in place, coroutine task composition,
+// latches/signals, FIFO resources, RNG determinism, and statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -413,6 +413,151 @@ TEST(Poller, RunReplaysParkedStepsUntilTheWake) {
   EXPECT_EQ(e.live_roots(), 0u);
 }
 
+// --- Waits resumed in place -------------------------------------------------
+// A timed wait whose wake-up would be the next pop runs on in place, in the
+// slot its event would have had; any other wait is queued.
+
+struct WaitProbe {
+  Time woke = -1;
+  std::uint64_t events = 0;   // events_processed() across the wait
+  std::uint64_t resumed = 0;  // resumed_in_place() across the wait
+};
+
+Task<> probe_delay(Engine& e, Time d, WaitProbe& out, std::vector<int>* order) {
+  const std::uint64_t events = e.events_processed();
+  const std::uint64_t resumed = e.resumed_in_place();
+  co_await e.delay(d);
+  out.woke = e.now();
+  out.events = e.events_processed() - events;
+  out.resumed = e.resumed_in_place() - resumed;
+  if (order != nullptr) order->push_back(1);
+}
+
+TEST(InPlace, WaitOnAnEmptyQueueResumesInPlace) {
+  Engine e;
+  WaitProbe w;
+  e.spawn(probe_delay(e, ns(7), w, nullptr));
+  e.run();
+  EXPECT_EQ(w.woke, ns(7));
+  EXPECT_EQ(w.events, 0u);
+  EXPECT_EQ(w.resumed, 1u);
+  EXPECT_EQ(e.events_processed(), 1u);  // the spawn
+  EXPECT_EQ(e.now(), ns(7));
+}
+
+TEST(InPlace, EventAtTheWakeInstantRunsFirst) {
+  // The event was queued first, so at the same instant its seq is lower:
+  // it runs, then the waiter as an event.
+  Engine e;
+  WaitProbe w;
+  std::vector<int> order;
+  e.call_at(ns(10), [&order] { order.push_back(0); });
+  e.spawn(probe_delay(e, ns(10), w, &order));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(w.woke, ns(10));
+  EXPECT_EQ(w.events, 2u);
+  EXPECT_EQ(w.resumed, 0u);
+}
+
+TEST(InPlace, EventOnePicosecondLaterRunsAfterTheWaiter) {
+  Engine e;
+  WaitProbe w;
+  std::vector<int> order;
+  Time fired = -1;
+  e.call_at(ns(10) + 1, [&] {
+    order.push_back(0);
+    fired = e.now();
+  });
+  e.spawn(probe_delay(e, ns(10), w, &order));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(w.woke, ns(10));
+  EXPECT_EQ(w.events, 0u);
+  EXPECT_EQ(w.resumed, 1u);
+  EXPECT_EQ(fired, ns(10) + 1);
+}
+
+TEST(InPlace, ParkedPollerKeepsWaitsQueued) {
+  // The lane's steps are logged per dispatch (DESIGN.md §20), so while it
+  // is parked a wait is an event even with nothing queued before it.
+  struct Spin final : Poller {
+    bool ready = false;
+    Time step() override { return ready ? kWake : ns(100); }
+  };
+  Engine e;
+  PollGroup group(e);
+  Spin spin;
+  WaitProbe w;
+  e.call_at(us(1), [&group, &spin] {
+    group.notify();
+    spin.ready = true;
+  });
+  e.spawn([](Engine& e, PollGroup& g, Spin& s) -> Task<> {
+    co_await e.park(s, g, ns(100));
+  }(e, group, spin));
+  e.spawn(probe_delay(e, ns(10), w, nullptr));
+  e.run();
+  EXPECT_EQ(w.woke, ns(10));
+  EXPECT_EQ(w.events, 1u);
+  EXPECT_EQ(w.resumed, 0u);
+  EXPECT_EQ(e.resumed_in_place(), 0u);
+  EXPECT_EQ(e.poll_wakes(), 1u);
+}
+
+TEST(InPlace, ResourceUseAndSleepUntilTakeTheSamePath) {
+  // use() finishes at 5 ns, before the callback at 20 ns: in place.
+  // sleep_until(20 ns) ties with it and was scheduled later: queued.
+  Engine e;
+  Resource r(e);
+  std::vector<int> order;
+  Time used = -1, slept = -1;
+  e.call_at(ns(20), [&order] { order.push_back(0); });
+  e.spawn([](Engine& e, Resource& r, std::vector<int>& order, Time& used,
+             Time& slept) -> Task<> {
+    co_await r.use(ns(5));
+    used = e.now();
+    co_await e.sleep_until(ns(20));
+    slept = e.now();
+    order.push_back(1);
+  }(e, r, order, used, slept));
+  e.run();
+  EXPECT_EQ(used, ns(5));
+  EXPECT_EQ(slept, ns(20));
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(e.resumed_in_place(), 1u);
+  EXPECT_EQ(e.events_processed(), 3u);  // spawn, callback, sleep_until
+}
+
+TEST(InPlace, LongChainReturnsToTheQueueEveryKMaxInPlaceWaits) {
+  // Each wait after the first kMaxInPlace of a dispatch is queued, so a
+  // chain of waits unwinds the native stack that often.
+  Engine e;
+  constexpr std::uint64_t kWaits = Engine::kMaxInPlace + 50;
+  e.spawn([](Engine& e) -> Task<> {
+    for (std::uint64_t i = 0; i < kWaits; ++i) co_await e.delay(ns(1));
+  }(e));
+  e.run();
+  EXPECT_EQ(e.now(), static_cast<Time>(kWaits) * ns(1));
+  EXPECT_EQ(e.events_processed(), 2u);  // the spawn and wait kMaxInPlace + 1
+  EXPECT_EQ(e.resumed_in_place(), kWaits - 1);
+}
+
+TEST(InPlace, NegativeDelayClampsToNow) {
+  Engine e;
+  Time woke = -1;
+  e.spawn([](Engine& e, Time& woke) -> Task<> {
+    co_await e.delay(ns(5));
+    co_await e.delay(-ns(3));
+    woke = e.now();
+  }(e, woke));
+  e.run();
+  EXPECT_EQ(woke, ns(5));
+  EXPECT_EQ(e.clamped_events(), 1u);
+  EXPECT_EQ(e.resumed_in_place(), 2u);
+  EXPECT_EQ(e.events_processed(), 1u);
+}
+
 // --- Lazy catch-up differential --------------------------------------------
 // Loops in groups that share order-dependent state, as the loops of one
 // os::Core share its DVFS EWMA. Every empty step records (t, loop, step),
@@ -535,7 +680,7 @@ struct LazyOutcome {
   std::vector<std::vector<LazyWorld::Rec>> recs;  // per loop
   std::vector<std::uint64_t> ewma_bits;           // per group
   Time end = 0;
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;  // events plus waits resumed in place
   std::uint64_t elided = 0;
   std::uint64_t catchups = 0;
 };
@@ -602,7 +747,7 @@ LazyOutcome run_lazy(std::uint64_t seed, bool parked) {
     out.ewma_bits.push_back(bits);
   }
   out.end = w.engine.now();
-  out.events = w.engine.events_processed();
+  out.events = w.engine.events_processed() + w.engine.resumed_in_place();
   out.elided = w.engine.polls_elided();
   out.catchups = w.engine.poll_catchups();
   return out;
@@ -816,6 +961,17 @@ TEST(Stats, OnlineStatsBasics) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
   EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
+}
+
+TEST(Stats, LogHistogramPercentilesStayInsideTheSamples) {
+  // Both samples fall in the [4,096, 8,192) bucket; the all-equal case is
+  // Aggregator.WatchdogFiresWhenEverySpanIsOverBudget.
+  LogHistogram h;
+  h.add(5000);
+  h.add(6000);
+  EXPECT_EQ(h.percentile(0), 5000.0);
+  EXPECT_GE(h.percentile(50), 5000.0);
+  EXPECT_EQ(h.percentile(100), 6000.0);
 }
 
 TEST(Stats, Percentiles) {
